@@ -26,11 +26,16 @@ green_spectral_oracle recomputes the bound-branch line kernel from its
 rapidity-space spectral integral with adaptive quadrature.  It shares no
 code path with the closed forms above and exists purely as an independent
 cross-check.
+
+green_partial_real evaluates Re G_j(chi, r, r') on numpy arrays for drivers
+that need the real part over many points at once.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 from .errors import DomainError, ThresholdError, UnsupportedBranchError
 from .kinematics import BoundEnergy, EquationVariant, Kinematics, k_factor, k_factor_bound
@@ -65,22 +70,30 @@ def _ratio_sin(j: EquationVariant, x: float, chi: float) -> float:
     a = rate * x
     b = chi * x
     if abs(x) < _SMALL_MR:
-        a2 = a * a
-        b2 = b * b
-        if j == EquationVariant.MLT:
-            # tanh(a) sin(b) = a b (1 - a^2/3 - b^2/6 + 2a^4/15 + a^2 b^2/18 + b^4/120 + ...)
-            return a * b * (
-                1.0 - a2 / 3.0 - b2 / 6.0
-                + 2.0 * a2 * a2 / 15.0 + a2 * b2 / 18.0 + b2 * b2 / 120.0
-            )
-        # coth(a) sin(b) = (b/a) (1 + a^2/3 - b^2/6 - a^4/45 - a^2 b^2/18 + b^4/120 + ...)
-        return (chi / rate) * (
-            1.0 + a2 / 3.0 - b2 / 6.0
-            - a2 * a2 / 45.0 - a2 * b2 / 18.0 + b2 * b2 / 120.0
-        )
+        return _ratio_sin_series(j, a, b, chi, rate)
     if j == EquationVariant.MLT:
         return math.tanh(a) * math.sin(b)
     return math.sin(b) / math.tanh(a)
+
+
+def _ratio_sin_series(j: EquationVariant, a, b, chi, rate: float):
+    """Taylor series of c_j(x) sin(chi x) in a = rate x and b = chi x.
+
+    Plain arithmetic, so floats and numpy arrays both work.
+    """
+    a2 = a * a
+    b2 = b * b
+    if j == EquationVariant.MLT:
+        # tanh(a) sin(b) = a b (1 - a^2/3 - b^2/6 + 2a^4/15 + a^2 b^2/18 + b^4/120 + ...)
+        return a * b * (
+            1.0 - a2 / 3.0 - b2 / 6.0
+            + 2.0 * a2 * a2 / 15.0 + a2 * b2 / 18.0 + b2 * b2 / 120.0
+        )
+    # coth(a) sin(b) = (b/a) (1 + a^2/3 - b^2/6 - a^4/45 - a^2 b^2/18 + b^4/120 + ...)
+    return (chi / rate) * (
+        1.0 + a2 / 3.0 - b2 / 6.0
+        - a2 * a2 / 45.0 - a2 * b2 / 18.0 + b2 * b2 / 120.0
+    )
 
 
 def green_line(j: int, kin: Kinematics, r: float) -> complex:
@@ -98,6 +111,52 @@ def green_line(j: int, kin: Kinematics, r: float) -> complex:
     if j == EquationVariant.K:
         g += _sech(math.pi * x / 2) / (4.0 * m * math.cosh(chi))
     return g
+
+
+def green_partial_real(j: int, m: float, chi, r, rp) -> np.ndarray:
+    """Re G_j(chi, r, r') on the scattering branch, evaluated on numpy arrays.
+
+    chi, r and r' broadcast against each other; m is a scalar.  The values
+    are those of green_partial(j, Kinematics(m, chi), r, rp).real up to
+    rounding (numpy's sin and tanh may differ from math's in the last
+    place).  r and r' must be finite and non-negative.  The variant
+    constants (hyperbolic rate, K_j and the j = 2 sech prefactor) are
+    computed once per call.  chi = 0 anywhere raises ThresholdError; a
+    rapidity so large that K_j or cosh(chi) overflows raises DomainError.
+    """
+    j = EquationVariant(j)
+    chi = np.asarray(chi, dtype=float)
+    if (chi == 0.0).any():
+        raise ThresholdError("line kernel undefined at chi = 0 (elastic threshold)")
+    rate = math.pi / 2 if j in (EquationVariant.LT, EquationVariant.MLT) else math.pi
+    with np.errstate(all="ignore"):
+        if j in (EquationVariant.LT, EquationVariant.K):
+            kj = m * np.sinh(2.0 * chi)
+        else:
+            kj = 2.0 * m * np.sinh(chi)
+        sech_den = 4.0 * m * np.cosh(chi) if j == EquationVariant.K else 1.0
+        if not (np.isfinite(kj).all() and np.isfinite(sech_den).all()):
+            raise DomainError(
+                f"rapidity too large: K_{int(j)} or cosh(chi) overflows "
+                f"for chi up to {float(chi.max())!r} at m = {m!r}"
+            )
+
+        def line(x):
+            a = rate * x
+            b = chi * x
+            if j == EquationVariant.MLT:
+                g = np.tanh(a) * np.sin(b)
+            else:
+                g = np.sin(b) / np.tanh(a)
+            small = np.abs(x) < _SMALL_MR
+            if small.any():
+                g = np.where(small, _ratio_sin_series(j, a, b, chi, rate), g)
+            g = g / kj
+            if j == EquationVariant.K:
+                g = g + 1.0 / np.cosh(math.pi * x / 2) / sech_den
+            return g
+
+        return line(m * (r - rp)) - line(m * (r + rp))
 
 
 def _hyperbolic_ratio(kind: str, alpha: float, beta: float, x: float) -> float:

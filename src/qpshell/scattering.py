@@ -18,7 +18,7 @@ phase to machine accuracy.
 Transparency (Ramsauer-Townsend) points are zeros of f.  For a single shell
 they sit exactly at chi = pi n / (m a); for two shells they trace curves in
 the (a_2, chi) plane located here by a marching-squares scan of the real
-zero condition.
+zero condition, evaluated on numpy arrays.
 """
 
 from __future__ import annotations
@@ -27,6 +27,8 @@ import cmath
 import math
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .errors import (
     AccuracyError,
     DomainError,
@@ -34,7 +36,7 @@ from .errors import (
     ThresholdError,
     UnsupportedFormError,
 )
-from .greens import green_line, green_partial
+from .greens import _sech, green_partial, green_partial_real
 from .kinematics import EquationVariant, Kinematics, k_factor
 
 # Relative threshold below which a closed-form denominator counts as a pole.
@@ -44,6 +46,8 @@ _POLE_EPS = 1e-14
 # emitted residuals never graze their own acceptance threshold.
 _VERTEX_RESIDUAL = 1e-10
 _MAX_EDGE_BISECT = 200
+# Points per array evaluation of the zero condition; bounds the temporaries.
+_FIELD_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -204,7 +208,7 @@ def amplitude_explicit(j: int, kin: Kinematics, pot: ShellPotential) -> complex:
             # th(a/2)^2 / (1 + th(a/2)^2) rewritten as (1 - sech(pi m a)) / 2.
             bracket = complex(
                 s(2 * a) / th(2 * a) - chi / math.pi
-                - 0.5 * (1.0 - _sech_real(math.pi * m * a)) * math.sinh(chi),
+                - 0.5 * (1.0 - _sech(math.pi * m * a)) * math.sinh(chi),
                 2 * s_a * s_a,
             )
         elif j == EquationVariant.MLT:
@@ -237,11 +241,6 @@ def amplitude_explicit(j: int, kin: Kinematics, pot: ShellPotential) -> complex:
     if abs(den) < _POLE_EPS * (abs(f3) + abs(f4) + 1.0):
         raise PoleError(f"expanded-form denominator vanishes at chi = {chi!r}")
     return -2.0 * (f1 + f2) / (q * kj * den)
-
-
-def _sech_real(x: float) -> float:
-    e = math.exp(-abs(x))
-    return 2.0 * e / (1.0 + e * e)
 
 
 def wavefunction(j: int, kin: Kinematics, pot: ShellPotential, r: float) -> complex:
@@ -318,25 +317,26 @@ def single_shell_zero_rapidities(m: float, a: float, chi_max: float) -> list[flo
 
 
 def _zero_condition_raw(
-    j: EquationVariant, kin: Kinematics, v1: float, a1: float, v2: float, a2: float
-) -> float:
-    """Two-shell transparency condition on raw scalars.
+    j: int, m: float, chi, v1: float, a1: float, v2: float, a2
+) -> np.ndarray:
+    """Two-shell transparency condition; chi and a2 are broadcast arrays.
 
     Continuous in a2 across a2 = a1 (the bracket cancels there and the value
     coalesces to the single-shell numerator (V1+V2) s^2), which matters for
-    plane scans whose windows may touch a2 = a1 exactly.
+    plane scans whose windows may touch a2 = a1 exactly.  Overflowing
+    strengths give a non-finite value, not a warning.
     """
-    m, chi = kin.m, kin.chi
-    s1 = math.sin(chi * m * a1)
-    s2 = math.sin(chi * m * a2)
-    g11 = green_partial(j, kin, a1, a1).real
-    g22 = green_partial(j, kin, a2, a2).real
-    g12 = green_partial(j, kin, a1, a2).real
-    return (
-        v1 * s1 * s1
-        + v2 * s2 * s2
-        + v1 * v2 * (2 * s1 * s2 * g12 - s1 * s1 * g22 - s2 * s2 * g11)
-    )
+    with np.errstate(all="ignore"):
+        s1 = np.sin(chi * m * a1)
+        s2 = np.sin(chi * m * a2)
+        g11 = green_partial_real(j, m, chi, a1, a1)
+        g22 = green_partial_real(j, m, chi, a2, a2)
+        g12 = green_partial_real(j, m, chi, a1, a2)
+        return (
+            v1 * s1 * s1
+            + v2 * s2 * s2
+            + v1 * v2 * (2 * s1 * s2 * g12 - s1 * s1 * g22 - s2 * s2 * g11)
+        )
 
 
 def zero_condition(j: int, kin: Kinematics, pot: ShellPotential) -> float:
@@ -355,7 +355,7 @@ def zero_condition(j: int, kin: Kinematics, pot: ShellPotential) -> float:
             "chi = pi n / (m a), see single_shell_zero_rapidities"
         )
     (v1, a1), (v2, a2) = pot.shells
-    return _zero_condition_raw(j, kin, v1, a1, v2, a2)
+    return float(_zero_condition_raw(j, kin.m, kin.chi, v1, a1, v2, a2))
 
 
 def zero_condition_explicit(kin: Kinematics, pot: ShellPotential) -> float:
@@ -423,23 +423,51 @@ _CASES: dict[int, tuple[tuple[int, int], ...]] = {
 }
 
 
-def _refine_edge_zero(func, p_lo, p_hi, f_lo, f_hi):
-    """Bisect along a straight edge until |func| < _VERTEX_RESIDUAL."""
-    neg, pos = (p_lo, p_hi) if f_lo < 0 else (p_hi, p_lo)
-    best = None
+def _condition_at(j, m, v1, a1, v2, n, points) -> np.ndarray:
+    """Zero condition at n points, _FIELD_BLOCK points at a time.
+
+    points(k) gives the (a2, chi) coordinates of the point indices k, so a
+    grid is never expanded into whole coordinate arrays.
+    """
+    out = np.empty(n)
+    for lo in range(0, n, _FIELD_BLOCK):
+        k = np.arange(lo, min(lo + _FIELD_BLOCK, n))
+        x, y = points(k)
+        out[lo:lo + len(k)] = _zero_condition_raw(j, m, y, v1, a1, v2, x)
+    return out
+
+
+def _refine_edge_zero(cond, neg, pos):
+    """Bisect every crossing edge at once until |cond| < _VERTEX_RESIDUAL.
+
+    neg and pos are (x, y) arrays of the edge ends where the condition is
+    negative and non-negative; cond(n, points) evaluates it as _condition_at
+    does.  Each edge follows its own midpoint sequence and stops at the
+    first midpoint under the target; returns the (x, y, |cond|) rows of
+    those midpoints, in edge order.
+    """
+    (neg_x, neg_y), (pos_x, pos_y) = neg, pos
+    out = np.empty((3, len(neg_x)))
+    todo = np.arange(len(neg_x))
     for _ in range(_MAX_EDGE_BISECT):
-        mid = (0.5 * (neg[0] + pos[0]), 0.5 * (neg[1] + pos[1]))
-        fm = func(mid[0], mid[1])
-        best = (mid[0], mid[1], abs(fm))
-        if abs(fm) < _VERTEX_RESIDUAL:
-            return best
-        if fm < 0:
-            neg = mid
-        else:
-            pos = mid
+        mid_x = 0.5 * (neg_x + pos_x)
+        mid_y = 0.5 * (neg_y + pos_y)
+        f_mid = cond(len(mid_x), lambda k: (mid_x[k], mid_y[k]))
+        res = np.abs(f_mid)
+        done = res < _VERTEX_RESIDUAL
+        out[:, todo[done]] = mid_x[done], mid_y[done], res[done]
+        if done.all():
+            return out
+        left = ~done
+        todo, mid_x, mid_y, res = todo[left], mid_x[left], mid_y[left], res[left]
+        lower = f_mid[left] < 0
+        neg_x = np.where(lower, mid_x, neg_x[left])
+        neg_y = np.where(lower, mid_y, neg_y[left])
+        pos_x = np.where(lower, pos_x[left], mid_x)
+        pos_y = np.where(lower, pos_y[left], mid_y)
     raise AccuracyError(
         f"zero-locus vertex refinement stalled near (x, y) = "
-        f"({best[0]!r}, {best[1]!r}) with residual {best[2]:.3e}"
+        f"({float(mid_x[0])!r}, {float(mid_y[0])!r}) with residual {res[0]:.3e}"
     )
 
 
@@ -455,10 +483,12 @@ def scan_zero_locus(
 ) -> ZeroLocus:
     """Trace the two-shell transparency curves over an (a2, chi) window.
 
-    Runs marching squares on the sign of the zero condition, refines every
-    crossing vertex by bisection along its cell edge to residual below 1e-8,
-    and chains segments into polylines deterministically (smallest edge
-    index first).
+    Evaluates the zero condition on the grid as numpy arrays, _FIELD_BLOCK
+    points at a time, and runs marching squares on its sign.  Every edge
+    whose ends differ in sign gets its vertex from one batched bisection
+    over all such edges, each stopping at residual below _VERTEX_RESIDUAL
+    (1e-10).  Segments are chained into polylines deterministically
+    (smallest edge index first).
 
     With V2 = 0 (or V1 = 0) the condition is one-signed and sign-based
     scanning is blind, so the known degenerate zeros are emitted directly:
@@ -471,6 +501,9 @@ def scan_zero_locus(
         raise DomainError(f"grid must be at least 16 x 16, got {nx} x {ny}")
     x_lo, x_hi = map(float, a2_range)
     y_lo, y_hi = map(float, chi_range)
+    if not all(map(math.isfinite, (m, a1, x_hi, y_hi))):
+        raise DomainError(f"m, a1 and the window must be finite, got {m}, {a1}, "
+                          f"{a2_range}, {chi_range}")
     if not (0 < x_lo < x_hi):
         raise DomainError(f"a2 range must satisfy 0 < lo < hi, got {a2_range}")
     if not (0 < y_lo < y_hi):
@@ -480,11 +513,11 @@ def scan_zero_locus(
     if v1 == 0.0 and v2 == 0.0:
         raise DomainError("at least one shell strength must be non-zero")
 
-    xs = [x_lo + (x_hi - x_lo) * i / (nx - 1) for i in range(nx)]
-    ys = [y_lo + (y_hi - y_lo) * i / (ny - 1) for i in range(ny)]
+    xs = x_lo + (x_hi - x_lo) * np.arange(nx) / (nx - 1)
+    ys = y_lo + (y_hi - y_lo) * np.arange(ny) / (ny - 1)
 
-    def cond(x: float, y: float) -> float:
-        return _zero_condition_raw(j, Kinematics(m, y), v1, a1, v2, x)
+    def cond(n, points):
+        return _condition_at(j, m, v1, a1, v2, n, points)
 
     if v2 == 0.0 or v1 == 0.0:
         curves = []
@@ -496,8 +529,8 @@ def scan_zero_locus(
                 if chi_n > y_hi:
                     break
                 if chi_n >= y_lo:
-                    curve = tuple((x, chi_n, abs(cond(x, chi_n))) for x in xs)
-                    curves.append(curve)
+                    res = np.abs(cond(nx, lambda k: (xs[k], chi_n)))
+                    curves.append(tuple(zip(xs.tolist(), [chi_n] * nx, res.tolist())))
                 n += 1
         else:
             # Hyperbolas chi = pi n / (m a2) of the outer shell.
@@ -506,77 +539,67 @@ def scan_zero_locus(
                 lo = max(x_lo, math.pi * n / (m * y_hi))
                 hi = min(x_hi, math.pi * n / (m * y_lo))
                 if lo <= hi:
-                    pts = [lo] + [x for x in xs if lo < x < hi] + [hi]
-                    curve = tuple(
-                        (x, math.pi * n / (m * x), abs(cond(x, math.pi * n / (m * x))))
-                        for x in pts
-                    )
-                    curves.append(curve)
+                    px = np.array([lo] + [x for x in xs.tolist() if lo < x < hi] + [hi])
+                    py = math.pi * n / (m * px)
+                    res = np.abs(cond(len(px), lambda k: (px[k], py[k])))
+                    curves.append(tuple(zip(px.tolist(), py.tolist(), res.tolist())))
                 n += 1
         return ZeroLocus(int(j), tuple(curves))
 
-    field = [[cond(x, y) for y in ys] for x in xs]
-    for ix, col in enumerate(field):
-        for iy, v in enumerate(col):
-            if not math.isfinite(v):
-                raise AccuracyError(
-                    f"zero condition non-finite at (a2, chi) = ({xs[ix]}, {ys[iy]})"
-                )
+    field = cond(nx * ny, lambda k: (xs[k // ny], ys[k % ny])).reshape(nx, ny)
+    bad = np.argwhere(~np.isfinite(field))
+    if len(bad):
+        ix, iy = bad[0]
+        raise AccuracyError(
+            f"zero condition non-finite at (a2, chi) = ({float(xs[ix])}, {float(ys[iy])})"
+        )
 
     n_h = (nx - 1) * ny  # horizontal edge count; vertical ids start after
 
-    def h_edge(ix: int, iy: int) -> int:
+    def h_edge(ix, iy):
         return iy * (nx - 1) + ix
 
-    def v_edge(ix: int, iy: int) -> int:
+    def v_edge(ix, iy):
         return n_h + iy * nx + ix
 
-    vertices: dict[int, tuple[float, float, float]] = {}
+    # Vertices on every edge whose ends differ in sign, refined in one batch.
+    neg = field < 0
+    h_ix, h_iy = np.nonzero(neg[:-1, :] != neg[1:, :])
+    v_ix, v_iy = np.nonzero(neg[:, :-1] != neg[:, 1:])
+    lo_ix = np.concatenate([h_ix, v_ix])
+    lo_iy = np.concatenate([h_iy, v_iy])
+    hi_x = xs[np.concatenate([h_ix + 1, v_ix])]
+    hi_y = ys[np.concatenate([h_iy, v_iy + 1])]
+    lo_x, lo_y = xs[lo_ix], ys[lo_iy]
+    lo_neg = neg[lo_ix, lo_iy]
+    vx, vy, vr = _refine_edge_zero(
+        cond,
+        (np.where(lo_neg, lo_x, hi_x), np.where(lo_neg, lo_y, hi_y)),
+        (np.where(lo_neg, hi_x, lo_x), np.where(lo_neg, hi_y, lo_y)),
+    )
+    edge_ids = np.concatenate([h_edge(h_ix, h_iy), v_edge(v_ix, v_iy)])
+    vertices = dict(zip(edge_ids.tolist(), zip(vx.tolist(), vy.tolist(), vr.tolist())))
 
-    def vertex_on(edge_id: int, p0, p1, f0, f1):
-        if edge_id not in vertices:
-            vertices[edge_id] = _refine_edge_zero(cond, p0, p1, f0, f1)
-
+    # Marching-squares case per cell; segments in row order (chi, then a2).
+    n8 = neg.view(np.uint8)
+    case = n8[:-1, :-1] | n8[1:, :-1] << 1 | n8[1:, 1:] << 2 | n8[:-1, 1:] << 3
+    cells_iy, cells_ix = np.nonzero((case.T != 0) & (case.T != 15))
     segments: list[tuple[int, int]] = []
-    for iy in range(ny - 1):
-        for ix in range(nx - 1):
-            f00 = field[ix][iy]
-            f10 = field[ix + 1][iy]
-            f11 = field[ix + 1][iy + 1]
-            f01 = field[ix][iy + 1]
-            case = (
-                (1 if f00 < 0 else 0)
-                | (2 if f10 < 0 else 0)
-                | (4 if f11 < 0 else 0)
-                | (8 if f01 < 0 else 0)
-            )
-            if case in (0, 15):
-                continue
-            edge_ids = {
-                _B: h_edge(ix, iy),
-                _R: v_edge(ix + 1, iy),
-                _T: h_edge(ix, iy + 1),
-                _L: v_edge(ix, iy),
-            }
-            edge_geom = {
-                _B: ((xs[ix], ys[iy]), (xs[ix + 1], ys[iy]), f00, f10),
-                _R: ((xs[ix + 1], ys[iy]), (xs[ix + 1], ys[iy + 1]), f10, f11),
-                _T: ((xs[ix], ys[iy + 1]), (xs[ix + 1], ys[iy + 1]), f01, f11),
-                _L: ((xs[ix], ys[iy]), (xs[ix], ys[iy + 1]), f00, f01),
-            }
-            if case in (5, 10):
-                center = 0.25 * (f00 + f10 + f11 + f01)
-                if case == 5:
-                    segs = ((_L, _T), (_B, _R)) if center < 0 else ((_L, _B), (_T, _R))
-                else:
-                    segs = ((_L, _B), (_T, _R)) if center < 0 else ((_L, _T), (_B, _R))
+    for iy, ix in zip(cells_iy.tolist(), cells_ix.tolist()):
+        c = int(case[ix, iy])
+        ids = (h_edge(ix, iy), v_edge(ix + 1, iy), h_edge(ix, iy + 1), v_edge(ix, iy))
+        if c in (5, 10):
+            f00, f10 = field[ix, iy], field[ix + 1, iy]
+            f11, f01 = field[ix + 1, iy + 1], field[ix, iy + 1]
+            center = 0.25 * (f00 + f10 + f11 + f01)
+            if c == 5:
+                segs = ((_L, _T), (_B, _R)) if center < 0 else ((_L, _B), (_T, _R))
             else:
-                segs = _CASES[case]
-            for e_a, e_b in segs:
-                for e in (e_a, e_b):
-                    p0, p1, f0, f1 = edge_geom[e]
-                    vertex_on(edge_ids[e], p0, p1, f0, f1)
-                segments.append((edge_ids[e_a], edge_ids[e_b]))
+                segs = ((_L, _B), (_T, _R)) if center < 0 else ((_L, _T), (_B, _R))
+        else:
+            segs = _CASES[c]
+        for e_a, e_b in segs:
+            segments.append((ids[e_a], ids[e_b]))
 
     curves = _chain_segments(segments, vertices)
     return ZeroLocus(int(j), curves)

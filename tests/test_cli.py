@@ -155,6 +155,17 @@ def test_zeros_scan(capsys):
     assert code == 2 and err != ""
 
 
+def test_zeros_large_rapidity_is_a_parameter_error(capsys):
+    # K_1 = m sinh(2 chi) overflows above chi ~ 355 at m = 1
+    code, out, err = run(
+        capsys, "zeros", "--j", "1", "--m", "1", "--a1", "1", "--v1", "1",
+        "--v2", "-1", "--a2", "1:3:16", "--chi", "300:400:16",
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("parameter error") and "Traceback" not in err
+
+
 def test_nrlimit_table(capsys):
     code, out, _ = run(capsys, "nrlimit", "--observable", "gf", "--j", "2")
     assert code == 0

@@ -20,6 +20,7 @@ from qpshell.greens import (
     green_line_bound,
     green_partial,
     green_partial_bound,
+    green_partial_real,
     green_spectral_oracle,
 )
 from qpshell.kinematics import ALL_VARIANTS, BoundEnergy, Kinematics, k_factor
@@ -197,3 +198,38 @@ def test_negative_separation_even():
     kin = Kinematics(1.0, 1.1)
     for j in ALL_VARIANTS:
         assert green_line(j, kin, -0.7) == green_line(j, kin, 0.7)
+
+
+def test_array_kernel_matches_scalar():
+    # r = r', the |m (r - r')| < 1e-4 series branch, moderate and large r;
+    # chi is broadcast against r.  Tolerance: a few ulp of the magnitudes of
+    # the terms summed.  For j = 2 each line kernel adds a sech term of at
+    # most 1/(4 m cosh chi) that may cancel the ratio term, so twice that
+    # bound per kernel covers both
+    m = 1.3
+    chi = np.array([0.05, 0.7, 2.5, 9.0])
+    pairs = [(1.0, 1.0), (2.0, 2.0 + 3e-5), (0.5, 2.3), (40.0, 41.5), (300.0, 0.2), (1e4, 1e4)]
+    r = np.array([p[0] for p in pairs])[:, None]
+    rp = np.array([p[1] for p in pairs])[:, None]
+    eps = np.finfo(float).eps
+    for j in ALL_VARIANTS:
+        got = green_partial_real(j, m, chi, r, rp)
+        assert got.shape == (len(pairs), len(chi))
+        for (a, b), row in zip(pairs, got):
+            for c, value in zip(chi.tolist(), row.tolist()):
+                kin = Kinematics(m, c)
+                scale = abs(green_line(j, kin, a - b).real) + abs(green_line(j, kin, a + b).real)
+                if j == 2:
+                    scale += 1.0 / (m * math.cosh(c))
+                assert abs(value - green_partial(j, kin, a, b).real) <= 4 * eps * scale
+
+
+def test_array_kernel_guards():
+    with pytest.raises(ThresholdError):
+        green_partial_real(1, 1.0, np.array([0.5, 0.0]), 1.0, 2.0)
+    # K_1 = m sinh(2 chi) overflows near chi = 355 at m = 1, K_3 near 710
+    with pytest.raises(DomainError):
+        green_partial_real(1, 1.0, np.array([1.0, 400.0]), 1.0, 2.0)
+    with pytest.raises(DomainError):
+        green_partial_real(3, 1.0, 800.0, 1.0, 2.0)
+    assert np.isfinite(green_partial_real(3, 1.0, 400.0, 1.0, 2.0))

@@ -12,8 +12,9 @@ from qpshell.errors import (
     PoleError,
     UnsupportedFormError,
 )
+from qpshell import scattering
 from qpshell.greens import green_partial
-from qpshell.kinematics import ALL_VARIANTS, Kinematics
+from qpshell.kinematics import ALL_VARIANTS, Kinematics, k_factor
 from qpshell.scattering import (
     ShellPotential,
     amplitude,
@@ -257,3 +258,55 @@ def test_scan_rejects_degenerate_input():
         scan_zero_locus(1, 1.0, 3.0, 0.0, 0.0, (3.0, 8.0), (0.1, 3.0))
     with pytest.raises(DomainError):
         scan_zero_locus(1, 1.0, 3.0, 1.0, -1.0, (3.0, 8.0), (0.1, 3.0), grid=(8, 40))
+
+
+def test_scan_readme_example_is_complete():
+    # the 300^2 window of the README: a scan that drops cells or vertices
+    # shows here as fewer curves or vertices
+    locus = scan_zero_locus(1, 1.0, 3.0, 1.0, -1.0, (3.0, 8.0), (0.1, 3.0), grid=(300, 300))
+    assert len(locus.curves) == 15
+    assert sum(len(c) for c in locus.curves) == 3539
+    assert max(r for c in locus.curves for (_, _, r) in c) < 1e-10
+
+
+def _explicit_terms(kin, pot):
+    """1 + the sum of the magnitudes of the terms zero_condition_explicit adds."""
+    m, chi = kin.m, kin.chi
+    (v1, a1), (v2, a2) = pot.shells
+
+    def s(x):
+        return math.sin(chi * m * x)
+
+    def th(x):
+        return math.tanh(math.pi * m * x)
+
+    s1, s2 = s(a1), s(a2)
+    bracket = (abs(2 * s1 * s2 * th((a2 - a1) / 2) * s(a2 - a1))
+               + abs(2 * s1 * s2 * th((a2 + a1) / 2) * s(a2 + a1))
+               + abs(th(a1) * s(2 * a1) * s2 * s2) + abs(th(a2) * s(2 * a2) * s1 * s1))
+    return (1.0 + abs(v1 * s1 * s1) + abs(v2 * s2 * s2)
+            + abs(v1 * v2) * bracket / k_factor(3, kin))
+
+
+def test_scan_vertices_satisfy_expanded_condition():
+    # the expanded variant-3 form shares no code with the array kernel
+    locus = scan_zero_locus(3, 1.0, 3.0, 1.0, -1.0, (3.0, 8.0), (0.1, 3.0), grid=(64, 64))
+    # at a2 = a1 the shells merge and the two-shell form does not apply
+    vertices = [v for c in locus.curves for v in c if v[0] != 3.0]
+    assert len(vertices) > 100
+    for x, y, _residual in vertices:
+        kin = Kinematics(1.0, y)
+        pot = ShellPotential.double(1.0, 3.0, -1.0, x)
+        assert abs(zero_condition_explicit(kin, pot)) / _explicit_terms(kin, pot) < 1e-8
+
+
+def test_scan_refinement_stall_raises(monkeypatch):
+    monkeypatch.setattr(scattering, "_VERTEX_RESIDUAL", 0.0)
+    with pytest.raises(AccuracyError, match="stalled"):
+        scan_zero_locus(1, 1.0, 3.0, 1.0, -1.0, (3.0, 8.0), (0.1, 3.0), grid=(16, 16))
+
+
+def test_scan_non_finite_field_raises():
+    # V1 V2 overflows to -inf, so the field is non-finite
+    with pytest.raises(AccuracyError, match="non-finite"):
+        scan_zero_locus(1, 1.0, 3.0, 1e200, -1e200, (3.0, 8.0), (0.1, 3.0), grid=(16, 16))
