@@ -1,5 +1,6 @@
 """Exact s-wave scattering and bound states of four relativistic
-quasipotential equations with one- and two-radius delta-shell potentials."""
+quasipotential equations with superpositions of delta shells, all solved
+through one real K-matrix shell system for any number of shells."""
 
 from .errors import (
     AccuracyError,

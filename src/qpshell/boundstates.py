@@ -1,10 +1,10 @@
 """Bound-state quantization, inverse-strength curves and wave functions.
 
 On the bound branch chi = i w the half-line kernel G(i w, r, r') is real, so
-the shell system from `scattering` turns into a real quantization condition:
-a level exists at w exactly where
+the K-matrix A = 1 - G V of the shell system in `scattering` is the whole
+system, and a level of any number of shells exists at w exactly where
 
-    det [ delta_ks - V_s G(i w, a_k, a_s) ] = 0.
+    det [ delta_ks - G(i w, a_k, a_s) V_s ] = 0.
 
 For one shell this is 1 - V0 G(i w, a, a) = 0, inverted here as the curve
 V0(w) = 1 / G(i w, a, a).  For two shells the same determinant supports two
@@ -13,19 +13,21 @@ the constraint V2 = alpha V1, which is a quadratic in V1 whose discriminant
 can close (no real strength reaches that w when it is negative).
 
 Wave functions are superpositions of bound kernels anchored at the shells,
-psi(r) = N sum_k c_k V_k G(i w, r, a_k), with (c_k) the null vector of the
-quantization matrix, the overall sign fixed by psi(a1) > 0, and N fixed by
-the radial normalization  integral_0^inf psi(r)^2 dr = 1.
+psi(r) = N sum_k c_k V_k G(i w, r, a_k), with (c_k) the null vector of A
+(its largest adjugate column), the overall sign fixed by psi > 0 at the
+innermost shell where psi does not vanish, and N fixed by the radial
+normalization  integral_0^inf psi(r)^2 dr = 1.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 from .errors import DomainError, SingularPointError
-from .greens import _hyperbolic_ratio, _sech, green_partial_bound
+from .greens import _hyperbolic_ratio, _partial_bound, _sech, green_partial_bound
 from .kinematics import (
     BOUND_W_HI,
     BOUND_W_LO,
@@ -34,7 +36,7 @@ from .kinematics import (
     k_factor_bound,
 )
 from .numerics import find_roots_scan, integrate_semi_infinite
-from .scattering import ShellPotential
+from .scattering import ShellPotential, _adj_apply, _det, _shell_matrix
 
 
 @dataclass(frozen=True)
@@ -115,18 +117,14 @@ def v0_of_w_explicit(j: int, be: BoundEnergy, a: float) -> float:
     return num / den
 
 
+def _kernel(j: int, be: BoundEnergy) -> Callable[[float, float], float]:
+    """G(i w, r, r') with the variant and K_j(i w) resolved once."""
+    return partial(_partial_bound, j, be.m, be.w, k_factor_bound(j, be))
+
+
 def det_bound(j: int, be: BoundEnergy, pot: ShellPotential) -> float:
-    """Quantization determinant det[1 - V G] at this w (real)."""
-    j = EquationVariant(j)
-    shells = pot.shells
-    if len(shells) == 1:
-        v0, a = shells[0]
-        return 1.0 - v0 * green_partial_bound(j, be, a, a)
-    (v1, a1), (v2, a2) = shells
-    g11 = green_partial_bound(j, be, a1, a1)
-    g22 = green_partial_bound(j, be, a2, a2)
-    g12 = green_partial_bound(j, be, a1, a2)
-    return (1.0 - v1 * g11) * (1.0 - v2 * g22) - v1 * v2 * g12 * g12
+    """Quantization determinant det[1 - G V] at this w (real)."""
+    return _det(_shell_matrix(pot, _kernel(j, be)))
 
 
 def _v2_parts(
@@ -217,38 +215,31 @@ def bound_wavefunction(
     j = EquationVariant(j)
     be = BoundEnergy(m, w)
     shells = pot.shells
-    residual = abs(det_bound(j, be, pot))
+    kernel = _kernel(j, be)
+    mat = _shell_matrix(pot, kernel)
+    residual = abs(_det(mat))
     if residual > residual_tol:
         raise DomainError(
             f"(m, w) = ({m}, {w}) is not a quantization point of this "
             f"potential: |det| = {residual:.3e} > {residual_tol:.1e}"
         )
-    if len(shells) == 1:
-        coeff = (1.0,)
-    else:
-        (v1, a1), (v2, a2) = shells
-        g11 = green_partial_bound(j, be, a1, a1)
-        g22 = green_partial_bound(j, be, a2, a2)
-        g12 = green_partial_bound(j, be, a1, a2)
-        cand1 = (1.0 - v2 * g22, v1 * g12)
-        cand2 = (v2 * g12, 1.0 - v1 * g11)
-        coeff = max(cand1, cand2, key=lambda c: c[0] * c[0] + c[1] * c[1])
-        if math.hypot(*coeff) == 0.0:
-            raise SingularPointError(
-                f"quantization matrix vanishes identically at w = {w!r}"
-            )
+    # A adj(A) = det(A) = 0: every adjugate column is a null vector of A;
+    # the largest is the best conditioned.
+    n = len(mat)
+    columns = (_adj_apply(mat, [float(i == k) for i in range(n)]) for k in range(n))
+    coeff = max(columns, key=lambda c: sum(x * x for x in c))
+    if not any(coeff):
+        raise SingularPointError(f"quantization matrix vanishes identically at w = {w!r}")
 
     def psi_hat(r: float) -> float:
         total = 0.0
         for c, (v, a) in zip(coeff, shells):
-            total += c * v * green_partial_bound(j, be, r, a)
+            total += c * v * kernel(r, a)
         return total
 
-    # Fix the overall sign before normalizing: psi(a1) > 0 (fall back to
-    # the outer shell if psi happens to vanish at the inner one).
-    anchor = psi_hat(shells[0][1])
-    if anchor == 0.0 and len(shells) == 2:
-        anchor = psi_hat(shells[1][1])
+    # Fix the overall sign before normalizing: psi > 0 at the innermost
+    # shell where it does not vanish.
+    anchor = next((p for p in map(psi_hat, pot.radii) if p != 0.0), 0.0)
     sign = -1.0 if anchor < 0 else 1.0
 
     decay = 2.0 * w * m  # psi ~ exp(-w m r) far out
@@ -273,37 +264,14 @@ def bound_wavefunction(
     return psi, level
 
 
-def solve_w_single(
-    j: int, m: float, a: float, v0: float, n_scan: int = 2000
-) -> list[BoundLevel]:
-    """All bound levels of a single shell, scanned over w in (0, pi/2).
-
-    Only attractive strengths bind (the kernel diagonal is negative), so
-    v0 >= 0 returns no levels immediately.
-    """
-    j = EquationVariant(j)
-    if m <= 0 or a <= 0:
-        raise DomainError(f"m and a must be positive, got {m}, {a}")
-    if v0 >= 0.0:
-        return []
-    pot = ShellPotential.single(v0, a)
-
-    def det_of_w(w: float) -> float:
-        return det_bound(j, BoundEnergy(m, w), pot)
-
-    roots = find_roots_scan(det_of_w, BOUND_W_LO, BOUND_W_HI, n_scan=n_scan)
-    return [bound_wavefunction(j, m, r.x, pot)[1] for r in roots]
-
-
-def solve_w_double(
+def solve_levels(
     j: int, m: float, pot: ShellPotential, n_scan: int = 2000
 ) -> list[BoundLevel]:
-    """All bound levels of a two-shell potential, scanned over w in (0, pi/2)."""
+    """All bound levels of the shells: roots of det_bound scanned over w in
+    (0, pi/2) on n_scan intervals, each refined by bisection."""
     j = EquationVariant(j)
     if m <= 0:
         raise DomainError(f"m must be positive, got {m}")
-    if len(pot.shells) != 2:
-        raise DomainError("solve_w_double needs two shells; see solve_w_single")
 
     def det_of_w(w: float) -> float:
         return det_bound(j, BoundEnergy(m, w), pot)

@@ -23,8 +23,7 @@ from .boundstates import (
     sample_v0_curve,
     sample_v1pm_curve,
     sample_v2_curve,
-    solve_w_double,
-    solve_w_single,
+    solve_levels,
 )
 from .errors import (
     AccuracyError,
@@ -190,12 +189,7 @@ def _cmd_bound(ns: argparse.Namespace, invocation: str) -> int:
     if ns.levels:
         pot = _potential_from(ns)
         for j in ns.j:
-            if len(pot.shells) == 1:
-                (v0, a), = pot.shells
-                levels = solve_w_single(j, ns.m, a, v0, n_scan=ns.n)
-            else:
-                levels = solve_w_double(j, ns.m, pot, n_scan=ns.n)
-            for level in levels:
+            for level in solve_levels(j, ns.m, pot, n_scan=ns.n):
                 psi, _ = bound_wavefunction(j, ns.m, level.w, pot)
                 decay = 2.0 * level.w * ns.m
                 total = integrate_semi_infinite(lambda r: psi(r) ** 2, 0.0, decay, 1e-10)

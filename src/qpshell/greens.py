@@ -28,7 +28,8 @@ code path with the closed forms above and exists purely as an independent
 cross-check.
 
 green_partial_real evaluates Re G_j(chi, r, r') on numpy arrays for drivers
-that need the real part over many points at once.
+that need the real part over many points at once.  The shell systems call
+the scalar _partial_re and _partial_bound with K_j resolved once per system.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ def _sech(x: float) -> float:
     return 2.0 * e / (1.0 + e * e)
 
 
-def _ratio_sin(j: EquationVariant, x: float, chi: float) -> float:
+def _ratio_sin(j: int, x: float, chi: float) -> float:
     """c_j(x) sin(chi x) where c_j is the variant's hyperbolic ratio.
 
     c_1 = coth(pi x / 2), c_2 = c_4 = coth(pi x), c_3 = tanh(pi x / 2).
@@ -61,12 +62,7 @@ def _ratio_sin(j: EquationVariant, x: float, chi: float) -> float:
     double zero (j = 3) at x = 0; a joint Taylor expansion in the two
     proportional arguments covers |x| < _SMALL_MR.
     """
-    if j == EquationVariant.LT:
-        rate = math.pi / 2
-    elif j == EquationVariant.MLT:
-        rate = math.pi / 2
-    else:
-        rate = math.pi
+    rate = math.pi / 2 if j in (EquationVariant.LT, EquationVariant.MLT) else math.pi
     a = rate * x
     b = chi * x
     if abs(x) < _SMALL_MR:
@@ -107,10 +103,21 @@ def green_line(j: int, kin: Kinematics, r: float) -> complex:
     m, chi = kin.m, kin.chi
     x = m * r
     kj = k_factor(j, kin)
-    g = complex(_ratio_sin(j, x, chi), -math.cos(chi * x)) / kj
+    return complex(_line_re(j, m, chi, kj, x), -math.cos(chi * x) / kj)
+
+
+def _line_re(j: int, m: float, chi: float, kj: float, x: float) -> float:
+    """Re G_j(chi, r) at x = m r, with the flux factor kj = K_j given."""
+    g = _ratio_sin(j, x, chi) / kj
     if j == EquationVariant.K:
         g += _sech(math.pi * x / 2) / (4.0 * m * math.cosh(chi))
     return g
+
+
+def _partial_re(j: int, m: float, chi: float, kj: float,
+                r: float, rp: float) -> float:
+    """Re G_j(chi, r, r') by images; the scalar kernel of the shell system."""
+    return _line_re(j, m, chi, kj, m * (r - rp)) - _line_re(j, m, chi, kj, m * (r + rp))
 
 
 def green_partial_real(j: int, m: float, chi, r, rp) -> np.ndarray:
@@ -194,9 +201,12 @@ def green_line_bound(j: int, be: BoundEnergy, r: float) -> float:
     r = float(r)
     if not math.isfinite(r):
         raise DomainError(f"r must be finite, got {r}")
-    m, w = be.m, be.w
-    x = abs(m * r)
-    kb = k_factor_bound(j, be)
+    return _line_bound(j, be.m, be.w, k_factor_bound(j, be), be.m * r)
+
+
+def _line_bound(j: int, m: float, w: float, kb: float, x: float) -> float:
+    """G_j(i w, r) at x = m r, with kb = K_j(i w) / i given."""
+    x = abs(x)
     if j == EquationVariant.LT:
         ratio = _hyperbolic_ratio("sinh", math.pi / 2 - w, math.pi / 2, x)
     elif j == EquationVariant.MLT:
@@ -218,9 +228,15 @@ def green_partial(j: int, kin: Kinematics, r: float, rp: float) -> complex:
 
 def green_partial_bound(j: int, be: BoundEnergy, r: float, rp: float) -> float:
     """Half-line s-wave kernel via the image construction (bound branch)."""
-    if r < 0 or rp < 0:
-        raise DomainError(f"radial coordinates must be non-negative, got {r}, {rp}")
-    return green_line_bound(j, be, r - rp) - green_line_bound(j, be, r + rp)
+    if not (0 <= r < math.inf and 0 <= rp < math.inf):
+        raise DomainError(f"radial coordinates must be finite and non-negative, got {r}, {rp}")
+    return _partial_bound(j, be.m, be.w, k_factor_bound(j, be), r, rp)
+
+
+def _partial_bound(j: int, m: float, w: float, kb: float,
+                   r: float, rp: float) -> float:
+    """G_j(i w, r, r') by images; the scalar kernel of the quantization system."""
+    return _line_bound(j, m, w, kb, m * (r - rp)) - _line_bound(j, m, w, kb, m * (r + rp))
 
 
 def green_spectral_oracle(j: int, state, r: float, rp: float, tol: float = 1e-8) -> QuadResult:

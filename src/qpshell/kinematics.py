@@ -120,14 +120,22 @@ def k_factor(j: int, kin: Kinematics) -> float:
     """Variant-dependent flux factor multiplying the free Green function.
 
     m sinh(2 chi) for variants 1 and 2, 2m sinh(chi) for variants 3 and 4.
-    Degenerates to zero at threshold, which is rejected.
+    Degenerates to zero at threshold, which is rejected; a rapidity so large
+    that the factor overflows raises DomainError.
     """
     j = EquationVariant(j)
     if kin.chi == 0.0:
         raise ThresholdError("k_factor vanishes at chi = 0 (elastic threshold)")
-    if j in (EquationVariant.LT, EquationVariant.K):
-        return kin.m * math.sinh(2.0 * kin.chi)
-    return 2.0 * kin.m * math.sinh(kin.chi)
+    try:
+        kj = (kin.m * math.sinh(2.0 * kin.chi) if j in (EquationVariant.LT, EquationVariant.K)
+              else 2.0 * kin.m * math.sinh(kin.chi))
+    except OverflowError:
+        kj = math.inf
+    if kj == math.inf:
+        raise DomainError(
+            f"rapidity too large: K_{int(j)} overflows at chi = {kin.chi!r}, m = {kin.m!r}"
+        )
+    return kj
 
 
 def k_factor_bound(j: int, be: BoundEnergy) -> float:

@@ -2,7 +2,10 @@
 
 The same delta-shell problems solved in closed form for the ordinary radial
 Schroedinger equation: half-line kernel, scattering amplitude, single-shell
-inverse strength and two-shell quantization determinant.  Every relativistic
+inverse strength and quantization determinant.  The shell system is the
+real K-matrix one of `scattering`, with the kernel -sin(q r<) exp(i q r>) / q:
+its imaginary part is -s s^T / q with s_k = sin(q a_k), so kappa = 1 / q and
+again f = -c / (q D).  Every relativistic
 variant must collapse onto these as the mass grows at fixed momentum q (or
 fixed binding momentum kappa), which `limit_convergence` quantifies; the
 deviations it reports are the package's cross-check that the relativistic
@@ -14,11 +17,13 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import partial
 
-from .errors import DomainError, PoleError, ThresholdError
+from .errors import DomainError, ThresholdError
 from .greens import green_partial, green_partial_bound
 from .kinematics import BoundEnergy, EquationVariant, Kinematics
-from .scattering import ShellPotential, amplitude
+from .scattering import (DeltaSystem, ShellPotential, _check_pole, _det, _k_system,
+                         _shell_matrix, amplitude)
 from .boundstates import v0_of_w
 
 
@@ -49,52 +54,19 @@ def nr_green_bound(kappa: float, r: float, rp: float) -> float:
     return 0.5 * math.expm1(-2.0 * kappa * r_lo) * math.exp(-kappa * (r_hi - r_lo)) / kappa
 
 
-def _nr_system(q: float, pot: ShellPotential):
-    """Cramer data (delta, numerators, shell sines) of the Schroedinger system."""
-    shells = pot.shells
-    s = [math.sin(q * a) for _, a in shells]
-    if len(shells) == 1:
-        v0, a = shells[0]
-        g = nr_green(q, a, a)
-        delta = 1.0 - v0 * g
-        nums = (complex(s[0]),)
-        scale = 1.0 + abs(v0 * g)
-    else:
-        (v1, a1), (v2, a2) = shells
-        g11 = nr_green(q, a1, a1)
-        g22 = nr_green(q, a2, a2)
-        g12 = nr_green(q, a1, a2)
-        delta = (1.0 - v1 * g11) * (1.0 - v2 * g22) - v1 * v2 * g12 * g12
-        nums = (
-            s[0] * (1.0 - v2 * g22) + s[1] * v2 * g12,
-            s[1] * (1.0 - v1 * g11) + s[0] * v1 * g12,
-        )
-        scale = (
-            1.0
-            + abs(v1 * g11)
-            + abs(v2 * g22)
-            + abs(v1 * g11) * abs(v2 * g22)
-            + abs(v1 * v2 * g12 * g12)
-        )
-    # scale = 1 + the magnitudes summed into delta, so near-critical
-    # strengths register as poles without flagging well-conditioned points
-    if abs(delta) < 1e-14 * scale:
-        raise PoleError(f"shell determinant vanishes at q = {q!r}")
-    return delta, nums, s
+def _nr_system(q: float, pot: ShellPotential) -> DeltaSystem:
+    """The Schroedinger shell system D = det A + i c, adj(A) s at momentum q."""
+    a = _shell_matrix(pot, lambda r, rp: nr_green(q, r, rp).real)
+    sys = _k_system(a, [math.sin(q * r) for _, r in pot.shells], 1.0 / q, pot)
+    _check_pole(sys, "q", q)
+    return sys
 
 
 def nr_amplitude(q: float, pot: ShellPotential) -> complex:
-    """Schroedinger s-wave amplitude of one or two delta shells.
-
-    Same Cramer construction as the relativistic case: with s(x) = sin(q x)
-    and G the kernel above, f = -sum_k V_k Delta_k s(a_k) / (q^2 Delta).
-    """
+    """Schroedinger s-wave amplitude f = -c / (q D) of the delta shells."""
     _check_q(q)
-    delta, nums, s = _nr_system(q, pot)
-    num = 0.0
-    for (v, _), dk, sk in zip(pot.shells, nums, s):
-        num += v * dk * sk
-    return -num / (q * q * delta)
+    sys = _nr_system(q, pot)
+    return -sys.delta.imag / (q * sys.delta)
 
 
 def nr_wavefunction(q: float, pot: ShellPotential, r: float) -> complex:
@@ -103,10 +75,10 @@ def nr_wavefunction(q: float, pot: ShellPotential, r: float) -> complex:
     _check_q(q)
     if r < 0:
         raise DomainError(f"r must be non-negative, got {r}")
-    delta, nums, _ = _nr_system(q, pot)
+    sys = _nr_system(q, pot)
     psi = complex(math.sin(q * r))
-    for (v, a), dk in zip(pot.shells, nums):
-        psi += v * nr_green(q, r, a) * dk / delta
+    for (v, a), dk in zip(pot.shells, sys.numerators):
+        psi += v * nr_green(q, r, a) * dk / sys.delta
     return psi
 
 
@@ -154,18 +126,10 @@ def nr_v0_of_kappa(kappa: float, a: float) -> float:
 
 
 def nr_det_bound(kappa: float, pot: ShellPotential) -> float:
-    """Schroedinger quantization determinant det[1 - V G] at kappa."""
+    """Schroedinger quantization determinant det[1 - G V] at kappa."""
     if kappa <= 0:
         raise DomainError(f"kappa must be positive, got {kappa}")
-    shells = pot.shells
-    if len(shells) == 1:
-        v0, a = shells[0]
-        return 1.0 - v0 * nr_green_bound(kappa, a, a)
-    (v1, a1), (v2, a2) = shells
-    g11 = nr_green_bound(kappa, a1, a1)
-    g22 = nr_green_bound(kappa, a2, a2)
-    g12 = nr_green_bound(kappa, a1, a2)
-    return (1.0 - v1 * g11) * (1.0 - v2 * g22) - v1 * v2 * g12 * g12
+    return _det(_shell_matrix(pot, partial(nr_green_bound, kappa)))
 
 
 @dataclass(frozen=True)
@@ -207,37 +171,31 @@ def limit_convergence(observable: str, j: int, masses, **params) -> ConvergenceR
     tiny = 1e-300
 
     if observable == "amplitude":
-        q = float(params["q"])
-        pot = params["pot"]
+        q, pot = float(params["q"]), params["pot"]
         ref = nr_amplitude(q, pot)
-        devs = []
-        for m in masses:
-            kin = Kinematics(m, math.asinh(q / m))
-            devs.append(abs(amplitude(j, kin, pot) - ref) / (abs(ref) + tiny))
+
+        def rel(m):
+            return amplitude(j, Kinematics(m, math.asinh(q / m)), pot)
     elif observable == "gf":
-        q = float(params["q"])
-        r = float(params["r"])
-        rp = float(params["rp"])
+        q, r, rp = (float(params[k]) for k in ("q", "r", "rp"))
         ref = nr_green(q, r, rp)
-        devs = []
-        for m in masses:
-            kin = Kinematics(m, math.asinh(q / m))
-            devs.append(abs(green_partial(j, kin, r, rp) - ref) / (abs(ref) + tiny))
+
+        def rel(m):
+            return green_partial(j, Kinematics(m, math.asinh(q / m)), r, rp)
     elif observable == "quantization":
-        kappa = float(params["kappa"])
-        a = float(params["a"])
+        kappa, a = float(params["kappa"]), float(params["a"])
+        if masses[0] <= kappa:
+            raise DomainError(
+                f"mass {masses[0]} must exceed kappa = {kappa} on the bound branch"
+            )
         ref = nr_v0_of_kappa(kappa, a)
-        devs = []
-        for m in masses:
-            if m <= kappa:
-                raise DomainError(
-                    f"mass {m} must exceed kappa = {kappa} on the bound branch"
-                )
-            be = BoundEnergy(m, math.asin(kappa / m))
-            devs.append(abs(v0_of_w(j, be, a) - ref) / (abs(ref) + tiny))
+
+        def rel(m):
+            return v0_of_w(j, BoundEnergy(m, math.asin(kappa / m)), a)
     else:
         raise DomainError(
             f"unknown observable {observable!r}; "
             "expected amplitude, gf or quantization"
         )
+    devs = [abs(rel(m) - ref) / (abs(ref) + tiny) for m in masses]
     return ConvergenceReport(observable, int(j), masses, tuple(devs))

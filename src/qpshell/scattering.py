@@ -1,19 +1,22 @@
-"""Exact scattering observables for one- and two-radius delta-shell potentials.
+"""Exact scattering observables for superpositions of delta shells.
 
-For a potential V(r) = sum_k V_k delta(r - a_k) the s-wave integral equation
-closes into a finite linear system at the shell radii.  With s(x) =
-sin(chi m x) and G the half-line kernel, the shell values psi(a_k) solve
+For a potential V(r) = sum_k V_k delta(r - a_k), k = 1..N, the s-wave
+integral equation closes into an N x N linear system at the shell radii.
+With s_k = sin(chi m a_k) and G the half-line kernel, the shell values solve
 
-    psi(a_i) - sum_k V_k G(a_i, a_k) psi(a_k) = s(a_i),
+    psi(a_i) - sum_k G(a_i, a_k) V_k psi(a_k) = s_i.
 
-so psi(a_k) = Delta_k / Delta by Cramer's rule, and the amplitude reads
+On the scattering branch Im G = -kappa s s^T with kappa = 2 / K_j, so the
+system matrix is A + i kappa s (V s)^T with the real K-matrix A = 1 - Re G V.
+The matrix-determinant lemma gives its determinant D = det A + i c with
+c = kappa (V s)^T adj(A) s, and everything before the last division is real:
 
-    f = -2 sum_k V_k Delta_k s(a_k) / (q K_j Delta).
+    psi(a_k) = (adj(A) s)_k / D,    f = -c / (q D),    S = conj(D) / D.
 
-The S matrix follows two independent routes, S = 1 + 2 i q f and the
-denominator-ratio form S = conj(Delta) / Delta; scatter_point computes both
-and refuses to return if they disagree, which pins unitarity |S| = 1 and the
-phase to machine accuracy.
+S = 1 + 2 i q f and conj(D) / D agree by construction; scatter_point still
+forms both and refuses to return if they disagree.  The bound branch
+(`boundstates`) and the Schroedinger limit (`nonrel`) solve the same real
+system with their own kernels, by cofactor expansion.
 
 Transparency (Ramsauer-Townsend) points are zeros of f.  For a single shell
 they sit exactly at chi = pi n / (m a); for two shells they trace curves in
@@ -26,6 +29,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -36,7 +40,7 @@ from .errors import (
     ThresholdError,
     UnsupportedFormError,
 )
-from .greens import _sech, green_partial, green_partial_real
+from .greens import _partial_re, _sech, green_partial, green_partial_real
 from .kinematics import EquationVariant, Kinematics, k_factor
 
 # Relative threshold below which a closed-form denominator counts as a pole.
@@ -52,30 +56,29 @@ _FIELD_BLOCK = 4096
 
 @dataclass(frozen=True)
 class ShellPotential:
-    """One or two delta shells, stored as (strength, radius) pairs.
+    """One or more delta shells, stored as (strength, radius) pairs.
 
-    Shells are kept sorted by radius; two shells at exactly equal radii
-    merge into one by adding strengths.  Radii must be positive.
+    Shells are kept sorted by radius; shells at exactly equal radii merge
+    into one by adding strengths.  Radii must be positive.
     """
 
     shells: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
-        if not 1 <= len(self.shells) <= 2:
-            raise DomainError(f"expected 1 or 2 shells, got {len(self.shells)}")
-        norm = []
-        for v, a in self.shells:
-            v = float(v)
-            a = float(a)
+        merged = []
+        for v, a in sorted(((float(v), float(a)) for v, a in self.shells),
+                           key=lambda s: s[1]):
             if not (math.isfinite(v) and math.isfinite(a)):
                 raise DomainError(f"shell ({v}, {a}) must be finite")
             if a <= 0:
                 raise DomainError(f"shell radius must be positive, got {a}")
-            norm.append((v, a))
-        norm.sort(key=lambda s: s[1])
-        if len(norm) == 2 and norm[0][1] == norm[1][1]:
-            norm = [(norm[0][0] + norm[1][0], norm[0][1])]
-        object.__setattr__(self, "shells", tuple(norm))
+            if merged and merged[-1][1] == a:
+                merged[-1] = (merged[-1][0] + v, a)
+            else:
+                merged.append((v, a))
+        if not merged:
+            raise DomainError("expected at least one shell")
+        object.__setattr__(self, "shells", tuple(merged))
 
     @classmethod
     def single(cls, v0: float, a: float) -> "ShellPotential":
@@ -96,12 +99,12 @@ class ShellPotential:
 
 @dataclass(frozen=True)
 class DeltaSystem:
-    """Cramer data of the shell system: determinant and its numerators."""
+    """D = det A + i c and adj(A) s; the shell values are numerators / delta."""
 
     delta: complex
-    numerators: tuple[complex, ...]
-    # rounding scale of delta: 1 + the magnitudes of the products summed
-    # into it, so the pole test stays meaningful when |V G| is far from 1
+    numerators: tuple[float, ...]
+    # rounding scale of delta: 1 + the permanent of |A| + |c|, so the pole
+    # test stays meaningful when |V G| is far from 1
     pole_scale: float = 1.0
 
 
@@ -118,64 +121,83 @@ class ScatterPoint:
     phase: float
 
 
-def delta_system(j: int, kin: Kinematics, pot: ShellPotential) -> DeltaSystem:
-    """Determinant Delta and Cramer numerators Delta_k at this energy."""
-    j = EquationVariant(j)
-    m, chi = kin.m, kin.chi
+def _shell_matrix(pot: ShellPotential, kernel) -> list[list[float]]:
+    """A = 1 - G V; kernel(r, r') is a real symmetric G, called once per pair."""
     shells = pot.shells
-    s = [math.sin(chi * m * a) for _, a in shells]
-    if len(shells) == 1:
-        v0, a = shells[0]
-        g = green_partial(j, kin, a, a)
-        return DeltaSystem(1.0 - v0 * g, (complex(s[0]),), 1.0 + abs(v0 * g))
-    (v1, a1), (v2, a2) = shells
-    g11 = green_partial(j, kin, a1, a1)
-    g22 = green_partial(j, kin, a2, a2)
-    g12 = green_partial(j, kin, a1, a2)
-    delta = (1.0 - v1 * g11) * (1.0 - v2 * g22) - v1 * v2 * g12 * g12
-    d1 = s[0] * (1.0 - v2 * g22) + s[1] * v2 * g12
-    d2 = s[1] * (1.0 - v1 * g11) + s[0] * v1 * g12
-    scale = (
-        1.0
-        + abs(v1 * g11)
-        + abs(v2 * g22)
-        + abs(v1 * g11) * abs(v2 * g22)
-        + abs(v1 * v2 * g12 * g12)
-    )
-    return DeltaSystem(delta, (d1, d2), scale)
+    mat = [[0.0 for _ in shells] for _ in shells]
+    for i, (vi, ri) in enumerate(shells):
+        mat[i][i] = 1.0 - kernel(ri, ri) * vi
+        for k in range(i + 1, len(mat)):
+            vk, rk = shells[k]
+            g = kernel(ri, rk)
+            mat[i][k], mat[k][i] = -g * vk, -g * vi
+    return mat
 
 
-def _check_pole(sys: DeltaSystem, kin: Kinematics) -> None:
+def _det(a: list[list[float]], sign: float = -1.0) -> float:
+    """Cofactor expansion along the first row; sign = +1 gives the permanent."""
+    n = len(a)
+    if n == 1:
+        return a[0][0]
+    if n == 2:
+        return a[0][0] * a[1][1] + sign * a[0][1] * a[1][0]
+    total = 0.0
+    for k in range(n):
+        minor = [row[:k] + row[k + 1:] for row in a[1:]]
+        total += sign ** k * a[0][k] * _det(minor, sign)
+    return total
+
+
+def _adj_apply(a: list[list[float]], b: list[float]) -> list[float]:
+    """adj(A) b by Cramer's rule: det A with column k replaced by b, each k."""
+    # one and two shells written out: they are most calls, and this is faster
+    if len(a) == 1:
+        return [b[0]]
+    if len(a) == 2:
+        return [b[0] * a[1][1] - a[0][1] * b[1], a[0][0] * b[1] - b[0] * a[1][0]]
+    return [_det([row[:k] + [bi] + row[k + 1:] for row, bi in zip(a, b)])
+            for k in range(len(a))]
+
+
+def _k_system(a: list[list[float]], s: list[float], kappa: float,
+              pot: ShellPotential) -> DeltaSystem:
+    """D = det A + i c with c = kappa (V s)^T adj(A) s, for Im G = -kappa s s^T."""
+    nums = _adj_apply(a, s)
+    c = 0.0
+    for (v, _), sk, nk in zip(pot.shells, s, nums):
+        c += v * sk * nk
+    c *= kappa
+    scale = 1.0 + _det([[abs(x) for x in row] for row in a], 1.0) + abs(c)
+    return DeltaSystem(complex(_det(a), c), tuple(nums), scale)
+
+
+def delta_system(j: int, kin: Kinematics, pot: ShellPotential) -> DeltaSystem:
+    """The real K-matrix system at this energy (see the module docstring)."""
+    m, chi = kin.m, kin.chi
+    kj = k_factor(j, kin)
+    a = _shell_matrix(pot, partial(_partial_re, j, m, chi, kj))
+    s = [math.sin(chi * m * r) for _, r in pot.shells]
+    return _k_system(a, s, 2.0 / kj, pot)
+
+
+def _check_pole(sys: DeltaSystem, name: str, value: float) -> None:
     if abs(sys.delta) < _POLE_EPS * sys.pole_scale:
-        raise PoleError(
-            f"shell determinant vanishes at chi = {kin.chi!r} "
-            f"(|Delta| = {abs(sys.delta):.3e})"
-        )
+        raise PoleError(f"shell determinant vanishes at {name} = {value!r} "
+                        f"(|Delta| = {abs(sys.delta):.3e})")
 
 
 def amplitude(j: int, kin: Kinematics, pot: ShellPotential) -> complex:
     """Partial s-wave amplitude f_j(chi) from the shell linear system."""
-    f, _ = _amplitude_parts(j, kin, pot)
-    return f
+    return _amplitude_parts(j, kin, pot)[0]
 
 
-def _amplitude_parts(
-    j: int, kin: Kinematics, pot: ShellPotential
-) -> tuple[complex, complex]:
-    """Amplitude together with the system determinant (S = conj/den route)."""
-    j = EquationVariant(j)
+def _amplitude_parts(j: int, kin: Kinematics, pot: ShellPotential) -> tuple[complex, complex]:
+    """f = -c / (q D) together with the system determinant D."""
     if kin.chi == 0.0:
         raise ThresholdError("amplitude undefined at chi = 0 (elastic threshold)")
     sys = delta_system(j, kin, pot)
-    _check_pole(sys, kin)
-    m, chi = kin.m, kin.chi
-    q = kin.q
-    kj = k_factor(j, kin)
-    num = 0.0
-    for (v, a), dk in zip(pot.shells, sys.numerators):
-        num += v * dk * math.sin(chi * m * a)
-    f = -2.0 * num / (q * kj * sys.delta)
-    return f, sys.delta
+    _check_pole(sys, "chi", kin.chi)
+    return -sys.delta.imag / (kin.q * sys.delta), sys.delta
 
 
 def amplitude_explicit(j: int, kin: Kinematics, pot: ShellPotential) -> complex:
@@ -252,7 +274,7 @@ def wavefunction(j: int, kin: Kinematics, pot: ShellPotential, r: float) -> comp
         raise DomainError(f"r must be non-negative, got {r}")
     j = EquationVariant(j)
     sys = delta_system(j, kin, pot)
-    _check_pole(sys, kin)
+    _check_pole(sys, "chi", kin.chi)
     m, chi = kin.m, kin.chi
     psi = complex(math.sin(chi * m * r))
     for (v, a), dk in zip(pot.shells, sys.numerators):
@@ -263,18 +285,18 @@ def wavefunction(j: int, kin: Kinematics, pot: ShellPotential, r: float) -> comp
 def scatter_point(j: int, kin: Kinematics, pot: ShellPotential) -> ScatterPoint:
     """Amplitude, S matrix, cross section and principal phase at one rapidity.
 
-    S is formed as 1 + 2 i q f and cross-checked against conj(Delta)/Delta;
-    disagreement beyond 1e-12 raises AccuracyError rather than returning a
-    silently broken point.
+    S is formed as 1 + 2 i q f and cross-checked against conj(D)/D;
+    disagreement beyond 1e-12, or a non-finite value, raises AccuracyError
+    rather than returning a silently broken point.
     """
     f, delta = _amplitude_parts(j, kin, pot)
     q = kin.q
     s_mat = 1.0 + 2j * q * f
-    s_ratio = delta.conjugate() / delta
-    if abs(s_mat - s_ratio) > 1e-12:
+    err = abs(s_mat - delta.conjugate() / delta)
+    if not err <= 1e-12:
         raise AccuracyError(
             f"S-matrix routes disagree at chi = {kin.chi!r}: "
-            f"|1 + 2iqf - conj(D)/D| = {abs(s_mat - s_ratio):.3e}"
+            f"|1 + 2iqf - conj(D)/D| = {err:.3e}"
         )
     sigma0 = 4.0 * math.pi * abs(f) ** 2
     phase = cmath.phase(s_mat) / 2.0

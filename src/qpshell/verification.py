@@ -23,8 +23,7 @@ from .boundstates import (
     bound_wavefunction,
     det_bound,
     sample_v2_curve,
-    solve_w_double,
-    solve_w_single,
+    solve_levels,
     v0_of_w,
     v1_pm_of_w,
 )
@@ -37,7 +36,6 @@ from .scattering import (
     ShellPotential,
     amplitude,
     amplitude_explicit,
-    delta_system,
     scan_zero_locus,
     scatter_point,
     sweep,
@@ -83,12 +81,9 @@ def _result(name: str, worst: float, tol: float, n: int, detail: str,
                        violations, detail)
 
 
-def _single_pot() -> ShellPotential:
-    return ShellPotential.single(2.0, 5.0)
-
-
-def _double_pot() -> ShellPotential:
-    return ShellPotential.double(1.0, 3.0, -1.0, 4.0)
+_SINGLE_POT = ShellPotential.single(2.0, 5.0)
+_DOUBLE_POT = ShellPotential.double(1.0, 3.0, -1.0, 4.0)
+_TRIPLE_POT = ShellPotential(((1.0, 3.0), (-1.0, 4.0), (0.5, 5.5)))
 
 
 def _chi_grid(n: int = 800, lo: float = 0.05, hi: float = 4.0) -> list[float]:
@@ -150,7 +145,7 @@ def check_unitarity() -> GroupResult:
         kin = Kinematics(float(rng.uniform(0.2, 3.0)), float(rng.uniform(0.05, 4.0)))
         worst = max(worst, defect(j, kin, _random_potential(rng)))
         n += 1
-    for pot in (_single_pot(), _double_pot()):
+    for pot in (_SINGLE_POT, _DOUBLE_POT):
         for j in ALL_VARIANTS:
             for chi in _chi_grid():
                 worst = max(worst, defect(j, Kinematics(1.0, chi), pot))
@@ -193,73 +188,68 @@ def check_spectral() -> GroupResult:
                    "closed kernel vs adaptive momentum integral, absolute")
 
 
+def _reference_deltas(j: int, pot: ShellPotential, chis: list[float]) -> list[complex]:
+    """det(1 - G V) at m = 1 over a rapidity grid from the complex kernels and
+    numpy's LU determinant: neither the real K-matrix split nor the cofactor
+    expansion behind scatter_point, so S and the phase are not self-checked."""
+    radii = pot.radii
+    n = len(radii)
+    g = np.empty((len(chis), n, n), dtype=complex)
+    for c, chi in enumerate(chis):
+        kin = Kinematics(1.0, chi)
+        for i in range(n):
+            for k in range(i, n):
+                g[c, i, k] = g[c, k, i] = green_partial(j, kin, radii[i], radii[k])
+    return np.linalg.det(np.eye(n) - g * np.array(pot.strengths)).tolist()
+
+
+def _reference_sweeps():
+    """(scatter point, reference D) on both sweeps and a coarser 3-shell one."""
+    for pot, chis in ((_SINGLE_POT, _chi_grid()), (_DOUBLE_POT, _chi_grid()),
+                      (_TRIPLE_POT, _chi_grid(200))):
+        for j in ALL_VARIANTS:
+            for chi, delta in zip(chis, _reference_deltas(j, pot, chis)):
+                yield scatter_point(j, Kinematics(1.0, chi), pot), delta
+
+
 def check_smatrix() -> GroupResult:
-    """S = 1 + 2iqf vs conj(den)/den, and unimodularity, on both sweeps."""
+    """S = 1 + 2iqf vs conj(D)/D from the reference D, and unimodularity."""
     worst = 0.0
     n = 0
-    for pot in (_single_pot(), _double_pot()):
-        for j in ALL_VARIANTS:
-            for chi in _chi_grid():
-                kin = Kinematics(1.0, chi)
-                sp = scatter_point(j, kin, pot)
-                sys = delta_system(j, kin, pot)
-                ratio = sys.delta.conjugate() / sys.delta
-                worst = max(worst, abs(sp.s_matrix - ratio),
-                            abs(abs(sp.s_matrix) - 1.0))
-                n += 1
+    for sp, delta in _reference_sweeps():
+        worst = max(worst, abs(sp.s_matrix - delta.conjugate() / delta),
+                    abs(abs(sp.s_matrix) - 1.0))
+        n += 1
     return _result("smatrix", worst, _SMATRIX_TOL, n,
-                   "additive vs ratio S-matrix and | |S| - 1 |")
+                   "additive S vs conj(D)/D of the complex det, and | |S| - 1 |")
 
 
 def check_phase() -> GroupResult:
-    """tan(2 phase) against the real/imaginary split of the denominator.
+    """tan(2 phase) against the real/imaginary split of the reference D.
 
-    The denominator is alpha + i beta with alpha, beta assembled from real
-    kernel parts only; S = (alpha - i beta)/(alpha + i beta) gives
-    tan(2 phi) = -2 alpha beta / (alpha^2 - beta^2).  Checked where
-    |cos(2 phi)| > 0.1 so the tangent is well-conditioned.
+    With D = alpha + i beta from the complex det, S = (alpha - i beta) /
+    (alpha + i beta) gives tan(2 phi) = -2 alpha beta / (alpha^2 - beta^2).
+    Checked where |cos(2 phi)| > 0.1 so the tangent is well-conditioned.
     """
     worst = 0.0
     n = 0
-    for pot in (_single_pot(), _double_pot()):
-        shells = pot.shells
-        for j in ALL_VARIANTS:
-            for chi in _chi_grid():
-                kin = Kinematics(1.0, chi)
-                sp = scatter_point(j, kin, pot)
-                if abs(math.cos(2.0 * sp.phase)) <= 0.1:
-                    continue
-                m = kin.m
-                kj = k_factor(j, kin)
-                if len(shells) == 1:
-                    (v0, a), = shells
-                    s = math.sin(chi * m * a)
-                    alpha = 1.0 - v0 * green_partial(j, kin, a, a).real
-                    beta = 2.0 * v0 * s * s / kj
-                else:
-                    (v1, a1), (v2, a2) = shells
-                    s1 = math.sin(chi * m * a1)
-                    s2 = math.sin(chi * m * a2)
-                    r11 = green_partial(j, kin, a1, a1).real
-                    r22 = green_partial(j, kin, a2, a2).real
-                    r12 = green_partial(j, kin, a1, a2).real
-                    alpha = (1.0 - v1 * r11) * (1.0 - v2 * r22) - v1 * v2 * r12 * r12
-                    beta = (2.0 * v1 * s1 * s1 / kj * (1.0 - v2 * r22)
-                            + 2.0 * v2 * s2 * s2 / kj * (1.0 - v1 * r11)
-                            + 4.0 * v1 * v2 * s1 * s2 * r12 / kj)
-                expected = -2.0 * alpha * beta / (alpha * alpha - beta * beta)
-                got = math.tan(2.0 * sp.phase)
-                worst = max(worst, abs(got - expected) / max(abs(expected), 1.0))
-                n += 1
+    for sp, delta in _reference_sweeps():
+        if abs(math.cos(2.0 * sp.phase)) <= 0.1:
+            continue
+        alpha, beta = delta.real, delta.imag
+        expected = -2.0 * alpha * beta / (alpha * alpha - beta * beta)
+        got = math.tan(2.0 * sp.phase)
+        worst = max(worst, abs(got - expected) / max(abs(expected), 1.0))
+        n += 1
     return _result("phase", worst, _PHASE_TOL, n,
-                   "tan(2 phi) vs real-part assembly, relative, |cos 2phi| > 0.1")
+                   "tan(2 phi) vs the complex det, relative, |cos 2phi| > 0.1")
 
 
 def check_rt_zeros() -> GroupResult:
     """Transparency: |f| at chi = pi n / (m a) for n = 1..10, every variant."""
     worst = 0.0
     n = 0
-    pot = _single_pot()
+    pot = _SINGLE_POT
     for j in ALL_VARIANTS:
         for k in range(1, 11):
             kin = Kinematics(1.0, math.pi * k / 5.0)
@@ -283,7 +273,7 @@ def check_bound_structure() -> GroupResult:
                 n += 1
             target = 0.7
             v0 = v0_of_w(j, BoundEnergy(m, target), a)
-            levels = solve_w_single(j, m, a, v0)
+            levels = solve_levels(j, m, ShellPotential.single(v0, a))
             if len(levels) != 1:
                 violations += 1
             else:
@@ -292,7 +282,7 @@ def check_bound_structure() -> GroupResult:
     for v1, v2, want in ((7.0, -2.0, (1, 2)), (-2.0, -1.0, (1, 2)), (1.0, 2.0, (0,))):
         pot = ShellPotential.double(v1, 1.0, v2, 3.0)
         for j in ALL_VARIANTS:
-            if len(solve_w_double(j, 1.0, pot)) not in want:
+            if len(solve_levels(j, 1.0, pot)) not in want:
                 violations += 1
             n += 1
     return _result("bound_structure", worst, _CLOSED_LOOP_TOL, n,
@@ -357,7 +347,7 @@ def check_nrlimit() -> GroupResult:
     violations = 0
     n = 0
     for observable, params in (
-        ("amplitude", dict(q=0.6, pot=_single_pot())),
+        ("amplitude", dict(q=0.6, pot=_SINGLE_POT)),
         ("gf", dict(q=0.5, r=1.2, rp=0.4)),
         ("quantization", dict(kappa=0.5, a=1.0)),
     ):
@@ -412,7 +402,7 @@ def check_determinism() -> GroupResult:
     n = 0
 
     def run_scatter():
-        return sweep(2, 1.0, _double_pot(), chi)
+        return sweep(2, 1.0, _DOUBLE_POT, chi)
 
     def run_curve():
         return sample_v2_curve(4, 1.0, 1.0, 4.0, -3.5, n=128)

@@ -13,8 +13,7 @@ from qpshell.boundstates import (
     sample_v0_curve,
     sample_v1pm_curve,
     sample_v2_curve,
-    solve_w_double,
-    solve_w_single,
+    solve_levels,
     v0_of_w,
     v0_of_w_explicit,
     v1_pm_of_w,
@@ -62,18 +61,18 @@ def test_v0_always_attractive():
                 assert v0_of_w(j, BoundEnergy(1.0, w), a) < 0
 
 
-def test_solve_w_single_closed_loop():
+def test_solve_levels_single_closed_loop():
     for j in ALL_VARIANTS:
         v0 = v0_of_w(j, BoundEnergy(1.0, 0.7), 1.0)
-        levels = solve_w_single(j, 1.0, 1.0, v0)
+        levels = solve_levels(j, 1.0, ShellPotential.single(v0, 1.0))
         assert len(levels) == 1
         assert abs(levels[0].w - 0.7) < 1e-9
         assert levels[0].residual < 1e-10
 
 
-def test_solve_w_single_repulsive_is_empty():
+def test_solve_levels_single_repulsive_is_empty():
     for j in ALL_VARIANTS:
-        assert solve_w_single(j, 1.0, 1.0, 2.0) == []
+        assert solve_levels(j, 1.0, ShellPotential.single(2.0, 1.0)) == []
 
 
 def test_single_shell_binds_at_most_once():
@@ -82,14 +81,14 @@ def test_single_shell_binds_at_most_once():
         j = int(rng.integers(1, 5))
         v0 = float(rng.uniform(-8.0, -0.05))
         a = float(rng.uniform(0.3, 4.0))
-        assert len(solve_w_single(j, 1.0, a, v0)) <= 1
+        assert len(solve_levels(j, 1.0, ShellPotential.single(v0, a))) <= 1
 
 
 def test_det_bound_reduces_when_outer_strength_vanishes():
     v0 = v0_of_w(2, BoundEnergy(1.0, 0.9), 1.5)
     pot2 = ShellPotential.double(v0, 1.5, 0.0, 3.0)
-    singles = solve_w_single(2, 1.0, 1.5, v0)
-    doubles = solve_w_double(2, 1.0, pot2)
+    singles = solve_levels(2, 1.0, ShellPotential.single(v0, 1.5))
+    doubles = solve_levels(2, 1.0, pot2)
     assert len(singles) == len(doubles) == 1
     assert abs(singles[0].w - doubles[0].w) < 1e-10
 
@@ -109,10 +108,36 @@ def test_det_bound_continues_scattering_determinant():
     assert abs(delta.real - det) < 1e-12
 
 
+def test_det_bound_is_the_numpy_det_for_many_shells():
+    rng = np.random.default_rng(23)
+    for _ in range(200):
+        j = int(rng.integers(1, 5))
+        be = BoundEnergy(float(rng.uniform(0.3, 2.0)), float(rng.uniform(0.05, 1.5)))
+        n = int(rng.integers(1, 5))
+        radii = np.sort(rng.uniform(0.1, 6.0, n)).tolist()
+        pot = ShellPotential(tuple(zip(rng.uniform(-4, 4, n).tolist(), radii)))
+        g = np.array([[green_partial_bound(j, be, r, rp) for rp in radii] for r in radii])
+        ref = np.linalg.det(np.eye(n) - g * np.array(pot.strengths))
+        assert abs(det_bound(j, be, pot) - ref) <= 1e-12 * abs(ref)
+
+
+def test_solve_levels_three_shells():
+    pot = ShellPotential(((-2.0, 1.0), (-1.0, 2.0), (-1.5, 3.0)))
+    for j in ALL_VARIANTS:
+        levels = solve_levels(j, 1.0, pot)
+        assert levels
+        for lv in levels:
+            assert lv.residual < 1e-10
+            psi, level = bound_wavefunction(j, 1.0, lv.w, pot)
+            assert level.psi_shell == tuple(psi(a) for a in pot.radii)
+            norm = integrate_semi_infinite(lambda r: psi(r) ** 2, 0.0, 2 * lv.w, 1e-10)
+            assert abs(norm.value - 1.0) < 1e-8
+
+
 def test_double_repulsive_never_binds():
     pot = ShellPotential.double(1.0, 1.0, 2.0, 3.0)
     for j in ALL_VARIANTS:
-        assert solve_w_double(j, 1.0, pot, n_scan=4000) == []
+        assert solve_levels(j, 1.0, pot, n_scan=4000) == []
 
 
 def test_level_counts_two_shells():
@@ -121,14 +146,14 @@ def test_level_counts_two_shells():
     for v1, v2 in ((7.0, -2.0), (-2.0, -1.0)):
         pot = ShellPotential.double(v1, 1.0, v2, 3.0)
         for j in ALL_VARIANTS:
-            levels = solve_w_double(j, 1.0, pot)
+            levels = solve_levels(j, 1.0, pot)
             assert 1 <= len(levels) <= 2
             for lv in levels:
                 assert lv.residual < 1e-10
 
 
 def test_level_count_narrow_pair():
-    levels = solve_w_double(1, 1.0, ShellPotential.double(7.0, 1.0, -2.0, 2.0))
+    levels = solve_levels(1, 1.0, ShellPotential.double(7.0, 1.0, -2.0, 2.0))
     assert 1 <= len(levels) <= 2
     for lv in levels:
         assert lv.residual < 1e-10
@@ -151,7 +176,7 @@ def test_v2_with_inner_off_matches_single():
 
 def test_v2_closed_loop():
     v2 = v2_of_w(2, BoundEnergy(1.0, 0.8), 1.0, 2.5, -1.0)
-    levels = solve_w_double(2, 1.0, ShellPotential.double(-1.0, 1.0, v2, 2.5))
+    levels = solve_levels(2, 1.0, ShellPotential.double(-1.0, 1.0, v2, 2.5))
     assert levels
     assert min(abs(lv.w - 0.8) for lv in levels) < 1e-9
 
@@ -245,7 +270,7 @@ def test_bound_wavefunction_contract():
 
 def test_bound_wavefunction_two_shells():
     pot = ShellPotential.double(7.0, 1.0, -2.0, 3.0)
-    levels = solve_w_double(4, 1.0, pot)
+    levels = solve_levels(4, 1.0, pot)
     assert levels
     psi, level = bound_wavefunction(4, 1.0, levels[0].w, pot)
     assert psi(0.0) == 0.0

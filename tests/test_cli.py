@@ -6,6 +6,8 @@ import re
 import pytest
 
 from qpshell.cli import _parse_range, main
+from qpshell.kinematics import Kinematics
+from qpshell.scattering import ShellPotential, amplitude_explicit
 
 VALUE = re.compile(r"^-?\d\.\d{16}e[+-]\d{2,3}$")
 
@@ -164,6 +166,66 @@ def test_zeros_large_rapidity_is_a_parameter_error(capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("parameter error") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("greens", "--j", "1", "--m", "1", "--branch", "real", "--chi", "400:400:1",
+     "--r", "1.5", "--rp", "0.5"),
+    ("scatter", "--j", "1", "--m", "1", "--a", "5", "--v0", "2", "--chi", "399:400:2"),
+])
+def test_flux_factor_overflow_is_a_parameter_error(capsys, argv):
+    # K_1 = m sinh(2 chi) overflows for chi above ~355
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("parameter error") and "Traceback" not in err
+
+
+def test_scatter_large_rapidity_is_finite(capsys):
+    # K_3 and q are finite at chi = 400, but q K_3 is not; the amplitude is
+    # the Born value, about 1e-346, which underflows to zero
+    code, out, err = run(capsys, "scatter", "--j", "3", "--m", "1", "--a", "5",
+                         "--v0", "2", "--chi", "399:400:2")
+    assert code == 0 and err == ""
+    _meta, _header, rows = parse_csv(out)
+    assert len(rows) == 2
+    for row in rows:
+        assert all(math.isfinite(float(cell)) for cell in row[1:])
+        assert float(row[3]) == float(row[4]) == 0.0
+        assert (float(row[6]), float(row[7])) == (1.0, 0.0)
+
+
+# Sweeps that once failed the 1e-12 S-matrix cross-check (the first two) or
+# the 1e-12 agreement with the expanded variant-3 form (the third).
+KNOWN_HARD_SWEEPS = (
+    ("scatter", "--j", "4", "--m", "1.31281", "--v1", "-1.43227", "--a1", "1.1044",
+     "--v2", "3.52588", "--a2", "3.73078", "--chi", "0.05:4:128"),
+    ("scatter", "--j", "all", "--m", "1.22032", "--v1", "-2.74056", "--a1", "0.902928",
+     "--v2", "3.93034", "--a2", "3.57658", "--chi", "0.05:4:128"),
+    ("scatter", "--j", "all", "--m", "1.12148", "--v1", "-2.77237", "--a1", "1.62901",
+     "--v2", "1.53345", "--a2", "2.37862", "--chi", "0.05:4:16"),
+)
+
+
+@pytest.mark.parametrize("argv", KNOWN_HARD_SWEEPS)
+def test_known_hard_sweeps_pass_both_rules(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    _meta, _header, rows = parse_csv(out)
+    flags = dict(zip(argv[1::2], argv[2::2]))
+    pot = ShellPotential.double(*(float(flags[k]) for k in ("--v1", "--a1", "--v2", "--a2")))
+    for row in rows:
+        j, chi, q = int(row[0]), float(row[1]), float(row[2])
+        f = complex(float(row[3]), float(row[4]))
+        s_mat = complex(float(row[6]), float(row[7]))
+        # rule 1: the unitarity defect, as written and recomputed, and
+        # | |S| - 1 | stay below 1e-12
+        defect = abs(f.imag - q * abs(f) ** 2) / (1.0 + abs(f) ** 2)
+        assert max(float(row[9]), defect, abs(abs(s_mat) - 1.0)) < 1e-12
+        # rule 2: variant-3 rows equal the expanded closed form to 1e-12
+        if j == 3:
+            f_exp = amplitude_explicit(3, Kinematics(float(flags["--m"]), chi), pot)
+            assert abs(f - f_exp) <= 1e-12 * abs(f_exp)
 
 
 def test_nrlimit_table(capsys):

@@ -84,6 +84,17 @@ def test_k_factor_threshold():
         k_factor(1, Kinematics(1.0, 0.0))
 
 
+def test_k_factor_overflow_is_a_domain_error():
+    # sinh(2 chi) overflows for variants 1, 2 at chi = 400; sinh(chi) does not
+    for j in (1, 2):
+        with pytest.raises(DomainError, match="too large"):
+            k_factor(j, Kinematics(1.0, 400.0))
+    assert math.isfinite(k_factor(3, Kinematics(1.0, 400.0)))
+    # a finite sinh times a huge mass overflows too
+    with pytest.raises(DomainError):
+        k_factor(4, Kinematics(1e300, 20.0))
+
+
 def test_variant_enum():
     assert tuple(ALL_VARIANTS) == (1, 2, 3, 4)
     assert EquationVariant(3) is EquationVariant.MLT

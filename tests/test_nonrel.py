@@ -18,7 +18,8 @@ from qpshell.nonrel import (
     nr_v0_of_kappa,
     nr_wavefunction,
 )
-from qpshell.scattering import ShellPotential
+from qpshell.kinematics import Kinematics
+from qpshell.scattering import ShellPotential, amplitude
 
 
 def _fd_second(f, r, h=1e-4):
@@ -109,6 +110,46 @@ def test_nr_wavefunction_contract():
         right = (nr_wavefunction(q, pot, a + 2 * h) - nr_wavefunction(q, pot, a + h)) / h
         left = (nr_wavefunction(q, pot, a - h) - nr_wavefunction(q, pot, a - 2 * h)) / h
         assert abs((right - left) - v * nr_wavefunction(q, pot, a)) < 1e-5
+
+
+def transfer_amplitude(q, pot):
+    """Schroedinger amplitude by integrating across the shells.
+
+    From psi(0) = 0, psi'(0) = 1, psi = alpha sin(q r) + beta cos(q r)
+    between shells, and each shell adds V_k psi(a_k) to psi'.  Outside,
+    psi is proportional to sin(q r + delta) with tan(delta) = beta / alpha,
+    and f = exp(i delta) sin(delta) / q.
+    """
+    alpha, beta = 1.0 / q, 0.0
+    for v, a in pot.shells:
+        s, c = math.sin(q * a), math.cos(q * a)
+        kick = v * (alpha * s + beta * c) / q
+        alpha, beta = alpha + kick * c, beta - kick * s
+    return complex(alpha * beta, beta * beta) / ((alpha * alpha + beta * beta) * q)
+
+
+def test_nr_amplitude_matches_transfer_matrix():
+    # compared as q f = exp(i delta) sin(delta), the S-matrix scale: near a
+    # transparency zero |f| is a small difference of O(1/q) terms, and a
+    # relative error in f says nothing there
+    rng = np.random.default_rng(32)
+    for _ in range(300):
+        q = float(rng.uniform(0.05, 4.0))
+        n = int(rng.integers(1, 5))
+        radii = np.sort(rng.uniform(0.1, 6.0, n)).tolist()
+        pot = ShellPotential(tuple(zip(rng.uniform(-4, 4, n).tolist(), radii)))
+        assert abs(q * (nr_amplitude(q, pot) - transfer_amplitude(q, pot))) <= 1e-12
+
+
+def test_three_shell_amplitude_static_limit():
+    pot = ShellPotential(((1.5, 1.0), (-2.0, 2.5), (0.8, 4.0)))
+    q = 0.6
+    f_ref = transfer_amplitude(q, pot)
+    for j in (1, 2, 3, 4):
+        devs = [abs(amplitude(j, Kinematics(m, math.asinh(q / m)), pot) - f_ref) / abs(f_ref)
+                for m in (10.0, 100.0, 1000.0)]
+        assert devs[0] > devs[1] > devs[2]
+        assert devs[2] < 1e-2
 
 
 def test_nr_v0_of_kappa_forms():

@@ -94,6 +94,58 @@ def test_unitarity_random():
         assert abs(f.imag - kin.q * abs(f) ** 2) <= 1e-12 * (1.0 + abs(f) ** 2)
 
 
+def _random_shells(rng, n):
+    """n shells at distinct random radii in (0.1, 6), strengths in (-4, 4)."""
+    radii = np.sort(rng.uniform(0.1, 6.0, n))
+    return ShellPotential(tuple(zip(rng.uniform(-4, 4, n).tolist(), radii.tolist())))
+
+
+def _random_point(rng):
+    return int(rng.integers(1, 5)), Kinematics(float(rng.uniform(0.2, 3.0)),
+                                               float(rng.uniform(0.05, 4.0)))
+
+
+def test_unitarity_many_shells():
+    rng = np.random.default_rng(14)
+    for _ in range(300):
+        j, kin = _random_point(rng)
+        f = amplitude(j, kin, _random_shells(rng, int(rng.integers(3, 5))))
+        assert abs(f.imag - kin.q * abs(f) ** 2) <= 1e-12 * (1.0 + abs(f) ** 2)
+
+
+def test_zero_strength_shell_drops_out():
+    rng = np.random.default_rng(15)
+    for _ in range(100):
+        j, kin = _random_point(rng)
+        shells = _random_shells(rng, 4).shells
+        k = int(rng.integers(0, 4))
+        off = ShellPotential(tuple((0.0, a) if i == k else (v, a)
+                                   for i, (v, a) in enumerate(shells)))
+        gone = ShellPotential(shells[:k] + shells[k + 1:])
+        f_gone = amplitude(j, kin, gone)
+        assert abs(amplitude(j, kin, off) - f_gone) <= 1e-14 * abs(f_gone)
+
+
+def test_shell_potential_merges_every_equal_radius():
+    pot = ShellPotential(((1.0, 2.0), (3.0, 5.0), (0.5, 2.0), (-1.0, 1.0), (2.0, 5.0)))
+    assert pot.shells == ((-1.0, 1.0), (1.5, 2.0), (5.0, 5.0))
+    with pytest.raises(DomainError):
+        ShellPotential(())
+
+
+def test_system_determinant_is_the_complex_det():
+    # D = det A + i c against numpy's LU det of 1 - G V with the complex
+    # kernels, which never splits G into its real and imaginary parts
+    rng = np.random.default_rng(16)
+    for _ in range(200):
+        j, kin = _random_point(rng)
+        pot = _random_shells(rng, int(rng.integers(1, 5)))
+        radii = pot.radii
+        g = np.array([[green_partial(j, kin, r, rp) for rp in radii] for r in radii])
+        ref = np.linalg.det(np.eye(len(radii)) - g * np.array(pot.strengths))
+        assert abs(delta_system(j, kin, pot).delta - ref) <= 1e-12 * abs(ref)
+
+
 def test_scatter_point_consistency():
     kin = Kinematics(1.0, 0.9)
     pot = ShellPotential.double(1.0, 3.0, -1.0, 4.0)
