@@ -54,7 +54,7 @@ def _sech(x: float) -> float:
     return 2.0 * e / (1.0 + e * e)
 
 
-def _ratio_sin(j: int, x: float, chi: float) -> float:
+def _ratio_sin(j: EquationVariant, x: float, chi: float) -> float:
     """c_j(x) sin(chi x) where c_j is the variant's hyperbolic ratio.
 
     c_1 = coth(pi x / 2), c_2 = c_4 = coth(pi x), c_3 = tanh(pi x / 2).
@@ -62,7 +62,12 @@ def _ratio_sin(j: int, x: float, chi: float) -> float:
     double zero (j = 3) at x = 0; a joint Taylor expansion in the two
     proportional arguments covers |x| < _SMALL_MR.
     """
-    rate = math.pi / 2 if j in (EquationVariant.LT, EquationVariant.MLT) else math.pi
+    if j == EquationVariant.LT:
+        rate = math.pi / 2
+    elif j == EquationVariant.MLT:
+        rate = math.pi / 2
+    else:
+        rate = math.pi
     a = rate * x
     b = chi * x
     if abs(x) < _SMALL_MR:
@@ -135,7 +140,12 @@ def green_partial_real(j: int, m: float, chi, r, rp) -> np.ndarray:
     chi = np.asarray(chi, dtype=float)
     if (chi == 0.0).any():
         raise ThresholdError("line kernel undefined at chi = 0 (elastic threshold)")
-    rate = math.pi / 2 if j in (EquationVariant.LT, EquationVariant.MLT) else math.pi
+    if j == EquationVariant.LT:
+        rate = math.pi / 2
+    elif j == EquationVariant.MLT:
+        rate = math.pi / 2
+    else:
+        rate = math.pi
     with np.errstate(all="ignore"):
         if j in (EquationVariant.LT, EquationVariant.K):
             kj = m * np.sinh(2.0 * chi)

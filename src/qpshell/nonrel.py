@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from functools import partial
 
-from .errors import DomainError, ThresholdError
+from .errors import DomainError, ThresholdError, UnsupportedFormError
 from .greens import green_partial, green_partial_bound
 from .kinematics import BoundEnergy, EquationVariant, Kinematics
 from .scattering import (DeltaSystem, ShellPotential, _check_pole, _det, _k_system,
@@ -93,10 +93,15 @@ def nr_amplitude_explicit(q: float, pot: ShellPotential) -> complex:
         f = -[ V1 s1^2 + V2 s2^2 + (V1 V2 / q) s1 s2 d ] / (q^2 D).
 
     The V1 numerator term carries sin^2(q a1): anything else breaks the
-    V2 = 0 reduction to the single-shell form.
+    V2 = 0 reduction to the single-shell form.  Three or more shells raise
+    UnsupportedFormError.
     """
     _check_q(q)
     shells = pot.shells
+    if len(shells) > 2:
+        raise UnsupportedFormError(
+            f"no expanded form for {len(shells)} shells; use nr_amplitude()"
+        )
     if len(shells) == 1:
         v0, a = shells[0]
         s_a = math.sin(q * a)
@@ -171,31 +176,37 @@ def limit_convergence(observable: str, j: int, masses, **params) -> ConvergenceR
     tiny = 1e-300
 
     if observable == "amplitude":
-        q, pot = float(params["q"]), params["pot"]
+        q = float(params["q"])
+        pot = params["pot"]
         ref = nr_amplitude(q, pot)
-
-        def rel(m):
-            return amplitude(j, Kinematics(m, math.asinh(q / m)), pot)
+        devs = []
+        for m in masses:
+            kin = Kinematics(m, math.asinh(q / m))
+            devs.append(abs(amplitude(j, kin, pot) - ref) / (abs(ref) + tiny))
     elif observable == "gf":
-        q, r, rp = (float(params[k]) for k in ("q", "r", "rp"))
+        q = float(params["q"])
+        r = float(params["r"])
+        rp = float(params["rp"])
         ref = nr_green(q, r, rp)
-
-        def rel(m):
-            return green_partial(j, Kinematics(m, math.asinh(q / m)), r, rp)
+        devs = []
+        for m in masses:
+            kin = Kinematics(m, math.asinh(q / m))
+            devs.append(abs(green_partial(j, kin, r, rp) - ref) / (abs(ref) + tiny))
     elif observable == "quantization":
-        kappa, a = float(params["kappa"]), float(params["a"])
-        if masses[0] <= kappa:
-            raise DomainError(
-                f"mass {masses[0]} must exceed kappa = {kappa} on the bound branch"
-            )
+        kappa = float(params["kappa"])
+        a = float(params["a"])
         ref = nr_v0_of_kappa(kappa, a)
-
-        def rel(m):
-            return v0_of_w(j, BoundEnergy(m, math.asin(kappa / m)), a)
+        devs = []
+        for m in masses:
+            if m <= kappa:
+                raise DomainError(
+                    f"mass {m} must exceed kappa = {kappa} on the bound branch"
+                )
+            be = BoundEnergy(m, math.asin(kappa / m))
+            devs.append(abs(v0_of_w(j, be, a) - ref) / (abs(ref) + tiny))
     else:
         raise DomainError(
             f"unknown observable {observable!r}; "
             "expected amplitude, gf or quantization"
         )
-    devs = [abs(rel(m) - ref) / (abs(ref) + tiny) for m in masses]
     return ConvergenceReport(observable, int(j), masses, tuple(devs))

@@ -81,9 +81,16 @@ def _result(name: str, worst: float, tol: float, n: int, detail: str,
                        violations, detail)
 
 
-_SINGLE_POT = ShellPotential.single(2.0, 5.0)
-_DOUBLE_POT = ShellPotential.double(1.0, 3.0, -1.0, 4.0)
-_TRIPLE_POT = ShellPotential(((1.0, 3.0), (-1.0, 4.0), (0.5, 5.5)))
+def _single_pot() -> ShellPotential:
+    return ShellPotential.single(2.0, 5.0)
+
+
+def _double_pot() -> ShellPotential:
+    return ShellPotential.double(1.0, 3.0, -1.0, 4.0)
+
+
+def _triple_pot() -> ShellPotential:
+    return ShellPotential(((1.0, 3.0), (-1.0, 4.0), (0.5, 5.5)))
 
 
 def _chi_grid(n: int = 800, lo: float = 0.05, hi: float = 4.0) -> list[float]:
@@ -145,7 +152,7 @@ def check_unitarity() -> GroupResult:
         kin = Kinematics(float(rng.uniform(0.2, 3.0)), float(rng.uniform(0.05, 4.0)))
         worst = max(worst, defect(j, kin, _random_potential(rng)))
         n += 1
-    for pot in (_SINGLE_POT, _DOUBLE_POT):
+    for pot in (_single_pot(), _double_pot()):
         for j in ALL_VARIANTS:
             for chi in _chi_grid():
                 worst = max(worst, defect(j, Kinematics(1.0, chi), pot))
@@ -205,8 +212,8 @@ def _reference_deltas(j: int, pot: ShellPotential, chis: list[float]) -> list[co
 
 def _reference_sweeps():
     """(scatter point, reference D) on both sweeps and a coarser 3-shell one."""
-    for pot, chis in ((_SINGLE_POT, _chi_grid()), (_DOUBLE_POT, _chi_grid()),
-                      (_TRIPLE_POT, _chi_grid(200))):
+    for pot, chis in ((_single_pot(), _chi_grid()), (_double_pot(), _chi_grid()),
+                      (_triple_pot(), _chi_grid(200))):
         for j in ALL_VARIANTS:
             for chi, delta in zip(chis, _reference_deltas(j, pot, chis)):
                 yield scatter_point(j, Kinematics(1.0, chi), pot), delta
@@ -249,7 +256,7 @@ def check_rt_zeros() -> GroupResult:
     """Transparency: |f| at chi = pi n / (m a) for n = 1..10, every variant."""
     worst = 0.0
     n = 0
-    pot = _SINGLE_POT
+    pot = _single_pot()
     for j in ALL_VARIANTS:
         for k in range(1, 11):
             kin = Kinematics(1.0, math.pi * k / 5.0)
@@ -347,7 +354,7 @@ def check_nrlimit() -> GroupResult:
     violations = 0
     n = 0
     for observable, params in (
-        ("amplitude", dict(q=0.6, pot=_SINGLE_POT)),
+        ("amplitude", dict(q=0.6, pot=_single_pot())),
         ("gf", dict(q=0.5, r=1.2, rp=0.4)),
         ("quantization", dict(kappa=0.5, a=1.0)),
     ):
@@ -402,7 +409,7 @@ def check_determinism() -> GroupResult:
     n = 0
 
     def run_scatter():
-        return sweep(2, 1.0, _DOUBLE_POT, chi)
+        return sweep(2, 1.0, _double_pot(), chi)
 
     def run_curve():
         return sample_v2_curve(4, 1.0, 1.0, 4.0, -3.5, n=128)

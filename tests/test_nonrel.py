@@ -71,6 +71,12 @@ def test_nr_amplitude_routes_agree():
         assert abs(f_gen - f_exp) <= 1e-12 * max(abs(f_gen), 1e-300)
 
 
+def test_nr_explicit_refuses_three_shells():
+    pot = ShellPotential(((1.0, 3.0), (-1.0, 4.0), (0.5, 5.5)))
+    with pytest.raises(UnsupportedFormError):
+        nr_amplitude_explicit(0.7, pot)
+
+
 def test_nr_amplitude_outer_off_reduces_to_single():
     q = 0.7
     double = ShellPotential.double(2.0, 1.5, 0.0, 3.0)

@@ -77,6 +77,13 @@ def test_explicit_double_restricted_to_variant3():
             amplitude_explicit(j, kin, pot)
 
 
+def test_explicit_refuses_three_shells():
+    pot = ShellPotential(((1.0, 3.0), (-1.0, 4.0), (0.5, 5.5)))
+    for j in ALL_VARIANTS:
+        with pytest.raises(UnsupportedFormError):
+            amplitude_explicit(j, Kinematics(1.0, 0.7), pot)
+
+
 def test_unitarity_random():
     rng = np.random.default_rng(12)
     for _ in range(100):
