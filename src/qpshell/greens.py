@@ -140,12 +140,7 @@ def green_partial_real(j: int, m: float, chi, r, rp) -> np.ndarray:
     chi = np.asarray(chi, dtype=float)
     if (chi == 0.0).any():
         raise ThresholdError("line kernel undefined at chi = 0 (elastic threshold)")
-    if j == EquationVariant.LT:
-        rate = math.pi / 2
-    elif j == EquationVariant.MLT:
-        rate = math.pi / 2
-    else:
-        rate = math.pi
+    rate = math.pi / 2 if j in (EquationVariant.LT, EquationVariant.MLT) else math.pi
     with np.errstate(all="ignore"):
         if j in (EquationVariant.LT, EquationVariant.K):
             kj = m * np.sinh(2.0 * chi)
