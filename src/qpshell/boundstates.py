@@ -12,6 +12,13 @@ useful inversions: V2(w) at fixed V1, and the two branches V1(+-)(w) under
 the constraint V2 = alpha V1, which is a quadratic in V1 whose discriminant
 can close (no real strength reaches that w when it is negative).
 
+The curves and the level scan's grid of w are evaluated as numpy arrays:
+green_partial_bound_array fills the same shell system (`_shell_matrix`,
+`_det`, whose + - * work element-wise), and the V2 and V1(+-) algebra is
+written once for floats and arrays alike.  Each level is then bisected, and
+its poles rejected, on the scalar det_bound, so the level positions are
+those of a point-by-point scan.
+
 Wave functions are superpositions of bound kernels anchored at the shells,
 psi(r) = N sum_k c_k V_k G(i w, r, a_k), with (c_k) the null vector of A
 (its largest adjugate column), the overall sign fixed by psi > 0 at the
@@ -26,8 +33,16 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable
 
+import numpy as np
+
 from .errors import DomainError, SingularPointError
-from .greens import _hyperbolic_ratio, _partial_bound, _sech, green_partial_bound
+from .greens import (
+    _hyperbolic_ratio,
+    _partial_bound,
+    _sech,
+    green_partial_bound,
+    green_partial_bound_array,
+)
 from .kinematics import (
     BOUND_W_HI,
     BOUND_W_LO,
@@ -127,15 +142,32 @@ def det_bound(j: int, be: BoundEnergy, pot: ShellPotential) -> float:
     return _det(_shell_matrix(pot, _kernel(j, be)))
 
 
-def _v2_parts(
-    j: EquationVariant, be: BoundEnergy, a1: float, a2: float, v1: float
-) -> tuple[float, float, float]:
-    """Numerator, denominator and denominator term scale of the V2 curve."""
+def _check_pair(a1: float, a2: float) -> None:
     if not 0 < a1 < a2:
         raise DomainError(f"radii must satisfy 0 < a1 < a2, got {a1}, {a2}")
-    g11 = green_partial_bound(j, be, a1, a1)
-    g22 = green_partial_bound(j, be, a2, a2)
-    g12 = green_partial_bound(j, be, a1, a2)
+
+
+def _check_finite(name: str, value: float) -> None:
+    if not math.isfinite(value):
+        raise DomainError(f"{name} must be finite, got {value!r}")
+
+
+def _check_alpha(alpha: float) -> None:
+    _check_finite("alpha", alpha)
+    if alpha == 0.0:
+        raise DomainError("alpha must be non-zero (V2 = alpha V1 with two shells)")
+
+
+def _pair_values(kernel: Callable, a1: float, a2: float) -> tuple:
+    """(G11, G22, G12) of a shell pair from kernel(r, r'), scalar or array."""
+    return kernel(a1, a1), kernel(a2, a2), kernel(a1, a2)
+
+
+def _v2_parts(g11, g22, g12, v1: float) -> tuple:
+    """Numerator, denominator and denominator term scale of the V2 curve.
+
+    Plain arithmetic on the kernel values, so floats and arrays both work.
+    """
     den = g22 + v1 * (g12 * g12 - g11 * g22)
     num = 1.0 - v1 * g11
     scale = abs(g22) + abs(v1) * (g12 * g12 + abs(g11 * g22))
@@ -150,11 +182,43 @@ def v2_of_w(j: int, be: BoundEnergy, a1: float, a2: float, v1: float) -> float:
     relative (12 cancelled digits), since a fixed absolute threshold says
     nothing about O(1) kernel values.
     """
-    j = EquationVariant(j)
-    num, den, scale = _v2_parts(j, be, a1, a2, v1)
+    _check_pair(a1, a2)
+    _check_finite("v1", v1)
+    g = _pair_values(partial(green_partial_bound, j, be), a1, a2)
+    num, den, scale = _v2_parts(*g, v1)
     if den == 0.0 or abs(den) < 1e-12 * scale:
         raise SingularPointError(f"V2 curve has a pole at w = {be.w!r}")
     return num / den
+
+
+def _v1pm_parts(g11, g22, g12, alpha: float) -> tuple:
+    """Both roots of the tied-strength quadratic, element-wise.
+
+    Returns (plus, minus, degenerate, closed).  closed marks a negative
+    discriminant, where no real strength binds (both roots NaN).  A
+    degenerate quadratic (qa lost to rounding) has its single root
+    -qc / qb in both; where qb = 0 as well, that root is infinite.  The
+    other roots come from the cancellation-free form, labeled so that
+    plus/minus carry the +/- sign of the quadratic formula.  numpy's
+    + - * /, sqrt and copysign round as Python's do, so a float input gives
+    the digits of the scalar formula.
+    """
+    g11, g22, g12 = (np.asarray(g, dtype=float) for g in (g11, g22, g12))
+    qa = alpha * (g11 * g22 - g12 * g12)
+    qb = -(g11 + alpha * g22)
+    qc = 1.0
+    disc = (g11 - alpha * g22) ** 2 + 4.0 * alpha * g12 * g12
+    scale_a = abs(alpha) * (abs(g11 * g22) + g12 * g12)
+    degenerate = (qa == 0.0) | (abs(qa) < 1e-14 * (scale_a + 0.25 * qb * qb))
+    with np.errstate(all="ignore"):
+        qq = -0.5 * (qb + np.copysign(np.sqrt(disc), qb))
+        far, near = qq / qa, qc / qq
+        single = -qc / qb
+    # the sign bit, as copysign reads it: qb = -0.0 counts as negative
+    plus = np.where(degenerate, single, np.where(np.signbit(qb), far, near))
+    minus = np.where(degenerate, single, np.where(np.signbit(qb), near, far))
+    closed = disc < 0.0
+    return plus, minus, degenerate, closed
 
 
 def v1_pm_of_w(j: int, be: BoundEnergy, a1: float, a2: float, alpha: float):
@@ -167,33 +231,15 @@ def v1_pm_of_w(j: int, be: BoundEnergy, a1: float, a2: float, alpha: float):
     Roots are evaluated in the cancellation-free form and labeled so that
     `plus`/`minus` carry the +/- sign of the quadratic formula.
     """
-    j = EquationVariant(j)
-    if alpha == 0.0:
-        raise DomainError("alpha must be non-zero (V2 = alpha V1 with two shells)")
-    if not 0 < a1 < a2:
-        raise DomainError(f"radii must satisfy 0 < a1 < a2, got {a1}, {a2}")
-    g11 = green_partial_bound(j, be, a1, a1)
-    g22 = green_partial_bound(j, be, a2, a2)
-    g12 = green_partial_bound(j, be, a1, a2)
-    qa = alpha * (g11 * g22 - g12 * g12)
-    qb = -(g11 + alpha * g22)
-    qc = 1.0
-    disc = (g11 - alpha * g22) ** 2 + 4.0 * alpha * g12 * g12
-    if disc < 0.0:
+    _check_alpha(alpha)
+    _check_pair(a1, a2)
+    g = _pair_values(partial(green_partial_bound, j, be), a1, a2)
+    plus, minus, degenerate, closed = _v1pm_parts(*g, alpha)
+    if closed:
         return None
-    scale_a = abs(alpha) * (abs(g11 * g22) + g12 * g12)
-    if qa == 0.0 or abs(qa) < 1e-14 * (scale_a + 0.25 * qb * qb):
-        if qb == 0.0:
-            raise SingularPointError(f"quadratic degenerates entirely at w = {be.w!r}")
-        root = -qc / qb
-        return V1Roots(plus=root, minus=root, degenerate=True)
-    sqrt_d = math.sqrt(disc)
-    qq = -0.5 * (qb + math.copysign(sqrt_d, qb))
-    if qb >= 0:
-        minus, plus = qq / qa, qc / qq
-    else:
-        plus, minus = qq / qa, qc / qq
-    return V1Roots(plus=plus, minus=minus)
+    if not (math.isfinite(plus) and math.isfinite(minus)):
+        raise SingularPointError(f"quadratic degenerates entirely at w = {be.w!r}")
+    return V1Roots(plus=float(plus), minus=float(minus), degenerate=bool(degenerate))
 
 
 def bound_wavefunction(
@@ -264,20 +310,35 @@ def bound_wavefunction(
     return psi, level
 
 
-def solve_levels(
-    j: int, m: float, pot: ShellPotential, n_scan: int = 2000
-) -> list[BoundLevel]:
-    """All bound levels of the shells: roots of det_bound scanned over w in
-    (0, pi/2) on n_scan intervals, each refined by bisection."""
+def level_roots(j: int, m: float, pot: ShellPotential, n_scan: int = 2000) -> list[float]:
+    """Level positions w of the shells: roots of det_bound scanned over w in
+    (0, pi/2) on n_scan intervals, each refined by bisection.
+
+    The grid is evaluated as one array determinant; the scalar det_bound
+    decides every bracket, bisects it and rejects poles (find_roots_scan).
+    """
     j = EquationVariant(j)
-    if m <= 0:
-        raise DomainError(f"m must be positive, got {m}")
+    if not (math.isfinite(m) and m > 0):
+        raise DomainError(f"m must be finite and positive, got {m!r}")
 
     def det_of_w(w: float) -> float:
         return det_bound(j, BoundEnergy(m, w), pot)
 
-    roots = find_roots_scan(det_of_w, BOUND_W_LO, BOUND_W_HI, n_scan=n_scan)
-    return [bound_wavefunction(j, m, r.x, pot)[1] for r in roots]
+    roots = find_roots_scan(det_of_w, BOUND_W_LO, BOUND_W_HI, n_scan=n_scan,
+                            f_grid=partial(_det_array, j, m, pot))
+    return [r.x for r in roots]
+
+
+def solve_levels(
+    j: int, m: float, pot: ShellPotential, n_scan: int = 2000
+) -> list[BoundLevel]:
+    """All bound levels of the shells, one per level_roots root."""
+    return [bound_wavefunction(j, m, w, pot)[1] for w in level_roots(j, m, pot, n_scan)]
+
+
+def _det_array(j: int, m: float, pot: ShellPotential, ws: np.ndarray) -> np.ndarray:
+    """det_bound over an array of w, through the same shell system."""
+    return _det(_shell_matrix(pot, partial(green_partial_bound_array, j, m, ws)))
 
 
 def _w_grid(n: int) -> list[float]:
@@ -286,15 +347,22 @@ def _w_grid(n: int) -> list[float]:
     return [(math.pi / 2) * k / (n + 1) for k in range(1, n + 1)]
 
 
+def _points(ws: list[float], values: np.ndarray, finite: np.ndarray) -> list[QuantCurvePoint]:
+    """Curve samples; values at flagged points are written as NaN."""
+    values = np.where(finite, values, math.nan)
+    return [QuantCurvePoint(w, v, f)
+            for w, v, f in zip(ws, values.tolist(), finite.tolist())]
+
+
 def sample_v0_curve(j: int, m: float, a: float, n: int = 2000) -> list[QuantCurvePoint]:
     """V0(w) sampled on an open uniform grid; poles flagged, not raised."""
-    out = []
-    for w in _w_grid(n):
-        try:
-            out.append(QuantCurvePoint(w, v0_of_w(j, BoundEnergy(m, w), a), True))
-        except SingularPointError:
-            out.append(QuantCurvePoint(w, math.nan, False))
-    return out
+    if not 0 < a < math.inf:
+        raise DomainError(f"shell radius must be finite and positive, got {a}")
+    ws = _w_grid(n)
+    g = green_partial_bound_array(j, m, np.array(ws), a, a)
+    finite = (g != 0.0) & np.isfinite(g)
+    with np.errstate(divide="ignore"):
+        return _points(ws, 1.0 / g, finite)
 
 
 def sample_v2_curve(
@@ -309,50 +377,39 @@ def sample_v2_curve(
     absolute threshold: the branches next to an asymptote stay finite
     however large they grow.
     """
-    jj = EquationVariant(j)
+    _check_pair(a1, a2)
+    _check_finite("v1", v1)
     ws = _w_grid(n)
-    nums, dens = [], []
-    for w in ws:
-        num, den, _ = _v2_parts(jj, BoundEnergy(m, w), a1, a2, v1)
-        nums.append(num)
-        dens.append(den)
-    flagged = [den == 0.0 for den in dens]
-    for i in range(len(ws) - 1):
+    g = _pair_values(partial(green_partial_bound_array, j, m, np.array(ws)), a1, a2)
+    num, den, _ = _v2_parts(*g, v1)
+    flagged = den == 0.0
+    pos = den > 0.0
+    # in grid order, since a flagged point ends the test of its neighbours
+    for i in np.flatnonzero(pos[:-1] != pos[1:]):
         if flagged[i] or flagged[i + 1]:
             continue
-        if (dens[i] > 0.0) != (dens[i + 1] > 0.0):
-            k = i if abs(dens[i]) <= abs(dens[i + 1]) else i + 1
-            flagged[k] = True
-    return [
-        QuantCurvePoint(w, math.nan, False) if bad else QuantCurvePoint(w, num / den, True)
-        for w, num, den, bad in zip(ws, nums, dens, flagged)
-    ]
+        flagged[i if abs(den[i]) <= abs(den[i + 1]) else i + 1] = True
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return _points(ws, num / den, ~flagged)
 
 
 def sample_det_curve(
     j: int, m: float, pot: ShellPotential, n: int = 2000
 ) -> list[QuantCurvePoint]:
     """Quantization determinant over the w grid; finite everywhere."""
-    return [
-        QuantCurvePoint(w, det_bound(j, BoundEnergy(m, w), pot), True)
-        for w in _w_grid(n)
-    ]
+    ws = _w_grid(n)
+    det = _det_array(j, m, pot, np.array(ws))
+    return _points(ws, det, np.isfinite(det))
 
 
 def sample_v1pm_curve(
     j: int, m: float, a1: float, a2: float, alpha: float, n: int = 2000
 ) -> tuple[list[QuantCurvePoint], list[QuantCurvePoint]]:
     """Both V1 branches over the w grid; closed-discriminant gaps flagged."""
-    plus, minus = [], []
-    for w in _w_grid(n):
-        try:
-            roots = v1_pm_of_w(j, BoundEnergy(m, w), a1, a2, alpha)
-        except SingularPointError:
-            roots = None
-        if roots is None:
-            plus.append(QuantCurvePoint(w, math.nan, False))
-            minus.append(QuantCurvePoint(w, math.nan, False))
-        else:
-            plus.append(QuantCurvePoint(w, roots.plus, True))
-            minus.append(QuantCurvePoint(w, roots.minus, True))
-    return plus, minus
+    _check_alpha(alpha)
+    _check_pair(a1, a2)
+    ws = _w_grid(n)
+    g = _pair_values(partial(green_partial_bound_array, j, m, np.array(ws)), a1, a2)
+    plus, minus, _, closed = _v1pm_parts(*g, alpha)
+    finite = ~closed & np.isfinite(plus) & np.isfinite(minus)
+    return _points(ws, plus, finite), _points(ws, minus, finite)

@@ -19,11 +19,11 @@ from typing import Sequence
 
 from .boundstates import (
     bound_wavefunction,
+    level_roots,
     sample_det_curve,
     sample_v0_curve,
     sample_v1pm_curve,
     sample_v2_curve,
-    solve_levels,
 )
 from .errors import (
     AccuracyError,
@@ -189,8 +189,8 @@ def _cmd_bound(ns: argparse.Namespace, invocation: str) -> int:
     if ns.levels:
         pot = _potential_from(ns)
         for j in ns.j:
-            for level in solve_levels(j, ns.m, pot, n_scan=ns.n):
-                psi, _ = bound_wavefunction(j, ns.m, level.w, pot)
+            for w in level_roots(j, ns.m, pot, n_scan=ns.n):
+                psi, level = bound_wavefunction(j, ns.m, w, pot)
                 decay = 2.0 * level.w * ns.m
                 total = integrate_semi_infinite(lambda r: psi(r) ** 2, 0.0, decay, 1e-10)
                 rows.append([str(j), _fmt(level.w), _fmt(level.two_body_energy),

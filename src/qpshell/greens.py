@@ -28,8 +28,11 @@ code path with the closed forms above and exists purely as an independent
 cross-check.
 
 green_partial_real evaluates Re G_j(chi, r, r') on numpy arrays for drivers
-that need the real part over many points at once.  The shell systems call
-the scalar _partial_re and _partial_bound with K_j resolved once per system.
+that need the real part over many points at once, and
+green_partial_bound_array does the same for G_j(i w, r, r') over an array of
+w (the bound curves and the level scan's grid).  The scalar shell systems
+call _partial_re and _partial_bound with K_j resolved once per system; the
+scalar kernels stay the reference the array kernels are tested against.
 """
 
 from __future__ import annotations
@@ -242,6 +245,64 @@ def _partial_bound(j: int, m: float, w: float, kb: float,
                    r: float, rp: float) -> float:
     """G_j(i w, r, r') by images; the scalar kernel of the quantization system."""
     return _line_bound(j, m, w, kb, m * (r - rp)) - _line_bound(j, m, w, kb, m * (r + rp))
+
+
+def green_partial_bound_array(j: int, m: float, w, r, rp) -> np.ndarray:
+    """G_j(i w, r, r') on the bound branch, evaluated on numpy arrays.
+
+    w, r and r' broadcast against each other; m is a scalar.  The values are
+    those of green_partial_bound(j, BoundEnergy(m, w), r, rp) up to rounding
+    (numpy's exp, sinh and cosh may differ from math's in the last place):
+    the variant constants and K_j(i w) are computed once per call, and each
+    element takes the exponential form by the scalar kernel's rule (beta x
+    above _EXP_SWITCH) and its x = 0 limit where x = 0.  m must be finite
+    and positive, every w inside (0, pi/2), and r, r' finite and
+    non-negative; otherwise DomainError.
+    """
+    j = EquationVariant(j)
+    m = float(m)
+    w = np.asarray(w, dtype=float)
+    r = np.asarray(r, dtype=float)
+    rp = np.asarray(rp, dtype=float)
+    if not (math.isfinite(m) and m > 0):
+        raise DomainError(f"mass must be finite and positive, got {m!r}")
+    if not ((w > 0.0) & (w < math.pi / 2)).all():
+        raise DomainError("w must lie in the open interval (0, pi/2)")
+    if not ((r >= 0.0) & (r < math.inf) & (rp >= 0.0) & (rp < math.inf)).all():
+        raise DomainError("radial coordinates must be finite and non-negative")
+    beta = math.pi / 2 if j in (EquationVariant.LT, EquationVariant.MLT) else math.pi
+    alpha = beta - w
+    if j in (EquationVariant.LT, EquationVariant.K):
+        kb = m * np.sin(2.0 * w)
+    else:
+        kb = 2.0 * m * np.sin(w)
+    sech_den = 4.0 * m * np.cos(w) if j == EquationVariant.K else None
+
+    def line(x):
+        # both forms everywhere, then picked per element; the form not taken
+        # may overflow or divide 0 by 0, hence the errstate
+        x = np.abs(x)
+        lead = np.exp((alpha - beta) * x)
+        ea = np.exp(-2.0 * alpha * x)
+        eb = np.exp(-2.0 * beta * x)
+        if j == EquationVariant.MLT:
+            scaled = lead * (1.0 + ea) / (1.0 + eb)
+            direct = np.cosh(alpha * x) / np.cosh(beta * x)
+            at_zero = 1.0
+        else:
+            scaled = lead * (1.0 - ea) / (1.0 - eb)
+            direct = np.sinh(alpha * x) / np.sinh(beta * x)
+            at_zero = alpha / beta
+        ratio = np.where(x == 0.0, at_zero,
+                         np.where(beta * x > _EXP_SWITCH, scaled, direct))
+        g = -ratio / kb
+        if sech_den is not None:
+            e = np.exp(-(math.pi * x / 2))
+            g = g + 2.0 * e / (1.0 + e * e) / sech_den
+        return g
+
+    with np.errstate(all="ignore"):
+        return line(m * (r - rp)) - line(m * (r + rp))
 
 
 def green_spectral_oracle(j: int, state, r: float, rp: float, tol: float = 1e-8) -> QuadResult:

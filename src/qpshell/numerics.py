@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 from .errors import AccuracyError, DomainError, EvaluationError
 
 # Kronrod-15 abscissae on [-1, 1] (non-negative half) and weights; the
@@ -190,12 +192,43 @@ def integrate_semi_infinite(
     return QuadResult(res.value, res.err_estimate + tail, res.evaluations + 1)
 
 
+def _scanned(f: Callable[[float], float], x: float) -> float:
+    v = f(x)
+    if not math.isfinite(v):
+        raise EvaluationError(f"scanned function non-finite at x = {x!r}", x)
+    return v
+
+
+def _screened_grid(f: Callable[[float], float], f_grid: Callable,
+                   xs: list[float]) -> list[float]:
+    """Grid values from f_grid, with f's value wherever a test is made."""
+    vals = np.asarray(f_grid(np.array(xs)), dtype=float)
+    bad = ~np.isfinite(vals)
+    if bad.any():
+        x = xs[int(np.argmax(bad))]
+        raise EvaluationError(f"scanned function non-finite at x = {x!r}", x)
+    exact = np.zeros(len(xs), dtype=bool)
+    while True:
+        pos = vals > 0
+        tested = (vals[:-1] == 0.0) | (vals[1:] == 0.0) | (pos[:-1] != pos[1:])
+        todo = np.zeros_like(exact)
+        todo[:-1] = tested
+        todo[1:] |= tested
+        todo &= ~exact
+        if not todo.any():
+            return vals.tolist()
+        for k in np.flatnonzero(todo):
+            vals[k] = _scanned(f, xs[k])
+        exact |= todo
+
+
 def find_roots_scan(
     f: Callable[[float], float],
     lo: float,
     hi: float,
     n_scan: int = 2000,
     tol_x: float = 1e-12,
+    f_grid: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> list[BracketRoot]:
     """Locate roots of a real function by grid scan plus bisection.
 
@@ -206,6 +239,14 @@ def find_roots_scan(
     original bracket.  Exact zeros at grid points are reported directly.
     Returns roots sorted in increasing x.  Roots closer together than the
     grid pitch (hi - lo) / n_scan may be missed; callers choose n_scan.
+
+    f_grid, if given, is f vectorized: it maps the array of the n_scan + 1
+    grid points to their values in one call.  Its values only screen the
+    grid.  Every grid point that takes part in a zero or sign-change test is
+    evaluated again by f, until no screened value is left next to one, so
+    the brackets, their endpoint values, the pole test and the exact zeros
+    are f's own.  Only a sign that f_grid gets wrong at a point with no
+    sign change next to it can make the result differ from the scan by f.
     """
     lo = float(lo)
     hi = float(hi)
@@ -218,12 +259,10 @@ def find_roots_scan(
 
     step = (hi - lo) / n_scan
     xs = [lo + i * step for i in range(n_scan)] + [hi]
-    fs = []
-    for x in xs:
-        v = f(x)
-        if not math.isfinite(v):
-            raise EvaluationError(f"scanned function non-finite at x = {x!r}", x)
-        fs.append(v)
+    if f_grid is None:
+        fs = [_scanned(f, x) for x in xs]
+    else:
+        fs = _screened_grid(f, f_grid, xs)
 
     roots: list[BracketRoot] = []
     for i, (x, v) in enumerate(zip(xs, fs)):

@@ -7,8 +7,10 @@ import pytest
 
 from qpshell.boundstates import (
     V1Roots,
+    _v1pm_parts,
     bound_wavefunction,
     det_bound,
+    level_roots,
     sample_det_curve,
     sample_v0_curve,
     sample_v1pm_curve,
@@ -21,8 +23,8 @@ from qpshell.boundstates import (
 )
 from qpshell.errors import DomainError, SingularPointError
 from qpshell.greens import green_partial_bound
-from qpshell.kinematics import ALL_VARIANTS, BoundEnergy
-from qpshell.numerics import integrate_semi_infinite
+from qpshell.kinematics import ALL_VARIANTS, BOUND_W_HI, BOUND_W_LO, BoundEnergy
+from qpshell.numerics import find_roots_scan, integrate_semi_infinite
 from qpshell.scattering import ShellPotential
 
 from test_greens import reference_partial
@@ -295,3 +297,210 @@ def test_curve_samplers_are_grids():
     assert [p.w for p in v0] == [p.w for p in det]
     with pytest.raises(DomainError):
         sample_v0_curve(1, 1.0, 1.0, n=1)
+
+
+# one, two and three shells that bind in every variant at m = 1.6
+_BINDING = [
+    ShellPotential.single(-2.0, 1.0),
+    ShellPotential.single(-1.2, 3.0),
+    ShellPotential.double(-2.0, 1.0, -1.0, 3.0),
+    ShellPotential.double(7.0, 1.0, -2.0, 3.0),
+    ShellPotential.double(-3.0, 0.8, -2.0, 2.0),
+    ShellPotential(((-2.0, 1.0), (-1.0, 2.0), (-1.5, 3.0))),
+    ShellPotential(((1.0, 0.5), (-3.0, 1.5), (-2.0, 4.0))),
+]
+
+
+def test_solve_levels_equals_the_scalar_scan():
+    # the array grid only screens; every field of every level equals a scan
+    # that evaluates det_bound point by point
+    levels = 0
+    for pot in _BINDING:
+        for j in ALL_VARIANTS:
+            for m in (0.7, 1.6):
+                roots = find_roots_scan(lambda w: det_bound(j, BoundEnergy(m, w), pot),
+                                        BOUND_W_LO, BOUND_W_HI, n_scan=2000)
+                assert roots or m != 1.6
+                levels += len(roots)
+                assert level_roots(j, m, pot) == [r.x for r in roots]
+                ref = [bound_wavefunction(j, m, r.x, pot)[1] for r in roots]
+                assert solve_levels(j, m, pot) == ref
+    assert levels == 53
+
+
+def _pointwise_v2(j, m, a1, a2, v1, n):
+    """The per-point V2 sampler: scalar kernels, sign-change pole flags."""
+    ws = [(math.pi / 2) * k / (n + 1) for k in range(1, n + 1)]
+    nums, dens = [], []
+    for w in ws:
+        be = BoundEnergy(m, w)
+        g11, g22, g12 = (green_partial_bound(j, be, r, rp)
+                         for r, rp in ((a1, a1), (a2, a2), (a1, a2)))
+        dens.append(g22 + v1 * (g12 * g12 - g11 * g22))
+        nums.append(1.0 - v1 * g11)
+    flagged = [den == 0.0 for den in dens]
+    for i in range(n - 1):
+        if flagged[i] or flagged[i + 1]:
+            continue
+        if (dens[i] > 0.0) != (dens[i + 1] > 0.0):
+            flagged[i if abs(dens[i]) <= abs(dens[i + 1]) else i + 1] = True
+    return ws, nums, dens, flagged
+
+
+def _draws(seed, count):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        j = int(rng.integers(1, 5))
+        m = float(rng.uniform(0.3, 2.5))
+        a1 = float(rng.uniform(0.2, 3.0))
+        a2 = a1 + float(rng.uniform(0.2, 3.0))
+        v1 = float(rng.uniform(-6.0, 3.0))
+        alpha = float(rng.choice((-1.0, 1.0)) * rng.uniform(0.1, 2.0))
+        yield j, m, a1, a2, v1, alpha
+
+
+# Bounds, relative: the array kernel is within a few ulp of the terms
+# summed into G (tests/test_greens.py); the curves amplify that by the
+# cancellation in G(a, a) = line(0) - line(2 m a) and, for V1-, by the
+# smaller root.  Worst seen: 6e-13 (v0), 3e-11 (v1pm).  V2 is compared
+# after scaling by |den| / (its term scale), because its relative error
+# grows as 1 / den next to a pole (worst seen 5e-14).
+_CURVE_RTOL = 1e-9
+
+
+def test_v0_curve_matches_pointwise():
+    for j, m, a, *_ in _draws(31, 25):
+        for p in sample_v0_curve(j, m, a, n=300):
+            try:
+                ref = v0_of_w(j, BoundEnergy(m, p.w), a)
+            except SingularPointError:
+                assert not p.finite
+                continue
+            assert p.finite
+            assert abs(p.value - ref) <= _CURVE_RTOL * abs(ref)
+
+
+def test_v2_curve_matches_pointwise():
+    cases = [(j, 1.0, 1.0, 4.0, -3.5) for j in ALL_VARIANTS]     # the pole cases
+    cases += [(j, 1.0, 1.0, 2.0, 1.5) for j in ALL_VARIANTS]
+    cases += [(j, m, a1, a2, v1) for j, m, a1, a2, v1, _ in _draws(32, 25)]
+    poles = 0
+    for j, m, a1, a2, v1 in cases:
+        pts = sample_v2_curve(j, m, a1, a2, v1, n=300)
+        ws, nums, dens, flagged = _pointwise_v2(j, m, a1, a2, v1, 300)
+        assert [p.w for p in pts] == ws
+        assert [not p.finite for p in pts] == flagged
+        poles += sum(flagged)
+        for p, num, den in zip(pts, nums, dens):
+            if p.finite:
+                be = BoundEnergy(m, p.w)
+                g11, g22, g12 = (green_partial_bound(j, be, r, rp)
+                                 for r, rp in ((a1, a1), (a2, a2), (a1, a2)))
+                scale = abs(g22) + abs(v1) * (g12 * g12 + abs(g11 * g22))
+                assert abs(p.value - num / den) * abs(den) <= _CURVE_RTOL * abs(num) * scale
+    assert poles >= 3
+
+
+def test_v1pm_curve_matches_pointwise():
+    cases = [(j, m, a1, a2, alpha) for j, m, a1, a2, _, alpha in _draws(33, 30)]
+    assert any(alpha < 0 for *_, alpha in cases)
+    for j, m, a1, a2, alpha in cases:
+        plus, minus = sample_v1pm_curve(j, m, a1, a2, alpha, n=300)
+        for p, q in zip(plus, minus):
+            try:
+                roots = v1_pm_of_w(j, BoundEnergy(m, p.w), a1, a2, alpha)
+            except SingularPointError:
+                roots = None
+            assert p.finite == q.finite == (roots is not None)
+            if roots is not None:
+                assert abs(p.value - roots.plus) <= _CURVE_RTOL * abs(roots.plus)
+                assert abs(q.value - roots.minus) <= _CURVE_RTOL * abs(roots.minus)
+
+
+def test_det_curve_matches_pointwise():
+    # measured against the product of the row sums of |1 - G V|, which bounds
+    # every product summed into the determinant (worst seen 3e-14)
+    for pot in _BINDING + [ShellPotential(((-1.0, 0.3), (2.0, 0.9), (-4.0, 2.2), (1.0, 5.0)))]:
+        for j in ALL_VARIANTS:
+            for p in sample_det_curve(j, 1.3, pot, n=200):
+                be = BoundEnergy(1.3, p.w)
+                g = np.array([[green_partial_bound(j, be, r, rp) for rp in pot.radii]
+                              for r in pot.radii])
+                scale = np.prod(np.abs(np.eye(len(g)) - g * np.array(pot.strengths)).sum(axis=1))
+                assert p.finite
+                assert abs(p.value - det_bound(j, be, pot)) <= 1e-12 * scale
+
+
+def test_v1pm_algebra_on_constructed_kernels():
+    # closed discriminant: g11 - alpha g22 = 0 and alpha < 0 leave
+    # disc = 4 alpha g12^2 < 0
+    plus, minus, degenerate, closed = _v1pm_parts(1.0, -1.0, 0.5, -1.0)
+    assert closed and not degenerate
+    assert math.isnan(plus) and math.isnan(minus)
+    # qa = 0 exactly: a linear equation with the single root 1 / (g11 + alpha g22)
+    plus, minus, degenerate, closed = _v1pm_parts(1.0, 1.0, 1.0, 2.0)
+    assert degenerate and not closed
+    assert plus == minus == 1.0 / 3.0
+    # qa lost to rounding (g12^2 one ulp off g11 g22): the relative test
+    g12 = 1.0 + 2.0 ** -52
+    plus, minus, degenerate, closed = _v1pm_parts(1.0, 1.0, g12, 2.0)
+    assert 0.0 < abs(2.0 * (1.0 - g12 * g12)) < 1e-14
+    assert degenerate and plus == minus == 1.0 / 3.0
+    # qa = 0 and qb = 0: no root at all
+    plus, minus, degenerate, closed = _v1pm_parts(1.0, 1.0, 1.0, -1.0)
+    assert degenerate and math.isinf(plus) and math.isinf(minus)
+    # both signs of qb label the roots as the quadratic formula does
+    # (qb < 0, qb > 0, qb = -0.0, qb = +0.0)
+    for g11, g22, g12, alpha in ((-1.0, -0.5, 0.2, 0.7), (1.0, 0.5, 0.2, 0.7),
+                                 (1.0, -1.0, 0.5, 1.0), (-0.0, -0.0, 0.5, 1.0)):
+        plus, minus, degenerate, closed = _v1pm_parts(g11, g22, g12, alpha)
+        qa = alpha * (g11 * g22 - g12 * g12)
+        qb = -(g11 + alpha * g22)
+        sqrt_d = math.sqrt(qb * qb - 4.0 * qa)
+        assert math.isclose(plus, (-qb + sqrt_d) / (2.0 * qa), rel_tol=1e-14)
+        assert math.isclose(minus, (-qb - sqrt_d) / (2.0 * qa), rel_tol=1e-14)
+    # one array call gives the float calls element by element
+    g = np.array([[1.0, -1.0, 0.5, -1.0], [1.0, 1.0, 1.0, 2.0], [1.0, 1.0, 1.0, -1.0],
+                  [-1.0, -0.5, 0.2, 0.7], [1.0, 0.5, 0.2, 0.7]])
+    for alpha in (-1.0, 2.0, 0.7):
+        arrays = _v1pm_parts(g[:, 0], g[:, 1], g[:, 2], alpha)
+        for k, row in enumerate(g.tolist()):
+            single = _v1pm_parts(*row[:3], alpha)
+            for a, s in zip(arrays, single):
+                assert a[k] == s or (math.isnan(a[k]) and math.isnan(s))
+
+
+def test_v1pm_curve_flags_a_closed_discriminant(monkeypatch):
+    # no bound kernel has closed the discriminant in any draw tried, so the
+    # sampler gets constructed kernel values: a gap where disc < 0
+    # (G11, G22, G12) = (1 or 3, -1, 0.5) at alpha = -1: disc = (G11 - 1)^2 - 1
+    import qpshell.boundstates as bs
+
+    def fake_kernel(j, m, w, r, rp):
+        if r != rp:
+            return np.full_like(w, 0.5)
+        if r == 2.0:
+            return np.full_like(w, -1.0)
+        return np.where(w < 0.5, 1.0, 3.0)
+
+    monkeypatch.setattr(bs, "green_partial_bound_array", fake_kernel)
+    plus, minus = bs.sample_v1pm_curve(1, 1.0, 1.0, 2.0, -1.0, n=20)
+    assert [p.finite for p in plus] == [p.w >= 0.5 for p in plus]
+    assert [p.finite for p in minus] == [p.w >= 0.5 for p in minus]
+    assert all(math.isnan(p.value) for p in plus + minus if not p.finite)
+
+
+def test_v2_curve_pole_flags_follow_grid_order(monkeypatch):
+    # at V1 = 0 the denominator is G22; a flagged point ends the sign test of
+    # the pair after it, so of the changes at (0,1), (1,2), (2,3), (3,4) only
+    # the first flags a point (the smaller |den|), and the exact zero its own
+    import qpshell.boundstates as bs
+    den = np.array([2.0, -1.0, 0.5, 0.0, 1.0, 1.0])
+
+    def fake_kernel(j, m, w, r, rp):
+        return den if r == rp == 2.0 else np.zeros_like(w)
+
+    monkeypatch.setattr(bs, "green_partial_bound_array", fake_kernel)
+    pts = bs.sample_v2_curve(1, 1.0, 1.0, 2.0, 0.0, n=6)
+    assert [not p.finite for p in pts] == [False, True, False, True, False, False]
+    assert [p.value for p in pts if p.finite] == [0.5, 2.0, 1.0, 1.0]

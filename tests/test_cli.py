@@ -279,3 +279,39 @@ def test_byte_determinism(tmp_path, capsys):
         assert b1 == b2
         assert b1.startswith(b"# qpshell ")
         assert b"run1" not in b1                      # --out not echoed
+
+
+@pytest.mark.parametrize("argv", [
+    ("--curve", "v0", "--m", "-1", "--a", "1"),
+    ("--curve", "v0", "--m", "nan", "--a", "1"),
+    ("--curve", "v0", "--m", "1", "--a", "0"),
+    ("--curve", "v2", "--m", "1", "--v1", "1", "--a1", "2", "--a2", "1"),
+    ("--curve", "v1pm", "--m", "1", "--a1", "1", "--a2", "2", "--alpha", "0"),
+    ("--curve", "v1pm", "--m", "1", "--a1", "1", "--a2", "2", "--alpha", "nan"),
+    ("--curve", "v2", "--m", "1", "--v1", "nan", "--a1", "1", "--a2", "2"),
+    ("--curve", "det", "--m", "1", "--v0", "-2", "--a", "1", "--n", "1"),
+    ("--curve", "det", "--m", "inf", "--v0", "-2", "--a", "1"),
+])
+def test_bound_curve_bad_parameters_are_parameter_errors(capsys, argv):
+    code, out, err = run(capsys, "bound", "--j", "all", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("parameter error") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("--j", "all", "--m", "1", "--a", "1", "--v0", "-2", "--levels"),
+    ("--j", "all", "--m", "1", "--v1", "7", "--a1", "1", "--v2", "-2", "--a2", "3", "--levels"),
+    ("--j", "all", "--m", "1", "--a", "1", "--v0", "0", "--curve", "v0"),
+    ("--j", "all", "--m", "1", "--v1", "-2", "--a1", "1", "--v2", "-1", "--a2", "3",
+     "--curve", "det"),
+    ("--j", "2", "--m", "1", "--v1", "-3.5", "--a1", "1", "--v2", "0", "--a2", "4",
+     "--curve", "v2"),
+    ("--j", "3", "--m", "1", "--v1", "0", "--a1", "1", "--v2", "0", "--a2", "2",
+     "--alpha", "-1", "--curve", "v1pm"),
+])
+def test_bound_runs_write_nothing_to_stderr(capsys, argv):
+    code, out, err = run(capsys, "bound", *argv)
+    assert code == 0
+    assert err == ""
+    assert out.startswith("# qpshell bound ")

@@ -10,20 +10,33 @@ derived from.
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from qpshell.errors import DomainError, ThresholdError, UnsupportedBranchError
 from qpshell.greens import (
+    _EXP_SWITCH,
+    _hyperbolic_ratio,
+    _sech,
     green_line,
     green_line_bound,
     green_partial,
     green_partial_bound,
+    green_partial_bound_array,
     green_partial_real,
     green_spectral_oracle,
 )
-from qpshell.kinematics import ALL_VARIANTS, BoundEnergy, Kinematics, k_factor
+from qpshell.kinematics import (
+    ALL_VARIANTS,
+    BOUND_W_HI,
+    BOUND_W_LO,
+    BoundEnergy,
+    Kinematics,
+    k_factor,
+    k_factor_bound,
+)
 
 
 def reference_line(j: int, m: float, chi: complex, x: float) -> complex:
@@ -233,3 +246,85 @@ def test_array_kernel_guards():
     with pytest.raises(DomainError):
         green_partial_real(3, 1.0, 800.0, 1.0, 2.0)
     assert np.isfinite(green_partial_real(3, 1.0, 400.0, 1.0, 2.0))
+
+
+def bound_term_scale(j: int, m: float, w: float, r: float, rp: float) -> float:
+    """Sum of the magnitudes of the terms summed into G_j(i w, r, r').
+
+    In exponential form a sinh ratio is e^{-w x} (1 - e^{-2 alpha x}) / (1 -
+    e^{-2 beta x}), which cancels where alpha x is small; its two terms
+    count separately.
+    """
+    kb = k_factor_bound(j, BoundEnergy(m, w))
+    beta = math.pi / 2 if j in (1, 3) else math.pi
+    alpha = beta - w
+    total = 0.0
+    for x in (abs(m * (r - rp)), m * (r + rp)):
+        if j != 3 and beta * x > _EXP_SWITCH:
+            ratio = math.exp(-w * x) * (1.0 + math.exp(-2.0 * alpha * x))
+        else:
+            ratio = _hyperbolic_ratio("cosh" if j == 3 else "sinh", alpha, beta, x)
+        total += ratio / kb
+        if j == 2:
+            total += _sech(math.pi * x / 2) / (4.0 * m * math.cos(w))
+    return total
+
+
+# r = r' (x = 0 on the direct line), r = r' = 0, the m r ~ 1 range, both
+# sides of _EXP_SWITCH for beta = pi (x = 9.55) and beta = pi/2 (x = 19.1),
+# and separations where the direct sinh overflows (x = 600)
+_BOUND_PAIRS = [(1.0, 1.0), (0.0, 0.0), (0.0, 0.7), (0.5, 2.3), (4.5, 4.5), (5.0, 5.0),
+                (9.0, 9.0), (10.0, 10.0), (9.0, 10.5), (30.0, 0.2), (300.0, 300.0)]
+
+
+def _assert_bound_array_matches_scalar(ws: np.ndarray, ulps: float) -> None:
+    eps = np.finfo(float).eps
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for j in ALL_VARIANTS:
+            for m in (0.5, 1.0, 2.0):
+                for r, rp in _BOUND_PAIRS:
+                    got = green_partial_bound_array(j, m, ws, r, rp)
+                    assert got.shape == ws.shape
+                    for w, value in zip(ws.tolist(), got.tolist()):
+                        ref = green_partial_bound(j, BoundEnergy(m, w), r, rp)
+                        assert abs(value - ref) <= ulps * eps * bound_term_scale(j, m, w, r, rp)
+
+
+def test_bound_array_kernel_matches_scalar():
+    # gate: a few ulp of the magnitudes of the terms summed (worst seen 2.2).
+    # At m = 1 the pairs (4.5, 4.5) / (5, 5) put m (r + r') = 9 / 10 on
+    # either side of the switch for beta = pi, and (9, 9) / (10, 10) put
+    # 18 / 20 on either side of it for beta = pi / 2
+    assert math.pi * 9.0 < _EXP_SWITCH < math.pi * 10.0
+    _assert_bound_array_matches_scalar(np.linspace(1e-6, math.pi / 2 - 1e-6, 97), 4.0)
+
+
+def test_bound_array_kernel_at_the_w_edges():
+    # at w = BOUND_W_LO the line terms are O(1 / w) = O(1e9) and cancel, so
+    # the same ulp gate allows absolute differences near 1e-6 (2.4e-7 seen,
+    # against values of order 1); at BOUND_W_HI the j = 2 terms are
+    # O(1 / cos w) and differ by up to 6e-8.  Both routes share that
+    # cancellation (the threshold error of the bound branch)
+    _assert_bound_array_matches_scalar(np.array([BOUND_W_LO, BOUND_W_HI]), 4.0)
+
+
+def test_bound_array_kernel_broadcasts_and_guards():
+    ws = np.array([0.3, 0.9])
+    r = np.array([[0.5], [2.0], [12.0]])
+    got = green_partial_bound_array(2, 1.3, ws, r, 1.0)
+    assert got.shape == (3, 2)
+    for i, rr in enumerate(r[:, 0].tolist()):
+        for k, w in enumerate(ws.tolist()):
+            ref = green_partial_bound(2, BoundEnergy(1.3, w), rr, 1.0)
+            assert abs(got[i, k] - ref) <= 4 * np.finfo(float).eps * bound_term_scale(
+                2, 1.3, w, rr, 1.0)
+    for m in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            green_partial_bound_array(1, m, ws, 1.0, 1.0)
+    for bad_w in (0.0, math.pi / 2, -0.1, math.nan):
+        with pytest.raises(DomainError):
+            green_partial_bound_array(1, 1.0, np.array([0.5, bad_w]), 1.0, 1.0)
+    for r, rp in ((-1.0, 1.0), (1.0, math.inf), (math.nan, 1.0)):
+        with pytest.raises(DomainError):
+            green_partial_bound_array(1, 1.0, ws, r, rp)

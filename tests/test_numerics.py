@@ -128,3 +128,42 @@ def test_determinism():
     a = integrate_adaptive(f, 0.0, 3.0, 1e-12)
     b = integrate_adaptive(f, 0.0, 3.0, 1e-12)
     assert a.value == b.value and a.evaluations == b.evaluations
+
+
+def test_find_roots_grid_screen_gives_the_scalar_scan():
+    # f_grid only screens the grid: with a screen that is off by a relative
+    # 1e-3 everywhere but keeps every sign, the roots, residuals and brackets
+    # are those of the scan by f alone, zeros and poles included
+    cases = [
+        (math.sin, np.sin, 0.5, 10.0, 500),
+        (math.tan, np.tan, 0.5, 9.0, 4000),
+        (lambda x: x - 1.0, lambda xs: xs - 1.0, 0.0, 2.0, 2),
+    ]
+    for f, vec, lo, hi, n in cases:
+        ref = find_roots_scan(f, lo, hi, n_scan=n)
+        got = find_roots_scan(f, lo, hi, n_scan=n, f_grid=lambda xs: vec(xs) * (1.0 + 1e-3))
+        assert got == ref
+
+
+def test_find_roots_grid_screen_defers_to_f():
+    # a screen that reports false zeros and a false sign change: f's own
+    # values decide, so the result is still the scan by f
+    def f(x):
+        return x - 0.33
+
+    def screen(xs):
+        vals = xs - 0.33
+        vals[3] = 0.0        # x = 0.15: not a root of f
+        vals[10] = -vals[10]  # x = 0.5: flips a sign f does not have
+        return vals
+
+    ref = find_roots_scan(f, 0.0, 1.0, n_scan=20)
+    got = find_roots_scan(f, 0.0, 1.0, n_scan=20, f_grid=screen)
+    assert got == ref
+    assert len(got) == 1 and abs(got[0].x - 0.33) < 1e-12
+
+
+def test_find_roots_grid_screen_non_finite():
+    with pytest.raises(EvaluationError):
+        find_roots_scan(math.sin, 0.0, 1.0, n_scan=10,
+                        f_grid=lambda xs: np.where(xs > 0.5, np.nan, xs))
