@@ -396,7 +396,7 @@ def sample_v2_curve(
 def sample_det_curve(
     j: int, m: float, pot: ShellPotential, n: int = 2000
 ) -> list[QuantCurvePoint]:
-    """Quantization determinant over the w grid; finite everywhere."""
+    """Quantization determinant over the w grid; non-finite values flagged."""
     ws = _w_grid(n)
     det = _det_array(j, m, pot, np.array(ws))
     return _points(ws, det, np.isfinite(det))
