@@ -17,6 +17,8 @@ import math
 import sys
 from typing import Sequence
 
+import numpy as np
+
 from .boundstates import (
     bound_wavefunction,
     level_roots,
@@ -123,8 +125,12 @@ def _potential_from(ns: argparse.Namespace) -> ShellPotential:
 
 def _write_csv(out: str | None, invocation: str, header: Sequence[str],
                rows: Sequence[Sequence[str]]) -> None:
-    text = "# qpshell " + invocation + "\n" + ",".join(header) + "\n"
-    text += "".join(",".join(row) + "\n" for row in rows)
+    _write_table(out, invocation, header, "".join(",".join(row) + "\n" for row in rows))
+
+
+def _write_table(out: str | None, invocation: str, header: Sequence[str],
+                 body: str) -> None:
+    text = "# qpshell " + invocation + "\n" + ",".join(header) + "\n" + body
     if out is None:
         sys.stdout.write(text)
     else:
@@ -132,23 +138,24 @@ def _write_csv(out: str | None, invocation: str, header: Sequence[str],
             fh.write(text)
 
 
-def _unitarity_defect(f: complex, q: float) -> float:
-    return abs(f.imag - q * abs(f) ** 2) / (1.0 + abs(f) ** 2)
+# one scatter row: the same bytes as str(j) and _fmt per value, joined by ","
+_SCATTER_ROW = "%d" + ",%.16e" * 9 + "\n"
 
 
 def _cmd_scatter(ns: argparse.Namespace, invocation: str) -> int:
     pot = _potential_from(ns)
-    rows = []
+    body = []
     for j in ns.j:
-        for pt in sweep(j, ns.m, pot, ns.chi):
-            rows.append([
-                str(j), _fmt(pt.chi), _fmt(pt.q), _fmt(pt.f.real), _fmt(pt.f.imag),
-                _fmt(pt.sigma0), _fmt(pt.s_matrix.real), _fmt(pt.s_matrix.imag),
-                _fmt(pt.phase), _fmt(_unitarity_defect(pt.f, pt.q)),
-            ])
-    _write_csv(ns.out, invocation,
-               ["j", "chi", "q", "re_f", "im_f", "sigma0", "re_S", "im_S",
-                "phase_unwrapped", "unitarity_defect"], rows)
+        sw = sweep(j, ns.m, pot, ns.chi)
+        f, s_mat = sw.f, sw.s_matrix
+        f2 = np.hypot(f.real, f.imag) ** 2
+        defect = np.abs(f.imag - sw.q * f2) / (1.0 + f2)
+        columns = (sw.chi, sw.q, f.real, f.imag, sw.sigma0, s_mat.real, s_mat.imag,
+                   sw.phase, defect)
+        body += [_SCATTER_ROW % ((j,) + row) for row in zip(*(c.tolist() for c in columns))]
+    _write_table(ns.out, invocation,
+                 ["j", "chi", "q", "re_f", "im_f", "sigma0", "re_S", "im_S",
+                  "phase_unwrapped", "unitarity_defect"], "".join(body))
     return 0
 
 

@@ -28,7 +28,8 @@ code path with the closed forms above and exists purely as an independent
 cross-check.
 
 green_partial_real evaluates Re G_j(chi, r, r') on numpy arrays for drivers
-that need the real part over many points at once, and
+that need the real part over many points at once (the rapidity sweep calls
+its unchecked core _partial_re_array, with K_j resolved once per sweep), and
 green_partial_bound_array does the same for G_j(i w, r, r') over an array of
 w (the bound curves and the level scan's grid).  The scalar shell systems
 call _partial_re and _partial_bound with K_j resolved once per system; the
@@ -128,6 +129,19 @@ def _partial_re(j: int, m: float, chi: float, kj: float,
     return _line_re(j, m, chi, kj, m * (r - rp)) - _line_re(j, m, chi, kj, m * (r + rp))
 
 
+def _real_factors(j: int, m: float, chi: np.ndarray) -> tuple[np.ndarray, np.ndarray | float]:
+    """K_j as k_factor computes it and the j = 2 sech denominator
+    4 m cosh(chi) (1.0 for the other variants) over an array of rapidities;
+    inf where they overflow, for the caller to judge."""
+    with np.errstate(over="ignore"):
+        if j in (EquationVariant.LT, EquationVariant.K):
+            kj = m * np.sinh(2.0 * chi)
+        else:
+            kj = 2.0 * m * np.sinh(chi)
+        sech_den = 4.0 * m * np.cosh(chi) if j == EquationVariant.K else 1.0
+    return kj, sech_den
+
+
 def green_partial_real(j: int, m: float, chi, r, rp) -> np.ndarray:
     """Re G_j(chi, r, r') on the scattering branch, evaluated on numpy arrays.
 
@@ -143,34 +157,39 @@ def green_partial_real(j: int, m: float, chi, r, rp) -> np.ndarray:
     chi = np.asarray(chi, dtype=float)
     if (chi == 0.0).any():
         raise ThresholdError("line kernel undefined at chi = 0 (elastic threshold)")
-    rate = math.pi / 2 if j in (EquationVariant.LT, EquationVariant.MLT) else math.pi
     with np.errstate(all="ignore"):
-        if j in (EquationVariant.LT, EquationVariant.K):
-            kj = m * np.sinh(2.0 * chi)
+        kj, sech_den = _real_factors(j, m, chi)
+    if not (np.isfinite(kj).all() and np.isfinite(sech_den).all()):
+        raise DomainError(
+            f"rapidity too large: K_{int(j)} or cosh(chi) overflows "
+            f"for chi up to {float(chi.max())!r} at m = {m!r}"
+        )
+    return _partial_re_array(j, m, chi, kj, sech_den, r, rp)
+
+
+def _partial_re_array(j: int, m: float, chi: np.ndarray, kj: np.ndarray,
+                      sech_den, r, rp) -> np.ndarray:
+    """Re G_j(chi, r, r') over arrays with _real_factors given; the array twin
+    of _partial_re, with no checks.  As in the scalar kernel, a j = 2 sech
+    term whose 4 m cosh(chi) overflows is 0."""
+    rate = math.pi / 2 if j in (EquationVariant.LT, EquationVariant.MLT) else math.pi
+
+    def line(x):
+        a = rate * x
+        b = chi * x
+        if j == EquationVariant.MLT:
+            g = np.tanh(a) * np.sin(b)
         else:
-            kj = 2.0 * m * np.sinh(chi)
-        sech_den = 4.0 * m * np.cosh(chi) if j == EquationVariant.K else 1.0
-        if not (np.isfinite(kj).all() and np.isfinite(sech_den).all()):
-            raise DomainError(
-                f"rapidity too large: K_{int(j)} or cosh(chi) overflows "
-                f"for chi up to {float(chi.max())!r} at m = {m!r}"
-            )
+            g = np.sin(b) / np.tanh(a)
+        small = np.abs(x) < _SMALL_MR
+        if small.any():
+            g = np.where(small, _ratio_sin_series(j, a, b, chi, rate), g)
+        g = g / kj
+        if j == EquationVariant.K:
+            g = g + 1.0 / np.cosh(math.pi * x / 2) / sech_den
+        return g
 
-        def line(x):
-            a = rate * x
-            b = chi * x
-            if j == EquationVariant.MLT:
-                g = np.tanh(a) * np.sin(b)
-            else:
-                g = np.sin(b) / np.tanh(a)
-            small = np.abs(x) < _SMALL_MR
-            if small.any():
-                g = np.where(small, _ratio_sin_series(j, a, b, chi, rate), g)
-            g = g / kj
-            if j == EquationVariant.K:
-                g = g + 1.0 / np.cosh(math.pi * x / 2) / sech_den
-            return g
-
+    with np.errstate(all="ignore"):
         return line(m * (r - rp)) - line(m * (r + rp))
 
 

@@ -235,8 +235,11 @@ def find_roots_scan(
     Every sign change between adjacent grid points is bisected down to a
     bracket of width tol_x.  Brackets in which |f| grows instead of shrinking
     (sign-change poles, e.g. tan-like behaviour) are discarded: the refined
-    midpoint must not exceed ten times the smaller endpoint magnitude of the
-    original bracket.  Exact zeros at grid points are reported directly.
+    midpoint must not exceed ten times the larger of the smaller endpoint
+    magnitude of the original bracket and its slope scale
+    |f(b) - f(a)| tol_x / (b - a), the residual a simple root leaves after
+    bisection, so a root next to a grid point is kept.  Exact zeros at grid
+    points are reported directly.
     Returns roots sorted in increasing x.  Roots closer together than the
     grid pitch (hi - lo) / n_scan may be missed; callers choose n_scan.
 
@@ -272,7 +275,9 @@ def find_roots_scan(
         fa, fb = fs[i], fs[i + 1]
         if fa == 0.0 or fb == 0.0 or (fa > 0) == (fb > 0):
             continue
-        floor_mag = min(abs(fa), abs(fb))
+        # a simple root leaves a residual up to its slope times half the
+        # final bracket; the grid value next to it may be far smaller
+        floor_mag = max(min(abs(fa), abs(fb)), abs(fb - fa) * tol_x / step)
         a, b = xs[i], xs[i + 1]
         va = fa
         for _ in range(_MAX_BISECT):

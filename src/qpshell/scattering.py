@@ -14,9 +14,12 @@ c = kappa (V s)^T adj(A) s, and everything before the last division is real:
     psi(a_k) = (adj(A) s)_k / D,    f = -c / (q D),    S = conj(D) / D.
 
 S = 1 + 2 i q f and conj(D) / D agree by construction; scatter_point still
-forms both, so the comparison only rejects non-finite values.  The bound branch
-(`boundstates`) and the Schroedinger limit (`nonrel`) solve the same real
-system with their own kernels.  Determinants and adjugates are taken by
+forms both, so the comparison only rejects non-finite values.  The system
+uses only + - * (_k_parts), so sweep fills it with numpy arrays over a whole
+rapidity grid through the same code; scatter_point is the scalar reference
+the array sweep is tested against.  The bound branch (`boundstates`) and the
+Schroedinger limit (`nonrel`) solve the same real system with their own
+kernels.  Determinants and adjugates are taken by
 cofactor expansion, whose cost grows as N!, so the system is meant for a
 few shells: one scatter_point takes about 0.2 ms at N = 4 and 0.6 s at N = 8
 on a 2-vCPU VM.
@@ -31,7 +34,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -43,7 +46,8 @@ from .errors import (
     ThresholdError,
     UnsupportedFormError,
 )
-from .greens import _partial_re, _sech, green_partial, green_partial_real
+from .greens import (_partial_re, _partial_re_array, _real_factors, _sech, green_partial,
+                     green_partial_real)
 from .kinematics import EquationVariant, Kinematics, k_factor
 
 # Relative threshold below which a closed-form denominator counts as a pole.
@@ -125,6 +129,27 @@ class ScatterPoint:
     phase: float
 
 
+@dataclass(frozen=True)
+class ScatterSweep:
+    """The observables of scatter_point over a rapidity grid, as read-only
+    numpy columns of equal length (phase unwrapped along the grid)."""
+
+    j: int
+    chi: np.ndarray
+    q: np.ndarray
+    f: np.ndarray
+    s_matrix: np.ndarray
+    sigma0: np.ndarray
+    phase: np.ndarray
+
+    def __post_init__(self):
+        for col in self.columns():
+            col.flags.writeable = False
+
+    def columns(self) -> tuple[np.ndarray, ...]:
+        return (self.chi, self.q, self.f, self.s_matrix, self.sigma0, self.phase)
+
+
 def _shell_matrix(pot: ShellPotential, kernel) -> list[list[float]]:
     """A = 1 - G V; kernel(r, r') is a real symmetric G, called once per pair."""
     shells = pot.shells
@@ -158,16 +183,24 @@ def _adj_apply(a: list[list[float]], b: list[float]) -> list[float]:
             for k in range(len(a))]
 
 
-def _k_system(a: list[list[float]], s: list[float], kappa: float,
-              pot: ShellPotential) -> DeltaSystem:
-    """D = det A + i c with c = kappa (V s)^T adj(A) s, for Im G = -kappa s s^T."""
+def _k_parts(a, s, kappa, pot: ShellPotential):
+    """det A, c = kappa (V s)^T adj(A) s, adj(A) s and the pole scale of
+    D = det A + i c, for Im G = -kappa s s^T.  Only + - * and abs, so the
+    entries may be floats or numpy arrays alike."""
     nums = _adj_apply(a, s)
     c = 0.0
     for (v, _), sk, nk in zip(pot.shells, s, nums):
         c += v * sk * nk
     c *= kappa
     scale = 1.0 + math.prod(sum(map(abs, row)) for row in a) + abs(c)
-    return DeltaSystem(complex(_det(a), c), tuple(nums), scale)
+    return _det(a), c, nums, scale
+
+
+def _k_system(a: list[list[float]], s: list[float], kappa: float,
+              pot: ShellPotential) -> DeltaSystem:
+    """The scalar system D = det A + i c (see _k_parts)."""
+    det, c, nums, scale = _k_parts(a, s, kappa, pot)
+    return DeltaSystem(complex(det, c), tuple(nums), scale)
 
 
 def delta_system(j: int, kin: Kinematics, pot: ShellPotential) -> DeltaSystem:
@@ -181,10 +214,19 @@ def delta_system(j: int, kin: Kinematics, pot: ShellPotential) -> DeltaSystem:
 
 def _check_pole(sys: DeltaSystem, name: str, value: float) -> None:
     if abs(sys.delta) < _POLE_EPS * sys.pole_scale:
-        raise PoleError(
-            f"shell determinant vanishes at {name} = {value!r} "
-            f"(|Delta| = {abs(sys.delta):.3e})"
-        )
+        raise _pole_error(name, value, abs(sys.delta))
+
+
+def _pole_error(name: str, value: float, abs_delta: float) -> PoleError:
+    return PoleError(
+        f"shell determinant vanishes at {name} = {value!r} (|Delta| = {abs_delta:.3e})"
+    )
+
+
+def _s_route_error(chi: float, err: float) -> AccuracyError:
+    return AccuracyError(
+        f"S-matrix routes disagree at chi = {chi!r}: |1 + 2iqf - conj(D)/D| = {err:.3e}"
+    )
 
 
 def amplitude(j: int, kin: Kinematics, pot: ShellPotential) -> complex:
@@ -306,22 +348,29 @@ def scatter_point(j: int, kin: Kinematics, pot: ShellPotential) -> ScatterPoint:
     s_mat = 1.0 + 2j * q * f
     err = abs(s_mat - delta.conjugate() / delta)
     if not err <= 1e-12:
-        raise AccuracyError(
-            f"S-matrix routes disagree at chi = {kin.chi!r}: "
-            f"|1 + 2iqf - conj(D)/D| = {err:.3e}"
-        )
+        raise _s_route_error(kin.chi, err)
     sigma0 = 4.0 * math.pi * abs(f) ** 2
     phase = cmath.phase(s_mat) / 2.0
     return ScatterPoint(int(j), kin.chi, q, f, s_mat, sigma0, phase)
 
 
-def sweep(j: int, m: float, pot: ShellPotential, chi_grid) -> list[ScatterPoint]:
-    """Scatter points over a strictly increasing grid of positive rapidities.
+def sweep(j: int, m: float, pot: ShellPotential, chi_grid) -> ScatterSweep:
+    """scatter_point over a strictly increasing grid of positive rapidities.
+
+    The grid is evaluated at once: the real array kernel (_partial_re_array,
+    the core of green_partial_real) fills the shell system with arrays over
+    chi, and every observable is a numpy column.  Every
+    per-point check of scatter_point is kept, and the first failing
+    rapidity decides the outcome as a point-by-point loop would: a non-finite
+    chi or an overflowing K_j (DomainError), a pole (PoleError) or a
+    non-finite S (AccuracyError).  The values equal scatter_point's up to
+    rounding (numpy's sin and tanh may differ from math's in the last place).
 
     Phases are unwrapped along the grid: each principal value is shifted by
     the multiple of pi that brings it nearest its predecessor, so the
     reported phase is continuous wherever the grid resolves it.
     """
+    j = EquationVariant(j)
     grid = [float(c) for c in chi_grid]
     if not grid:
         raise DomainError("chi grid must be non-empty")
@@ -329,15 +378,44 @@ def sweep(j: int, m: float, pot: ShellPotential, chi_grid) -> list[ScatterPoint]
         raise ThresholdError("chi grid values must be positive")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise DomainError("chi grid must be strictly increasing")
-    points = [scatter_point(j, Kinematics(m, c), pot) for c in grid]
-    out = [points[0]]
-    prev = points[0].phase
-    for pt in points[1:]:
-        shift = math.pi * round((prev - pt.phase) / math.pi)
-        unwrapped = pt.phase + shift
-        out.append(replace(pt, phase=unwrapped))
-        prev = unwrapped
-    return out
+    m = float(m)
+    if not (math.isfinite(m) and m > 0):
+        raise DomainError(f"mass must be finite and positive, got {m!r}")
+    chi = np.array(grid)
+    # points past the first non-finite chi or overflowing K_j are never
+    # reached: an earlier failure decides first
+    stop = ~(np.isfinite(chi) & np.isfinite(_real_factors(j, m, chi)[0]))
+    n = int(np.argmax(stop)) if stop.any() else len(grid)
+    chi = chi[:n]
+    kj, sech_den = _real_factors(j, m, chi)
+    with np.errstate(all="ignore"):
+        a = _shell_matrix(pot, partial(_partial_re_array, j, m, chi, kj, sech_den))
+        s = [np.sin(chi * m * r) for r in pot.radii]
+        det, c, _, scale = _k_parts(a, s, 2.0 / kj, pot)
+        delta = np.empty(n, dtype=complex)
+        delta.real, delta.imag = det, c
+        q = m * np.sinh(chi)
+        f = -c / (q * delta)
+        s_mat = 1.0 + 2j * q * f
+        err = np.abs(s_mat - delta.conj() / delta)
+        pole = np.hypot(det, c) < _POLE_EPS * scale
+    bad = pole | ~(err <= 1e-12)
+    if bad.any():
+        k = int(np.argmax(bad))
+        if pole[k]:
+            raise _pole_error("chi", float(chi[k]), abs(complex(delta[k])))
+        raise _s_route_error(float(chi[k]), float(err[k]))
+    if n < len(grid):
+        if not math.isfinite(grid[n]):
+            raise DomainError(f"chi must be finite, got {grid[n]!r}")
+        raise DomainError(
+            f"rapidity too large: K_{int(j)} overflows at chi = {grid[n]!r}, m = {m!r}"
+        )
+    phase = (np.angle(s_mat) / 2.0).tolist()
+    for i in range(1, n):
+        phase[i] += math.pi * round((phase[i - 1] - phase[i]) / math.pi)
+    return ScatterSweep(int(j), chi, q, f, s_mat,
+                        4.0 * math.pi * np.hypot(f.real, f.imag) ** 2, np.array(phase))
 
 
 def single_shell_zero_rapidities(m: float, a: float, chi_max: float) -> list[float]:

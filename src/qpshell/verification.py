@@ -33,11 +33,11 @@ from .kinematics import ALL_VARIANTS, BoundEnergy, EquationVariant, Kinematics, 
 from .nonrel import limit_convergence
 from .numerics import integrate_semi_infinite
 from .scattering import (
+    ScatterSweep,
     ShellPotential,
     amplitude,
     amplitude_explicit,
     scan_zero_locus,
-    scatter_point,
     sweep,
 )
 
@@ -195,10 +195,10 @@ def check_spectral() -> GroupResult:
                    "closed kernel vs adaptive momentum integral, absolute")
 
 
-def _reference_deltas(j: int, pot: ShellPotential, chis: list[float]) -> list[complex]:
+def _reference_deltas(j: int, pot: ShellPotential, chis: list[float]) -> np.ndarray:
     """det(1 - G V) at m = 1 over a rapidity grid from the complex kernels and
     numpy's LU determinant: neither the real K-matrix split nor the cofactor
-    expansion behind scatter_point, so S and the phase are not self-checked."""
+    expansion behind sweep, so S and the phase are not self-checked."""
     radii = pot.radii
     n = len(radii)
     g = np.empty((len(chis), n, n), dtype=complex)
@@ -207,47 +207,53 @@ def _reference_deltas(j: int, pot: ShellPotential, chis: list[float]) -> list[co
         for i in range(n):
             for k in range(i, n):
                 g[c, i, k] = g[c, k, i] = green_partial(j, kin, radii[i], radii[k])
-    return np.linalg.det(np.eye(n) - g * np.array(pot.strengths)).tolist()
+    return np.linalg.det(np.eye(n) - g * np.array(pot.strengths))
 
 
-def _reference_sweeps():
-    """(scatter point, reference D) on both sweeps and a coarser 3-shell one."""
-    for pot, chis in ((_single_pot(), _chi_grid()), (_double_pot(), _chi_grid()),
-                      (_triple_pot(), _chi_grid(200))):
-        for j in ALL_VARIANTS:
-            for chi, delta in zip(chis, _reference_deltas(j, pot, chis)):
-                yield scatter_point(j, Kinematics(1.0, chi), pot), delta
+def _reference_sweeps() -> list[tuple[ScatterSweep, np.ndarray]]:
+    """(array sweep, reference D per point) on both sweeps and a coarser
+    3-shell one; the sweep is the route the scatter CLI writes."""
+    return [(sweep(j, 1.0, pot, chis), _reference_deltas(j, pot, chis))
+            for pot, chis in ((_single_pot(), _chi_grid()), (_double_pot(), _chi_grid()),
+                              (_triple_pot(), _chi_grid(200)))
+            for j in ALL_VARIANTS]
 
 
-def check_smatrix() -> GroupResult:
-    """S = 1 + 2iqf vs conj(D)/D from the reference D, and unimodularity."""
+def check_smatrix(sweeps=None) -> GroupResult:
+    """S = 1 + 2iqf vs conj(D)/D from the reference D, and unimodularity.
+
+    sweeps is _reference_sweeps(), built here unless given.
+    """
     worst = 0.0
     n = 0
-    for sp, delta in _reference_sweeps():
-        worst = max(worst, abs(sp.s_matrix - delta.conjugate() / delta),
-                    abs(abs(sp.s_matrix) - 1.0))
-        n += 1
+    for sw, delta in _reference_sweeps() if sweeps is None else sweeps:
+        s_mat = sw.s_matrix
+        worst = max(worst, float(np.abs(s_mat - delta.conj() / delta).max()),
+                    float(np.abs(np.abs(s_mat) - 1.0).max()))
+        n += len(s_mat)
     return _result("smatrix", worst, _SMATRIX_TOL, n,
                    "additive S vs conj(D)/D of the complex det, and | |S| - 1 |")
 
 
-def check_phase() -> GroupResult:
+def check_phase(sweeps=None) -> GroupResult:
     """tan(2 phase) against the real/imaginary split of the reference D.
 
     With D = alpha + i beta from the complex det, S = (alpha - i beta) /
-    (alpha + i beta) gives tan(2 phi) = -2 alpha beta / (alpha^2 - beta^2).
-    Checked where |cos(2 phi)| > 0.1 so the tangent is well-conditioned.
+    (alpha + i beta) gives tan(2 phi) = -2 alpha beta / (alpha^2 - beta^2),
+    whatever multiple of pi unwrapping added to phi.  Checked where
+    |cos(2 phi)| > 0.1 so the tangent is well-conditioned.  sweeps is
+    _reference_sweeps(), built here unless given.
     """
     worst = 0.0
     n = 0
-    for sp, delta in _reference_sweeps():
-        if abs(math.cos(2.0 * sp.phase)) <= 0.1:
-            continue
-        alpha, beta = delta.real, delta.imag
+    for sw, delta in _reference_sweeps() if sweeps is None else sweeps:
+        two_phi = 2.0 * sw.phase
+        keep = np.abs(np.cos(two_phi)) > 0.1
+        alpha, beta = delta.real[keep], delta.imag[keep]
         expected = -2.0 * alpha * beta / (alpha * alpha - beta * beta)
-        got = math.tan(2.0 * sp.phase)
-        worst = max(worst, abs(got - expected) / max(abs(expected), 1.0))
-        n += 1
+        dev = np.abs(np.tan(two_phi[keep]) - expected) / np.maximum(np.abs(expected), 1.0)
+        worst = max(worst, float(dev.max(initial=0.0)))
+        n += len(dev)
     return _result("phase", worst, _PHASE_TOL, n,
                    "tan(2 phi) vs the complex det, relative, |cos 2phi| > 0.1")
 
@@ -402,6 +408,11 @@ def check_zero_locus() -> GroupResult:
                    violations)
 
 
+def _bits(col: np.ndarray) -> np.ndarray:
+    """The 64-bit words of each element of a float or complex column."""
+    return col.view(np.uint64).reshape(len(col), -1)
+
+
 def check_determinism() -> GroupResult:
     """Repeated evaluation of every sweep family gives bit-identical floats."""
     chi = _chi_grid(64)
@@ -419,10 +430,11 @@ def check_determinism() -> GroupResult:
                                grid=(32, 32))
 
     a, b = run_scatter(), run_scatter()
-    for p, q in zip(a, b):
-        n += 1
-        if (p.f, p.s_matrix, p.sigma0, p.phase) != (q.f, q.s_matrix, q.sigma0, q.phase):
-            violations += 1
+    same = np.ones(len(a.chi), dtype=bool)
+    for col_a, col_b in zip(a.columns(), b.columns()):
+        same &= (_bits(col_a) == _bits(col_b)).all(axis=1)
+    n += len(same)
+    violations += int((~same).sum())
     a, b = run_curve(), run_curve()
     for p, q in zip(a, b):
         n += 1
@@ -466,9 +478,14 @@ def run_verification(
     if unknown:
         raise DomainError(f"unknown verification groups: {', '.join(unknown)}")
     results = []
+    sweeps = None
     for name in names:
         if name == "two_path":
             results.append(check_two_path(fault_v0_bump))
+        elif name in ("smatrix", "phase"):
+            if sweeps is None:
+                sweeps = _reference_sweeps()
+            results.append(_GROUPS[name](sweeps))
         else:
             results.append(_GROUPS[name]())
     return results

@@ -504,3 +504,16 @@ def test_v2_curve_pole_flags_follow_grid_order(monkeypatch):
     pts = bs.sample_v2_curve(1, 1.0, 1.0, 2.0, 0.0, n=6)
     assert [not p.finite for p in pts] == [False, True, False, True, False, False]
     assert [p.value for p in pts if p.finite] == [0.5, 2.0, 1.0, 1.0]
+
+
+def test_level_on_a_scan_grid_point_is_found():
+    # V0 = v0_of_w at a point of level_roots' grid puts the level within
+    # rounding of that grid point, where the root scan once mistook it for
+    # a pole (j = 1, k = 632 and j = 3, k = 147 among them)
+    step = (BOUND_W_HI - BOUND_W_LO) / 2000
+    for j, k in ((1, 632), (1, 1505), (2, 50), (2, 1214), (3, 147), (3, 1990), (4, 1000)):
+        w = BOUND_W_LO + k * step
+        pot = ShellPotential.single(v0_of_w(j, BoundEnergy(1.0, w), 1.0), 1.0)
+        roots = level_roots(j, 1.0, pot)
+        assert len(roots) == 1
+        assert abs(roots[0] - w) < 1e-10

@@ -3,11 +3,13 @@
 import math
 import re
 
+import numpy as np
 import pytest
 
-from qpshell.cli import _parse_range, main
+from qpshell import scattering
+from qpshell.cli import _SCATTER_ROW, _fmt, _parse_range, main
 from qpshell.kinematics import Kinematics
-from qpshell.scattering import ShellPotential, amplitude_explicit
+from qpshell.scattering import ShellPotential, amplitude_explicit, sweep
 
 VALUE = re.compile(r"^-?\d\.\d{16}e[+-]\d{2,3}$")
 
@@ -51,6 +53,59 @@ def test_scatter_csv(capsys):
         for cell in row[1:]:
             assert VALUE.match(cell)
         assert float(row[9]) < 1e-12
+
+
+def test_scatter_row_template_is_fmt_per_value():
+    edge = [-0.0, 5e-324, -5e-324, 1e-300, 1e308, -1.7976931348623157e308, 0.0, 1.0,
+            -3.0, 2.0 ** 53, 1e16, 0.1, 4.0 * math.pi]
+    for j in (1, 4):
+        for k in range(len(edge)):
+            values = tuple((edge * 2)[k:k + 9])
+            assert _SCATTER_ROW % ((j,) + values) == (
+                ",".join([str(j)] + [_fmt(v) for v in values]) + "\n")
+
+
+def test_scatter_csv_is_the_sweep_columns(capsys):
+    pot = ShellPotential.double(1.0, 3.0, -1.0, 4.0)
+    code, out, _ = run(capsys, "scatter", "--j", "all", "--m", "1.3", "--v1", "1",
+                       "--a1", "3", "--v2", "-1", "--a2", "4", "--chi", "0.05:4:50")
+    assert code == 0
+    rows = out.splitlines()[2:]
+    expected = []
+    for j in (1, 2, 3, 4):
+        sw = sweep(j, 1.3, pot, _parse_range("0.05:4:50"))
+        for chi, q, f, s_mat, sigma0, phase in zip(*(c.tolist() for c in sw.columns())):
+            defect = abs(f.imag - q * abs(f) ** 2) / (1.0 + abs(f) ** 2)
+            expected.append(",".join([str(j)] + [_fmt(v) for v in (
+                chi, q, f.real, f.imag, sigma0, s_mat.real, s_mat.imag, phase)]))
+            assert math.isclose(float(rows[len(expected) - 1].split(",")[9]), defect,
+                                rel_tol=1e-14, abs_tol=1e-30)
+    assert [r.rsplit(",", 1)[0] for r in rows] == expected
+
+
+def test_scatter_repeated_runs_are_byte_identical(capsys):
+    argv = ("scatter", "--j", "all", "--m", "0.8", "--v1", "-2", "--a1", "1.2",
+            "--v2", "3", "--a2", "3.5", "--chi", "0.05:4:800")
+    outs = {run(capsys, *argv)[1] for _ in range(3)}
+    assert len(outs) == 1
+
+
+def test_scatter_failure_before_an_overflow_decides(capsys, monkeypatch):
+    # a NaN kernel value at chi = 2 (exit 3) comes before K_1 overflows at
+    # chi = 356 (exit 2) on the grid 1, 2, ..., 400
+    array = scattering._partial_re_array
+
+    def forced(j, m, chi, kj, sech_den, r, rp):
+        return np.where(chi == 2.0, math.nan, array(j, m, chi, kj, sech_den, r, rp))
+
+    monkeypatch.setattr(scattering, "_partial_re_array", forced)
+    argv = ("scatter", "--j", "1", "--m", "1", "--a", "5", "--v0", "2", "--chi", "1:400:400")
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err.startswith("accuracy failure") and "chi = 2.0" in err
+    code, out, err = run(capsys, *argv[:-1], "3:400:398")
+    assert code == 2 and out == ""
+    assert "K_1 overflows at chi = 356.0" in err
 
 
 def test_scatter_rejects_threshold(capsys):

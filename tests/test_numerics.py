@@ -107,6 +107,22 @@ def test_find_roots_exact_grid_hit():
     assert roots[0].residual == 0.0
 
 
+def test_find_roots_keeps_a_root_next_to_a_grid_point():
+    # the grid point 6 * 0.05 = 0.30000000000000004 leaves |f| = 5.6e-17
+    # there, far below the residual bisection to tol_x leaves at the root
+    roots = find_roots_scan(lambda x: x - 0.3, 0.0, 1.0, n_scan=20)
+    assert len(roots) == 1
+    assert abs(roots[0].x - 0.3) < 1e-12
+    # a root just off every interior grid point, on either side, is kept
+    step = 0.05
+    for i in range(1, 20):
+        for off in (-1e-15, 1e-15, -1e-13, 1e-13):
+            root = i * step + off
+            xs = [r.x for r in find_roots_scan(lambda x: 3.0 * (x - root), 0.0, 1.0,
+                                               n_scan=20)]
+            assert len(xs) == 1 and abs(xs[0] - root) < 1e-12
+
+
 def test_find_roots_empty():
     assert find_roots_scan(lambda x: 1.0 + x * x, -1.0, 1.0) == []
 

@@ -10,6 +10,8 @@ from qpshell.errors import (
     AccuracyError,
     DomainError,
     PoleError,
+    QpshellError,
+    ThresholdError,
     UnsupportedFormError,
 )
 from qpshell import scattering
@@ -170,14 +172,14 @@ def test_sweep_unwraps_phase():
     chis = [0.05 + 3.95 * i / 699 for i in range(700)]
     pot = ShellPotential.single(2.0, 5.0)
     for j in ALL_VARIANTS:
-        pts = sweep(j, 1.0, pot, chis)
-        assert len(pts) == 700
-        steps = [abs(b.phase - a.phase) for a, b in zip(pts, pts[1:])]
+        sw = sweep(j, 1.0, pot, chis)
+        assert all(len(col) == 700 for col in sw.columns())
+        steps = np.abs(np.diff(sw.phase))
         # a surviving pi jump would admit a smaller step after shifting, so
         # unwrapping caps every step at pi/2 (narrow resonances come close)
-        assert max(steps) < math.pi / 2
-        for pt in pts[::97]:
-            assert abs(cmath.exp(2j * pt.phase) - pt.s_matrix) < 1e-12
+        assert steps.max() < math.pi / 2
+        for phase, s_mat in zip(sw.phase[::97], sw.s_matrix[::97]):
+            assert abs(cmath.exp(2j * phase) - s_mat) < 1e-12
 
 
 def test_sweep_requires_increasing_grid():
@@ -186,6 +188,143 @@ def test_sweep_requires_increasing_grid():
         sweep(1, 1.0, pot, [0.5, 0.4])
     with pytest.raises(DomainError):
         sweep(1, 1.0, pot, [0.0, 0.5])
+
+
+SWEEP_POTENTIALS = (
+    ShellPotential.single(2.0, 5.0),
+    ShellPotential.single(-3.0, 2e-5),                   # m (r + r') on the series branch
+    ShellPotential.double(1.0, 3.0, -1.0, 4.0),
+    ShellPotential.double(2.0, 1.0, -3.0, 1.00002),      # m |r - r'| on the series branch
+    ShellPotential(((1.0, 3.0), (-1.0, 4.0), (0.5, 5.5))),
+    ShellPotential(((1.5, 0.7), (-2.0, 1.9), (0.8, 3.1), (-0.4, 4.6))),
+)
+
+
+@pytest.mark.parametrize("pot", SWEEP_POTENTIALS)
+def test_sweep_matches_scatter_point(pot):
+    # the array sweep against the scalar reference, point by point; every
+    # diagonal kernel entry (r = r') takes the series branch
+    chis = [0.05 + 3.95 * i / 199 for i in range(200)]
+    for m in (0.7, 1.6):
+        for j in ALL_VARIANTS:
+            sw = sweep(j, m, pot, chis)
+            assert sw.j == j and sw.chi.tolist() == chis
+            for k, chi in enumerate(chis):
+                sp = scatter_point(j, Kinematics(m, chi), pot)
+                assert abs(sw.q[k] - sp.q) <= 1e-15 * sp.q
+                assert abs(sw.q[k] * sw.f[k] - sp.q * sp.f) <= 1e-12
+                assert abs(sw.s_matrix[k] - sp.s_matrix) <= 1e-12
+                turn = sw.phase[k] - sp.phase     # unwrapping adds multiples of pi
+                assert abs(turn - math.pi * round(turn / math.pi)) <= 1e-12
+                assert math.isclose(sw.sigma0[k], 4.0 * math.pi * abs(sw.f[k]) ** 2,
+                                    rel_tol=1e-15)
+
+
+def test_sweep_columns_are_read_only():
+    sw = sweep(1, 1.0, ShellPotential.single(2.0, 5.0), [0.5, 1.0])
+    for col in sw.columns():
+        with pytest.raises(ValueError):
+            col[0] = 0.0
+
+
+def _scalar_outcome(j, m, pot, grid):
+    """(type, chi) of the first failure of a scatter_point loop over grid."""
+    for chi in grid:
+        try:
+            scatter_point(j, Kinematics(m, chi), pot)
+        except QpshellError as exc:
+            return type(exc), chi
+    return None
+
+
+def _sweep_outcome(j, m, pot, grid):
+    try:
+        sweep(j, m, pot, grid)
+    except QpshellError as exc:
+        return type(exc), exc
+    return None
+
+
+@pytest.mark.parametrize("j, grid, error, bad", [
+    (1, [0.5, 1.0, math.nan], DomainError, math.nan),
+    (1, [0.5, math.nan, 0.7], DomainError, math.nan),   # NaN escapes the order test
+    (3, [0.5, math.inf], DomainError, math.inf),
+    (1, [1.0, 399.0, 400.0], DomainError, 399.0),       # K_1 = m sinh(2 chi) overflows
+    (4, [700.0, 710.0, 720.0], DomainError, 710.0),     # K_4 = 2 m sinh(chi) overflows
+])
+def test_sweep_refuses_at_the_first_failing_rapidity(j, grid, error, bad):
+    pot = ShellPotential.single(2.0, 5.0)
+    kind, exc = _sweep_outcome(j, 1.0, pot, grid)
+    assert kind is error
+    assert f"chi = {bad!r}" in str(exc) or f"got {bad!r}" in str(exc)
+    scalar_kind, scalar_chi = _scalar_outcome(j, 1.0, pot, grid)
+    assert scalar_kind is kind and repr(scalar_chi) == repr(bad)
+
+
+@pytest.mark.parametrize("m, grid, error", [
+    (math.nan, [0.5, 1.0], DomainError),
+    (-1.0, [0.5, 1.0], DomainError),
+    (0.0, [0.5, 1.0], DomainError),
+    (math.inf, [0.5, 1.0], DomainError),
+    (1.0, [], DomainError),
+    (1.0, [0.5, 0.5], DomainError),
+    (1.0, [0.5, 1.0, 0.7], DomainError),
+    (1.0, [0.0, 0.5], ThresholdError),
+    (1.0, [0.5, -1.0], ThresholdError),
+])
+def test_sweep_refuses_bad_mass_and_grids(m, grid, error):
+    with pytest.raises(error):
+        sweep(2, m, ShellPotential.single(2.0, 5.0), grid)
+
+
+def test_sweep_born_underflow_is_finite():
+    # K_3 and q are finite at chi = 400, q K_3 is not: f underflows to 0
+    sw = sweep(3, 1.0, ShellPotential.single(2.0, 5.0), [399.0, 400.0])
+    assert sw.f.tolist() == [0.0, 0.0]
+    assert sw.s_matrix.tolist() == [1.0, 1.0]
+    assert np.isfinite(sw.phase).all() and np.isfinite(sw.q).all()
+
+
+def _force_kernel(monkeypatch, forced):
+    """Both real kernels give Re G = forced[chi] at the rapidities in forced."""
+    scalar, array = scattering._partial_re, scattering._partial_re_array
+
+    def forced_scalar(j, m, chi, kj, r, rp):
+        return forced[chi] if chi in forced else scalar(j, m, chi, kj, r, rp)
+
+    def forced_array(j, m, chi, kj, sech_den, r, rp):
+        g = array(j, m, chi, kj, sech_den, r, rp)
+        for chi_at, value in forced.items():
+            g = np.where(chi == chi_at, value, g)
+        return g
+
+    monkeypatch.setattr(scattering, "_partial_re", forced_scalar)
+    monkeypatch.setattr(scattering, "_partial_re_array", forced_array)
+
+
+# V = 2 at a = 5: Re G = 0.5 makes 1 - G V = 0, and at chi = pi / 5, where
+# sin(chi m a) ~ 1e-16, D ~ 1e-32 is a pole; Re G = NaN makes D and S NaN
+_POLE_CHI = math.pi / 5.0
+
+
+@pytest.mark.parametrize("forced, error, chi_at", [
+    ({_POLE_CHI: 0.5}, PoleError, _POLE_CHI),
+    ({_POLE_CHI: math.nan}, AccuracyError, _POLE_CHI),
+    ({0.5: math.nan, _POLE_CHI: 0.5}, AccuracyError, 0.5),
+    ({_POLE_CHI: 0.5, 1.0: math.nan}, PoleError, _POLE_CHI),
+])
+def test_sweep_forced_failure_comes_before_a_later_overflow(monkeypatch, forced, error,
+                                                            chi_at):
+    # K_1 overflows at chi = 399, after every forced point
+    pot = ShellPotential.single(2.0, 5.0)
+    grid = [0.3, 0.5, _POLE_CHI, 1.0, 399.0, 400.0]
+    _force_kernel(monkeypatch, forced)
+    kind, exc = _sweep_outcome(1, 1.0, pot, grid)
+    assert kind is error
+    assert f"chi = {chi_at!r}" in str(exc)
+    assert _scalar_outcome(1, 1.0, pot, grid) == (error, chi_at)
+    # without the forced points, the overflow decides
+    assert _sweep_outcome(1, 1.0, pot, [0.3, 1.2, 399.0])[0] is DomainError
 
 
 def test_transparency_zeros_shared_by_variants():
