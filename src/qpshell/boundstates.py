@@ -48,6 +48,9 @@ from .kinematics import (
     BOUND_W_LO,
     BoundEnergy,
     EquationVariant,
+    _check_finite,
+    _variant,
+    _Variant,
     k_factor_bound,
 )
 from .numerics import find_roots_scan, integrate_semi_infinite
@@ -105,7 +108,7 @@ def v0_of_w_explicit(j: int, be: BoundEnergy, a: float) -> float:
 
     Independent route to v0_of_w used for cross-checking.
     """
-    j = EquationVariant(j)
+    j = EquationVariant(_variant(j).j)
     if a <= 0:
         raise DomainError(f"shell radius must be positive, got {a}")
     m, w = be.m, be.w
@@ -132,24 +135,19 @@ def v0_of_w_explicit(j: int, be: BoundEnergy, a: float) -> float:
     return num / den
 
 
-def _kernel(j: int, be: BoundEnergy) -> Callable[[float, float], float]:
-    """G(i w, r, r') with the variant and K_j(i w) resolved once."""
-    return partial(_partial_bound, j, be.m, be.w, k_factor_bound(j, be))
+def _kernel(v: _Variant, be: BoundEnergy) -> Callable[[float, float], float]:
+    """G(i w, r, r') with the variant's row and K_j(i w) resolved once."""
+    return partial(_partial_bound, v, be.m, be.w, k_factor_bound(v.j, be))
 
 
 def det_bound(j: int, be: BoundEnergy, pot: ShellPotential) -> float:
     """Quantization determinant det[1 - G V] at this w (real)."""
-    return _det(_shell_matrix(pot, _kernel(j, be)))
+    return _det(_shell_matrix(pot, _kernel(_variant(j), be)))
 
 
 def _check_pair(a1: float, a2: float) -> None:
     if not 0 < a1 < a2:
         raise DomainError(f"radii must satisfy 0 < a1 < a2, got {a1}, {a2}")
-
-
-def _check_finite(name: str, value: float) -> None:
-    if not math.isfinite(value):
-        raise DomainError(f"{name} must be finite, got {value!r}")
 
 
 def _check_alpha(alpha: float) -> None:
@@ -258,10 +256,10 @@ def bound_wavefunction(
     above residual_tol means (m, w, pot) is not on the quantization surface
     and is rejected; the normalization integral must converge to norm_tol.
     """
-    j = EquationVariant(j)
+    v = _variant(j)
     be = BoundEnergy(m, w)
     shells = pot.shells
-    kernel = _kernel(j, be)
+    kernel = _kernel(v, be)
     mat = _shell_matrix(pot, kernel)
     residual = abs(_det(mat))
     if residual > residual_tol:
@@ -300,7 +298,7 @@ def bound_wavefunction(
         return n_const * psi_hat(r)
 
     level = BoundLevel(
-        j=int(j),
+        j=v.j,
         w=w,
         two_body_energy=be.two_body_energy,
         residual=residual,
@@ -317,7 +315,7 @@ def level_roots(j: int, m: float, pot: ShellPotential, n_scan: int = 2000) -> li
     The grid is evaluated as one array determinant; the scalar det_bound
     decides every bracket, bisects it and rejects poles (find_roots_scan).
     """
-    j = EquationVariant(j)
+    j = _variant(j).j
     if not (math.isfinite(m) and m > 0):
         raise DomainError(f"m must be finite and positive, got {m!r}")
 

@@ -13,6 +13,7 @@ failure (an oracle disagreed beyond tolerance or a quadrature gave up).
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from typing import Sequence
@@ -301,7 +302,9 @@ def _add_potential_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--a2", type=float, default=None, help="outer radius")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The qpshell parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="qpshell",
         description="Delta-shell scattering and bound-state tables for the "

@@ -11,7 +11,10 @@ the scattering branch:
 
 with K_1 = K_2 = m sinh(2 chi) and K_3 = K_4 = 2 m sinh(chi).  All kernels
 are even in r and have removable singularities at r = 0, handled here by a
-series branch so that evaluation is smooth through the origin.
+series branch so that evaluation is smooth through the origin.  What tells
+the variants apart (the hyperbolic rate, the ratio form, K_j and the j = 2
+sech term) is one row of the variant table in `kinematics`, which every
+kernel here reads; the spectral oracle keeps its own per-variant weights.
 
 The half-line (partial-wave) kernel follows by the method of images,
 G(chi, r, r') = G(chi, r - r') - G(chi, r + r'), which vanishes at r = 0 and
@@ -32,8 +35,9 @@ that need the real part over many points at once (the rapidity sweep calls
 its unchecked core _partial_re_array, with K_j resolved once per sweep), and
 green_partial_bound_array does the same for G_j(i w, r, r') over an array of
 w (the bound curves and the level scan's grid).  The scalar shell systems
-call _partial_re and _partial_bound with K_j resolved once per system; the
-scalar kernels stay the reference the array kernels are tested against.
+call _partial_re and _partial_bound with the variant's row and K_j resolved
+once per system; the scalar kernels stay the reference the array kernels are
+tested against.
 """
 
 from __future__ import annotations
@@ -43,7 +47,8 @@ import math
 import numpy as np
 
 from .errors import DomainError, ThresholdError, UnsupportedBranchError
-from .kinematics import BoundEnergy, EquationVariant, Kinematics, k_factor, k_factor_bound
+from .kinematics import (BoundEnergy, EquationVariant, Kinematics, _variant, _Variant,
+                         k_factor, k_factor_bound)
 from .numerics import QuadResult, integrate_adaptive
 
 # Below this |m r| the hyperbolic-ratio factor switches to its Taylor series.
@@ -58,52 +63,30 @@ def _sech(x: float) -> float:
     return 2.0 * e / (1.0 + e * e)
 
 
-def _ratio_sin(j: EquationVariant, x: float, chi: float) -> float:
-    """c_j(x) sin(chi x) where c_j is the variant's hyperbolic ratio.
-
-    c_1 = coth(pi x / 2), c_2 = c_4 = coth(pi x), c_3 = tanh(pi x / 2).
-    The product is even in x with a removable singularity (j != 3) or a
-    double zero (j = 3) at x = 0; a joint Taylor expansion in the two
-    proportional arguments covers |x| < _SMALL_MR.
-    """
-    if j == EquationVariant.LT:
-        rate = math.pi / 2
-    elif j == EquationVariant.MLT:
-        rate = math.pi / 2
-    else:
-        rate = math.pi
-    a = rate * x
-    b = chi * x
-    if abs(x) < _SMALL_MR:
-        return _ratio_sin_series(j, a, b, chi, rate)
-    if j == EquationVariant.MLT:
-        return math.tanh(a) * math.sin(b)
-    return math.sin(b) / math.tanh(a)
-
-
-def _ratio_sin_series(j: EquationVariant, a, b, chi, rate: float):
+def _ratio_sin_series(v: _Variant, a, b, chi):
     """Taylor series of c_j(x) sin(chi x) in a = rate x and b = chi x.
 
     Plain arithmetic, so floats and numpy arrays both work.
     """
     a2 = a * a
     b2 = b * b
-    if j == EquationVariant.MLT:
+    if v.tanh:
         # tanh(a) sin(b) = a b (1 - a^2/3 - b^2/6 + 2a^4/15 + a^2 b^2/18 + b^4/120 + ...)
         return a * b * (
             1.0 - a2 / 3.0 - b2 / 6.0
             + 2.0 * a2 * a2 / 15.0 + a2 * b2 / 18.0 + b2 * b2 / 120.0
         )
     # coth(a) sin(b) = (b/a) (1 + a^2/3 - b^2/6 - a^4/45 - a^2 b^2/18 + b^4/120 + ...)
-    return (chi / rate) * (
+    return (chi / v.rate) * (
         1.0 + a2 / 3.0 - b2 / 6.0
         - a2 * a2 / 45.0 - a2 * b2 / 18.0 + b2 * b2 / 120.0
     )
 
 
 def green_line(j: int, kin: Kinematics, r: float) -> complex:
-    """Free line kernel G_j(chi, r) on the scattering branch (complex)."""
-    j = EquationVariant(j)
+    """Free line kernel G_j(chi, r) on the scattering branch (complex).
+
+    A chi m r beyond the float range raises DomainError."""
     r = float(r)
     if not math.isfinite(r):
         raise DomainError(f"r must be finite, got {r}")
@@ -112,33 +95,56 @@ def green_line(j: int, kin: Kinematics, r: float) -> complex:
     m, chi = kin.m, kin.chi
     x = m * r
     kj = k_factor(j, kin)
-    return complex(_line_re(j, m, chi, kj, x), -math.cos(chi * x) / kj)
+    _check_reach(chi, m, r)
+    return complex(_line_re(_variant(j), m, chi, kj, x), -math.cos(chi * x) / kj)
 
 
-def _line_re(j: int, m: float, chi: float, kj: float, x: float) -> float:
-    """Re G_j(chi, r) at x = m r, with the flux factor kj = K_j given."""
-    g = _ratio_sin(j, x, chi) / kj
-    if j == EquationVariant.K:
+def _check_reach(chi: float, m: float, r: float) -> None:
+    """Refuse a rapidity at which chi m r leaves the float range, where
+    sin(chi m r) has no value."""
+    if not math.isfinite(chi * (m * r)):
+        raise DomainError(
+            f"chi m r is not finite at chi = {chi!r}, m = {m!r}, r = {r!r}"
+        )
+
+
+def _line_re(v: _Variant, m: float, chi: float, kj: float, x: float) -> float:
+    """Re G_j(chi, r) at x = m r, with the flux factor kj = K_j given.
+
+    c_j(x) sin(chi x) / K_j (plus the sech term for j = 2), where c_1 =
+    coth(pi x / 2), c_2 = c_4 = coth(pi x) and c_3 = tanh(pi x / 2).  The
+    product is even in x with a removable singularity (j != 3) or a double
+    zero (j = 3) at x = 0; a joint Taylor expansion in the two proportional
+    arguments covers |x| < _SMALL_MR.
+    """
+    a = v.rate * x
+    b = chi * x
+    if abs(x) < _SMALL_MR:
+        g = _ratio_sin_series(v, a, b, chi)
+    elif v.tanh:
+        g = math.tanh(a) * math.sin(b)
+    else:
+        g = math.sin(b) / math.tanh(a)
+    g /= kj
+    if v.sech:
         g += _sech(math.pi * x / 2) / (4.0 * m * math.cosh(chi))
     return g
 
 
-def _partial_re(j: int, m: float, chi: float, kj: float,
+def _partial_re(v: _Variant, m: float, chi: float, kj: float,
                 r: float, rp: float) -> float:
     """Re G_j(chi, r, r') by images; the scalar kernel of the shell system."""
-    return _line_re(j, m, chi, kj, m * (r - rp)) - _line_re(j, m, chi, kj, m * (r + rp))
+    return _line_re(v, m, chi, kj, m * (r - rp)) - _line_re(v, m, chi, kj, m * (r + rp))
 
 
-def _real_factors(j: int, m: float, chi: np.ndarray) -> tuple[np.ndarray, np.ndarray | float]:
+def _real_factors(v: _Variant, m: float,
+                  chi: np.ndarray) -> tuple[np.ndarray, np.ndarray | float]:
     """K_j as k_factor computes it and the j = 2 sech denominator
     4 m cosh(chi) (1.0 for the other variants) over an array of rapidities;
     inf where they overflow, for the caller to judge."""
     with np.errstate(over="ignore"):
-        if j in (EquationVariant.LT, EquationVariant.K):
-            kj = m * np.sinh(2.0 * chi)
-        else:
-            kj = 2.0 * m * np.sinh(chi)
-        sech_den = 4.0 * m * np.cosh(chi) if j == EquationVariant.K else 1.0
+        kj = v.k_scale * m * np.sinh(v.k_rate * chi)
+        sech_den = 4.0 * m * np.cosh(chi) if v.sech else 1.0
     return kj, sech_den
 
 
@@ -153,39 +159,38 @@ def green_partial_real(j: int, m: float, chi, r, rp) -> np.ndarray:
     computed once per call.  chi = 0 anywhere raises ThresholdError; a
     rapidity so large that K_j or cosh(chi) overflows raises DomainError.
     """
-    j = EquationVariant(j)
+    v = _variant(j)
     chi = np.asarray(chi, dtype=float)
     if (chi == 0.0).any():
         raise ThresholdError("line kernel undefined at chi = 0 (elastic threshold)")
     with np.errstate(all="ignore"):
-        kj, sech_den = _real_factors(j, m, chi)
+        kj, sech_den = _real_factors(v, m, chi)
     if not (np.isfinite(kj).all() and np.isfinite(sech_den).all()):
         raise DomainError(
-            f"rapidity too large: K_{int(j)} or cosh(chi) overflows "
+            f"rapidity too large: K_{v.j} or cosh(chi) overflows "
             f"for chi up to {float(chi.max())!r} at m = {m!r}"
         )
-    return _partial_re_array(j, m, chi, kj, sech_den, r, rp)
+    return _partial_re_array(v, m, chi, kj, sech_den, r, rp)
 
 
-def _partial_re_array(j: int, m: float, chi: np.ndarray, kj: np.ndarray,
+def _partial_re_array(v: _Variant, m: float, chi: np.ndarray, kj: np.ndarray,
                       sech_den, r, rp) -> np.ndarray:
     """Re G_j(chi, r, r') over arrays with _real_factors given; the array twin
     of _partial_re, with no checks.  As in the scalar kernel, a j = 2 sech
     term whose 4 m cosh(chi) overflows is 0."""
-    rate = math.pi / 2 if j in (EquationVariant.LT, EquationVariant.MLT) else math.pi
 
     def line(x):
-        a = rate * x
+        a = v.rate * x
         b = chi * x
-        if j == EquationVariant.MLT:
+        if v.tanh:
             g = np.tanh(a) * np.sin(b)
         else:
             g = np.sin(b) / np.tanh(a)
         small = np.abs(x) < _SMALL_MR
         if small.any():
-            g = np.where(small, _ratio_sin_series(j, a, b, chi, rate), g)
+            g = np.where(small, _ratio_sin_series(v, a, b, chi), g)
         g = g / kj
-        if j == EquationVariant.K:
+        if v.sech:
             g = g + 1.0 / np.cosh(math.pi * x / 2) / sech_den
         return g
 
@@ -224,24 +229,17 @@ def green_line_bound(j: int, be: BoundEnergy, r: float) -> float:
 
     Even in r; the r = 0 limits are finite and negative.
     """
-    j = EquationVariant(j)
     r = float(r)
     if not math.isfinite(r):
         raise DomainError(f"r must be finite, got {r}")
-    return _line_bound(j, be.m, be.w, k_factor_bound(j, be), be.m * r)
+    return _line_bound(_variant(j), be.m, be.w, k_factor_bound(j, be), be.m * r)
 
 
-def _line_bound(j: int, m: float, w: float, kb: float, x: float) -> float:
+def _line_bound(v: _Variant, m: float, w: float, kb: float, x: float) -> float:
     """G_j(i w, r) at x = m r, with kb = K_j(i w) / i given."""
-    x = abs(x)
-    if j == EquationVariant.LT:
-        ratio = _hyperbolic_ratio("sinh", math.pi / 2 - w, math.pi / 2, x)
-    elif j == EquationVariant.MLT:
-        ratio = _hyperbolic_ratio("cosh", math.pi / 2 - w, math.pi / 2, x)
-    else:
-        ratio = _hyperbolic_ratio("sinh", math.pi - w, math.pi, x)
+    ratio = _hyperbolic_ratio("cosh" if v.tanh else "sinh", v.rate - w, v.rate, abs(x))
     g = -ratio / kb
-    if j == EquationVariant.K:
+    if v.sech:
         g += _sech(math.pi * x / 2) / (4.0 * m * math.cos(w))
     return g
 
@@ -257,13 +255,13 @@ def green_partial_bound(j: int, be: BoundEnergy, r: float, rp: float) -> float:
     """Half-line s-wave kernel via the image construction (bound branch)."""
     if not (0 <= r < math.inf and 0 <= rp < math.inf):
         raise DomainError(f"radial coordinates must be finite and non-negative, got {r}, {rp}")
-    return _partial_bound(j, be.m, be.w, k_factor_bound(j, be), r, rp)
+    return _partial_bound(_variant(j), be.m, be.w, k_factor_bound(j, be), r, rp)
 
 
-def _partial_bound(j: int, m: float, w: float, kb: float,
+def _partial_bound(v: _Variant, m: float, w: float, kb: float,
                    r: float, rp: float) -> float:
     """G_j(i w, r, r') by images; the scalar kernel of the quantization system."""
-    return _line_bound(j, m, w, kb, m * (r - rp)) - _line_bound(j, m, w, kb, m * (r + rp))
+    return _line_bound(v, m, w, kb, m * (r - rp)) - _line_bound(v, m, w, kb, m * (r + rp))
 
 
 def green_partial_bound_array(j: int, m: float, w, r, rp) -> np.ndarray:
@@ -278,7 +276,7 @@ def green_partial_bound_array(j: int, m: float, w, r, rp) -> np.ndarray:
     and positive, every w inside (0, pi/2), and r, r' finite and
     non-negative; otherwise DomainError.
     """
-    j = EquationVariant(j)
+    v = _variant(j)
     m = float(m)
     w = np.asarray(w, dtype=float)
     r = np.asarray(r, dtype=float)
@@ -289,13 +287,10 @@ def green_partial_bound_array(j: int, m: float, w, r, rp) -> np.ndarray:
         raise DomainError("w must lie in the open interval (0, pi/2)")
     if not ((r >= 0.0) & (r < math.inf) & (rp >= 0.0) & (rp < math.inf)).all():
         raise DomainError("radial coordinates must be finite and non-negative")
-    beta = math.pi / 2 if j in (EquationVariant.LT, EquationVariant.MLT) else math.pi
+    beta = v.rate
     alpha = beta - w
-    if j in (EquationVariant.LT, EquationVariant.K):
-        kb = m * np.sin(2.0 * w)
-    else:
-        kb = 2.0 * m * np.sin(w)
-    sech_den = 4.0 * m * np.cos(w) if j == EquationVariant.K else None
+    kb = v.k_scale * m * np.sin(v.k_rate * w)
+    sech_den = 4.0 * m * np.cos(w) if v.sech else None
 
     def line(x):
         # both forms everywhere, then picked per element; the form not taken
@@ -304,7 +299,7 @@ def green_partial_bound_array(j: int, m: float, w, r, rp) -> np.ndarray:
         lead = np.exp((alpha - beta) * x)
         ea = np.exp(-2.0 * alpha * x)
         eb = np.exp(-2.0 * beta * x)
-        if j == EquationVariant.MLT:
+        if v.tanh:
             scaled = lead * (1.0 + ea) / (1.0 + eb)
             direct = np.cosh(alpha * x) / np.cosh(beta * x)
             at_zero = 1.0
@@ -340,7 +335,7 @@ def green_spectral_oracle(j: int, state, r: float, rp: float, tol: float = 1e-8)
     The domain is truncated at k_max = ln(1/tol) + 20 and pre-subdivided on
     the oscillation scale pi / (m max(r, r', 1)) before adaptive quadrature.
     """
-    j = EquationVariant(j)
+    j = EquationVariant(_variant(j).j)
     if isinstance(state, Kinematics):
         raise UnsupportedBranchError(
             "spectral oracle is defined on the bound branch only; "

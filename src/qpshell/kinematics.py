@@ -33,6 +33,35 @@ class EquationVariant(IntEnum):
 ALL_VARIANTS = tuple(EquationVariant)
 
 
+@dataclass(frozen=True, slots=True)
+class _Variant:
+    """One row of the variant table: all that sets variant j's kernels and
+    K_j apart.  The independent oracles keep their own formulas."""
+
+    j: int
+    rate: float      # hyperbolic rate: pi/2 (j = 1, 3) or pi (j = 2, 4)
+    tanh: bool       # tanh/cosh-ratio form (j = 3); coth/sinh-ratio otherwise
+    k_scale: float   # K_j = k_scale m sinh(k_rate chi), and on the bound
+    k_rate: float    # branch K_j(i w) / i = k_scale m sin(k_rate w)
+    sech: bool       # the extra sech term of j = 2
+
+
+_VARIANTS = {
+    1: _Variant(1, math.pi / 2, False, 1.0, 2.0, False),
+    2: _Variant(2, math.pi, False, 1.0, 2.0, True),
+    3: _Variant(3, math.pi / 2, True, 2.0, 1.0, False),
+    4: _Variant(4, math.pi, False, 2.0, 1.0, False),
+}
+
+
+def _variant(j) -> _Variant:
+    """The table row of variant j; DomainError for anything but 1..4."""
+    try:
+        return _VARIANTS[j]
+    except (KeyError, TypeError):
+        raise DomainError(f"equation variant must be 1, 2, 3 or 4, got {j!r}") from None
+
+
 def _check_finite(name: str, value: float) -> float:
     value = float(value)
     if not math.isfinite(value):
@@ -123,17 +152,16 @@ def k_factor(j: int, kin: Kinematics) -> float:
     Degenerates to zero at threshold, which is rejected; a rapidity so large
     that the factor overflows raises DomainError.
     """
-    j = EquationVariant(j)
+    v = _variant(j)
     if kin.chi == 0.0:
         raise ThresholdError("k_factor vanishes at chi = 0 (elastic threshold)")
     try:
-        kj = (kin.m * math.sinh(2.0 * kin.chi) if j in (EquationVariant.LT, EquationVariant.K)
-              else 2.0 * kin.m * math.sinh(kin.chi))
+        kj = v.k_scale * kin.m * math.sinh(v.k_rate * kin.chi)
     except OverflowError:
         kj = math.inf
     if kj == math.inf:
         raise DomainError(
-            f"rapidity too large: K_{int(j)} overflows at chi = {kin.chi!r}, m = {kin.m!r}"
+            f"rapidity too large: K_{v.j} overflows at chi = {kin.chi!r}, m = {kin.m!r}"
         )
     return kj
 
@@ -143,7 +171,5 @@ def k_factor_bound(j: int, be: BoundEnergy) -> float:
 
     m sin(2 w) for variants 1 and 2, 2m sin(w) for variants 3 and 4.
     """
-    j = EquationVariant(j)
-    if j in (EquationVariant.LT, EquationVariant.K):
-        return be.m * math.sin(2.0 * be.w)
-    return 2.0 * be.m * math.sin(be.w)
+    v = _variant(j)
+    return v.k_scale * be.m * math.sin(v.k_rate * be.w)

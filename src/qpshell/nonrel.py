@@ -21,7 +21,7 @@ from functools import partial
 
 from .errors import DomainError, ThresholdError, UnsupportedFormError
 from .greens import green_partial, green_partial_bound
-from .kinematics import BoundEnergy, EquationVariant, Kinematics
+from .kinematics import BoundEnergy, Kinematics, _variant
 from .scattering import (DeltaSystem, ShellPotential, _check_pole, _det, _k_system,
                          _shell_matrix, amplitude)
 from .boundstates import v0_of_w
@@ -165,7 +165,7 @@ def limit_convergence(observable: str, j: int, masses, **params) -> ConvergenceR
       "gf"            params: q, r, rp        (half-line kernel)
       "quantization"  params: kappa, a        (single-shell inverse strength)
     """
-    j = EquationVariant(j)
+    j = _variant(j).j
     masses = tuple(float(m) for m in masses)
     if len(masses) < 3:
         raise DomainError("need at least three masses to judge convergence")
@@ -209,4 +209,4 @@ def limit_convergence(observable: str, j: int, masses, **params) -> ConvergenceR
             f"unknown observable {observable!r}; "
             "expected amplitude, gf or quantization"
         )
-    return ConvergenceReport(observable, int(j), masses, tuple(devs))
+    return ConvergenceReport(observable, j, masses, tuple(devs))

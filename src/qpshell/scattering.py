@@ -46,9 +46,9 @@ from .errors import (
     ThresholdError,
     UnsupportedFormError,
 )
-from .greens import (_partial_re, _partial_re_array, _real_factors, _sech, green_partial,
-                     green_partial_real)
-from .kinematics import EquationVariant, Kinematics, k_factor
+from .greens import (_check_reach, _partial_re, _partial_re_array, _real_factors, _sech,
+                     green_partial, green_partial_real)
+from .kinematics import EquationVariant, Kinematics, _variant, k_factor
 
 # Relative threshold below which a closed-form denominator counts as a pole.
 _POLE_EPS = 1e-14
@@ -204,10 +204,14 @@ def _k_system(a: list[list[float]], s: list[float], kappa: float,
 
 
 def delta_system(j: int, kin: Kinematics, pot: ShellPotential) -> DeltaSystem:
-    """The real K-matrix system at this energy (see the module docstring)."""
+    """The real K-matrix system at this energy (see the module docstring).
+
+    A chi m 2a_N (the widest kernel argument, a_N the outermost radius)
+    beyond the float range raises DomainError, as green_line does."""
     m, chi = kin.m, kin.chi
     kj = k_factor(j, kin)
-    a = _shell_matrix(pot, partial(_partial_re, j, m, chi, kj))
+    _check_reach(chi, m, 2.0 * pot.shells[-1][1])
+    a = _shell_matrix(pot, partial(_partial_re, _variant(j), m, chi, kj))
     s = [math.sin(chi * m * r) for _, r in pot.shells]
     return _k_system(a, s, 2.0 / kj, pot)
 
@@ -256,7 +260,7 @@ def amplitude_explicit(j: int, kin: Kinematics, pot: ShellPotential) -> complex:
     has a workable expanded form; other variants, and three or more shells,
     raise UnsupportedFormError.
     """
-    j = EquationVariant(j)
+    j = EquationVariant(_variant(j).j)
     if kin.chi == 0.0:
         raise ThresholdError("amplitude undefined at chi = 0 (elastic threshold)")
     m, chi = kin.m, kin.chi
@@ -324,7 +328,6 @@ def wavefunction(j: int, kin: Kinematics, pot: ShellPotential, r: float) -> comp
     """
     if r < 0:
         raise DomainError(f"r must be non-negative, got {r}")
-    j = EquationVariant(j)
     sys = delta_system(j, kin, pot)
     _check_pole(sys, "chi", kin.chi)
     m, chi = kin.m, kin.chi
@@ -362,15 +365,16 @@ def sweep(j: int, m: float, pot: ShellPotential, chi_grid) -> ScatterSweep:
     chi, and every observable is a numpy column.  Every
     per-point check of scatter_point is kept, and the first failing
     rapidity decides the outcome as a point-by-point loop would: a non-finite
-    chi or an overflowing K_j (DomainError), a pole (PoleError) or a
-    non-finite S (AccuracyError).  The values equal scatter_point's up to
-    rounding (numpy's sin and tanh may differ from math's in the last place).
+    chi, an overflowing K_j or a non-finite chi m 2a_N (DomainError), a pole
+    (PoleError) or a non-finite S (AccuracyError).  The values equal
+    scatter_point's up to rounding (numpy's sin and tanh may differ from
+    math's in the last place).
 
     Phases are unwrapped along the grid: each principal value is shifted by
     the multiple of pi that brings it nearest its predecessor, so the
     reported phase is continuous wherever the grid resolves it.
     """
-    j = EquationVariant(j)
+    v = _variant(j)
     grid = [float(c) for c in chi_grid]
     if not grid:
         raise DomainError("chi grid must be non-empty")
@@ -382,24 +386,25 @@ def sweep(j: int, m: float, pot: ShellPotential, chi_grid) -> ScatterSweep:
     if not (math.isfinite(m) and m > 0):
         raise DomainError(f"mass must be finite and positive, got {m!r}")
     chi = np.array(grid)
-    # points past the first non-finite chi or overflowing K_j are never
-    # reached: an earlier failure decides first
-    stop = ~(np.isfinite(chi) & np.isfinite(_real_factors(j, m, chi)[0]))
-    n = int(np.argmax(stop)) if stop.any() else len(grid)
-    chi = chi[:n]
-    kj, sech_den = _real_factors(j, m, chi)
+    reach = 2.0 * pot.shells[-1][1]
+    kj, sech_den = _real_factors(v, m, chi)
     with np.errstate(all="ignore"):
-        a = _shell_matrix(pot, partial(_partial_re_array, j, m, chi, kj, sech_den))
+        # n is the first non-finite chi, overflowing K_j or non-finite
+        # chi m 2a_N (delta_system's refusals); a failure before it decides
+        # first, and the values from n on are computed but never read
+        stop = ~(np.isfinite(chi) & np.isfinite(kj) & np.isfinite(chi * (m * reach)))
+        n = int(np.argmax(stop)) if stop.any() else len(grid)
+        a = _shell_matrix(pot, partial(_partial_re_array, v, m, chi, kj, sech_den))
         s = [np.sin(chi * m * r) for r in pot.radii]
         det, c, _, scale = _k_parts(a, s, 2.0 / kj, pot)
-        delta = np.empty(n, dtype=complex)
+        delta = np.empty(len(grid), dtype=complex)
         delta.real, delta.imag = det, c
         q = m * np.sinh(chi)
         f = -c / (q * delta)
         s_mat = 1.0 + 2j * q * f
         err = np.abs(s_mat - delta.conj() / delta)
         pole = np.hypot(det, c) < _POLE_EPS * scale
-    bad = pole | ~(err <= 1e-12)
+    bad = (pole | ~(err <= 1e-12))[:n]
     if bad.any():
         k = int(np.argmax(bad))
         if pole[k]:
@@ -408,13 +413,15 @@ def sweep(j: int, m: float, pot: ShellPotential, chi_grid) -> ScatterSweep:
     if n < len(grid):
         if not math.isfinite(grid[n]):
             raise DomainError(f"chi must be finite, got {grid[n]!r}")
+        if math.isfinite(kj[n]):
+            _check_reach(grid[n], m, reach)
         raise DomainError(
-            f"rapidity too large: K_{int(j)} overflows at chi = {grid[n]!r}, m = {m!r}"
+            f"rapidity too large: K_{v.j} overflows at chi = {grid[n]!r}, m = {m!r}"
         )
     phase = (np.angle(s_mat) / 2.0).tolist()
     for i in range(1, n):
         phase[i] += math.pi * round((phase[i - 1] - phase[i]) / math.pi)
-    return ScatterSweep(int(j), chi, q, f, s_mat,
+    return ScatterSweep(v.j, chi, q, f, s_mat,
                         4.0 * math.pi * np.hypot(f.real, f.imag) ** 2, np.array(phase))
 
 
@@ -460,7 +467,6 @@ def zero_condition(j: int, kin: Kinematics, pot: ShellPotential) -> float:
         V1 s1^2 + V2 s2^2
         + V1 V2 [2 s1 s2 Re G12 - s1^2 Re G22 - s2^2 Re G11]
     """
-    j = EquationVariant(j)
     if len(pot.shells) != 2:
         raise DomainError(
             "zero_condition needs two shells; single-shell zeros sit at "
@@ -607,7 +613,7 @@ def scan_zero_locus(
     lines chi = pi n / (m a1) for V2 = 0, curves chi = pi n / (m a2) for
     V1 = 0.  Both strengths zero is rejected.
     """
-    j = EquationVariant(j)
+    j = _variant(j).j
     nx, ny = grid
     if nx < 16 or ny < 16:
         raise DomainError(f"grid must be at least 16 x 16, got {nx} x {ny}")
@@ -656,7 +662,7 @@ def scan_zero_locus(
                     res = np.abs(cond(len(px), lambda k: (px[k], py[k])))
                     curves.append(tuple(zip(px.tolist(), py.tolist(), res.tolist())))
                 n += 1
-        return ZeroLocus(int(j), tuple(curves))
+        return ZeroLocus(j, tuple(curves))
 
     field = cond(nx * ny, lambda k: (xs[k // ny], ys[k % ny])).reshape(nx, ny)
     bad = np.argwhere(~np.isfinite(field))
@@ -714,7 +720,7 @@ def scan_zero_locus(
             segments.append((ids[e_a], ids[e_b]))
 
     curves = _chain_segments(segments, vertices)
-    return ZeroLocus(int(j), curves)
+    return ZeroLocus(j, curves)
 
 
 def _chain_segments(segments, vertices):

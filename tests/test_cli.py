@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from qpshell import scattering
-from qpshell.cli import _SCATTER_ROW, _fmt, _parse_range, main
+from qpshell.cli import _SCATTER_ROW, _fmt, _parse_range, build_parser, main
 from qpshell.kinematics import Kinematics
 from qpshell.scattering import ShellPotential, amplitude_explicit, sweep
 
@@ -236,6 +236,20 @@ def test_flux_factor_overflow_is_a_parameter_error(capsys, argv):
     assert err.startswith("parameter error") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    "greens --j all --m 1e200 --branch real --chi 0.1:1:3 --r 1e200",
+    "nrlimit --masses 1,2,1e308",
+    "scatter --j all --m 1e200 --a 1e200 --v0 2 --chi 0.1:1:3",
+])
+def test_non_finite_chi_m_r_is_a_parameter_error(capsys, argv):
+    # sin(chi m r) has no value once chi m r overflows
+    code, out, err = run(capsys, *argv.split())
+    assert code == 2
+    assert out == ""
+    assert err.startswith("parameter error: chi m r is not finite")
+    assert "Traceback" not in err
+
+
 def test_scatter_large_rapidity_is_finite(capsys):
     # K_3 and q are finite at chi = 400, but q K_3 is not; the amplitude is
     # the Born value, about 1e-346, which underflows to zero
@@ -370,3 +384,27 @@ def test_bound_runs_write_nothing_to_stderr(capsys, argv):
     assert code == 0
     assert err == ""
     assert out.startswith("# qpshell bound ")
+
+
+@pytest.mark.parametrize("argv", [
+    "greens --j all --m 1e200 --branch real --chi 0.1:1:3 --r 1e200",
+    "nrlimit --masses 1,2,1e308",
+    "greens --j all --m 1e200 --branch bound --w 0.1:1:3 --r 1e200",
+    "greens --j all --m 1 --branch real --chi 0:1:3 --r 1",
+    "scatter --j all --m 1 --a 5 --v0 2 --chi 700:800:3",
+    "bound --j all --m 1e200 --levels --v0 -2 --a 1e200",
+    "bound --j all --m 1e-300 --curve v0 --a 1 --n 50",
+    "bound --j all --m 1 --curve v0 --a 1e300 --n 50",
+    "zeros --j 1 --m 1e200 --a1 1 --v1 2 --v2 -3 --a2 1.2:4:20 --chi 0.2:4:20",
+])
+def test_edge_inputs_give_a_table_or_a_typed_refusal(capsys, argv):
+    # an exception escaping main fails the test before any assert
+    code, out, _err = run(capsys, *argv.split())
+    assert code in (0, 2, 3)
+    assert "nan" not in out.lower()
+    if code:
+        assert out == ""
+
+
+def test_one_parser_per_process():
+    assert build_parser() is build_parser()

@@ -328,3 +328,14 @@ def test_bound_array_kernel_broadcasts_and_guards():
     for r, rp in ((-1.0, 1.0), (1.0, math.inf), (math.nan, 1.0)):
         with pytest.raises(DomainError):
             green_partial_bound_array(1, 1.0, ws, r, rp)
+
+
+def test_non_finite_chi_m_r_is_refused():
+    # m r = 2e400 overflows; sin(chi m r) has no value there
+    kin = Kinematics(1e200, 0.1)
+    for j in ALL_VARIANTS:
+        with pytest.raises(DomainError, match="chi m r is not finite"):
+            green_line(j, kin, 2e200)
+        with pytest.raises(DomainError, match="chi m r is not finite"):
+            green_partial(j, kin, 1e200, 1e200)
+        assert green_partial(j, kin, 1e-200, 1e-200).imag != 0.0

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from qpshell import boundstates, greens, nonrel, scattering
 from qpshell.errors import DomainError, ThresholdError
 from qpshell.kinematics import (
     ALL_VARIANTS,
@@ -100,3 +101,54 @@ def test_variant_enum():
     assert EquationVariant(3) is EquationVariant.MLT
     with pytest.raises(ValueError):
         EquationVariant(5)
+
+
+_KIN = Kinematics(1.0, 0.7)
+_BE = BoundEnergy(1.0, 0.7)
+_ONE = scattering.ShellPotential.single(2.0, 1.0)
+_TWO = scattering.ShellPotential.double(2.0, 1.0, -3.0, 2.0)
+# every public function that takes the variant j, with valid other arguments
+_TAKES_J = {
+    "k_factor": lambda j: k_factor(j, _KIN),
+    "k_factor_bound": lambda j: k_factor_bound(j, _BE),
+    "green_line": lambda j: greens.green_line(j, _KIN, 0.5),
+    "green_partial": lambda j: greens.green_partial(j, _KIN, 1.0, 0.5),
+    "green_partial_real": lambda j: greens.green_partial_real(j, 1.0, 0.7, 1.0, 0.5),
+    "green_line_bound": lambda j: greens.green_line_bound(j, _BE, 0.5),
+    "green_partial_bound": lambda j: greens.green_partial_bound(j, _BE, 1.0, 0.5),
+    "green_partial_bound_array":
+        lambda j: greens.green_partial_bound_array(j, 1.0, [0.3, 0.7], 1.0, 0.5),
+    "green_spectral_oracle": lambda j: greens.green_spectral_oracle(j, _BE, 1.0, 0.5),
+    "delta_system": lambda j: scattering.delta_system(j, _KIN, _ONE),
+    "amplitude": lambda j: scattering.amplitude(j, _KIN, _ONE),
+    "amplitude_explicit": lambda j: scattering.amplitude_explicit(j, _KIN, _ONE),
+    "wavefunction": lambda j: scattering.wavefunction(j, _KIN, _ONE, 0.5),
+    "scatter_point": lambda j: scattering.scatter_point(j, _KIN, _ONE),
+    "sweep": lambda j: scattering.sweep(j, 1.0, _ONE, [0.5, 0.7]),
+    "zero_condition": lambda j: scattering.zero_condition(j, _KIN, _TWO),
+    "scan_zero_locus": lambda j: scattering.scan_zero_locus(
+        j, 1.0, 1.0, 2.0, -3.0, (1.2, 3.0), (0.2, 3.0), grid=(16, 16)),
+    "v0_of_w": lambda j: boundstates.v0_of_w(j, _BE, 1.0),
+    "v0_of_w_explicit": lambda j: boundstates.v0_of_w_explicit(j, _BE, 1.0),
+    "det_bound": lambda j: boundstates.det_bound(j, _BE, _TWO),
+    "v2_of_w": lambda j: boundstates.v2_of_w(j, _BE, 1.0, 2.0, -1.0),
+    "v1_pm_of_w": lambda j: boundstates.v1_pm_of_w(j, _BE, 1.0, 2.0, 0.5),
+    "bound_wavefunction":
+        lambda j: boundstates.bound_wavefunction(j, 1.0, 0.7, _ONE, residual_tol=10.0),
+    "level_roots": lambda j: boundstates.level_roots(j, 1.0, _ONE, n_scan=50),
+    "solve_levels": lambda j: boundstates.solve_levels(j, 1.0, _ONE, n_scan=50),
+    "sample_v0_curve": lambda j: boundstates.sample_v0_curve(j, 1.0, 1.0, n=8),
+    "sample_v2_curve": lambda j: boundstates.sample_v2_curve(j, 1.0, 1.0, 2.0, -1.0, n=8),
+    "sample_det_curve": lambda j: boundstates.sample_det_curve(j, 1.0, _TWO, n=8),
+    "sample_v1pm_curve":
+        lambda j: boundstates.sample_v1pm_curve(j, 1.0, 1.0, 2.0, 0.5, n=8),
+    "limit_convergence": lambda j: nonrel.limit_convergence(
+        "gf", j, (10.0, 100.0, 1000.0), q=0.6, r=1.2, rp=0.4),
+}
+
+
+@pytest.mark.parametrize("bad_j", [0, 5, 2.5, "1"])
+@pytest.mark.parametrize("name", sorted(_TAKES_J))
+def test_invalid_variant_is_a_domain_error(name, bad_j):
+    with pytest.raises(DomainError, match="equation variant must be 1, 2, 3 or 4"):
+        _TAKES_J[name](bad_j)

@@ -261,6 +261,20 @@ def test_sweep_refuses_at_the_first_failing_rapidity(j, grid, error, bad):
     assert scalar_kind is kind and repr(scalar_chi) == repr(bad)
 
 
+@pytest.mark.parametrize("j, m, a, grid, bad", [
+    (1, 1e200, 1e200, [0.1, 0.5], 0.1),
+    (3, 1e300, 1e7, [1.0, 10.0], 10.0),   # chi m 2a overflows while K_3 stays finite
+])
+def test_sweep_refuses_a_non_finite_chi_m_r_as_scatter_point_does(j, m, a, grid, bad):
+    pot = ShellPotential.single(2.0, a)
+    kind, exc = _sweep_outcome(j, m, pot, grid)
+    assert kind is DomainError and "chi m r is not finite" in str(exc)
+    with pytest.raises(DomainError) as scalar:
+        scatter_point(j, Kinematics(m, bad), pot)
+    assert str(scalar.value) == str(exc)
+    assert _scalar_outcome(j, m, pot, grid) == (DomainError, bad)
+
+
 @pytest.mark.parametrize("m, grid, error", [
     (math.nan, [0.5, 1.0], DomainError),
     (-1.0, [0.5, 1.0], DomainError),
