@@ -277,7 +277,7 @@ def _cmd_nrlimit(ns: argparse.Namespace, invocation: str) -> int:
 
 def _cmd_verify(ns: argparse.Namespace, invocation: str) -> int:
     groups = None if not ns.group else ns.group
-    results = run_verification(groups, fault_v0_bump=ns.fault_v0_bump)
+    results = run_verification(groups)
     width = max(len(r.name) for r in results)
     sys.stdout.write(f"# qpshell {invocation}\n")
     for r in results:
@@ -371,8 +371,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the oracle suites, print a pass/fail table")
     p.add_argument("--group", action="append", choices=GROUP_NAMES, default=None)
-    p.add_argument("--fault-v0-bump", type=float, default=0.0,
-                   help="perturb one side of the two-path comparison (test hook)")
     p.set_defaults(handler=_cmd_verify)
 
     return parser

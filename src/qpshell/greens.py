@@ -157,7 +157,8 @@ def green_partial_real(j: int, m: float, chi, r, rp) -> np.ndarray:
     place).  r and r' must be finite and non-negative.  The variant
     constants (hyperbolic rate, K_j and the j = 2 sech prefactor) are
     computed once per call.  chi = 0 anywhere raises ThresholdError; a
-    rapidity so large that K_j or cosh(chi) overflows raises DomainError.
+    rapidity so large that K_j or cosh(chi) overflows raises DomainError, and
+    so does a chi m (r + r') beyond the float range, as in green_line.
     """
     v = _variant(j)
     chi = np.asarray(chi, dtype=float)
@@ -165,11 +166,17 @@ def green_partial_real(j: int, m: float, chi, r, rp) -> np.ndarray:
         raise ThresholdError("line kernel undefined at chi = 0 (elastic threshold)")
     with np.errstate(all="ignore"):
         kj, sech_den = _real_factors(v, m, chi)
+        span = np.add(r, rp)
+        reach = np.isfinite(chi * (m * span))
     if not (np.isfinite(kj).all() and np.isfinite(sech_den).all()):
         raise DomainError(
             f"rapidity too large: K_{v.j} or cosh(chi) overflows "
             f"for chi up to {float(chi.max())!r} at m = {m!r}"
         )
+    if not reach.all():
+        k = np.argmin(reach)
+        chi_k, span_k = np.broadcast_arrays(chi, span)
+        _check_reach(float(chi_k.flat[k]), m, float(span_k.flat[k]))
     return _partial_re_array(v, m, chi, kj, sech_den, r, rp)
 
 

@@ -519,28 +519,6 @@ class ZeroLocus:
     curves: tuple[tuple[tuple[float, float, float], ...], ...]
 
 
-# Marching-squares case table: corner bit k set means corner k is negative.
-# Corners: 0 = (x0,y0), 1 = (x1,y0), 2 = (x1,y1), 3 = (x0,y1).
-# Edges:   B = bottom, R = right, T = top, L = left.
-_B, _R, _T, _L = 0, 1, 2, 3
-_CASES: dict[int, tuple[tuple[int, int], ...]] = {
-    0: (),
-    1: ((_L, _B),),
-    2: ((_B, _R),),
-    3: ((_L, _R),),
-    4: ((_T, _R),),
-    6: ((_B, _T),),
-    7: ((_L, _T),),
-    8: ((_L, _T),),
-    9: ((_B, _T),),
-    11: ((_T, _R),),
-    12: ((_L, _R),),
-    13: ((_B, _R),),
-    14: ((_L, _B),),
-    15: (),
-}
-
-
 def _condition_at(j, m, v1, a1, v2, n, points) -> np.ndarray:
     """Zero condition at n points, _FIELD_BLOCK points at a time.
 
@@ -602,11 +580,12 @@ def scan_zero_locus(
     """Trace the two-shell transparency curves over an (a2, chi) window.
 
     Evaluates the zero condition on the grid as numpy arrays, _FIELD_BLOCK
-    points at a time, and runs marching squares on its sign.  Every edge
-    whose ends differ in sign gets its vertex from one batched bisection
-    over all such edges, each stopping at residual below _VERTEX_RESIDUAL
-    (1e-10).  Segments are chained into polylines deterministically
-    (smallest edge index first).
+    points at a time, and contours its sign.  Every edge whose ends differ
+    in sign gets its vertex from one batched bisection over all such edges,
+    each stopping at residual below _VERTEX_RESIDUAL (1e-10).  A cell with
+    two crossing edges joins them; a saddle (four) pairs them by the sign of
+    its corner mean.  The segments are walked into open paths, then closed
+    loops (see _chain_segments), so the curve order is deterministic.
 
     With V2 = 0 (or V1 = 0) the condition is one-signed and sign-based
     scanning is blind, so the known degenerate zeros are emitted directly:
@@ -682,8 +661,10 @@ def scan_zero_locus(
 
     # Vertices on every edge whose ends differ in sign, refined in one batch.
     neg = field < 0
-    h_ix, h_iy = np.nonzero(neg[:-1, :] != neg[1:, :])
-    v_ix, v_iy = np.nonzero(neg[:, :-1] != neg[:, 1:])
+    h_cross = neg[:-1, :] != neg[1:, :]
+    v_cross = neg[:, :-1] != neg[:, 1:]
+    h_ix, h_iy = np.nonzero(h_cross)
+    v_ix, v_iy = np.nonzero(v_cross)
     lo_ix = np.concatenate([h_ix, v_ix])
     lo_iy = np.concatenate([h_iy, v_iy])
     hi_x = xs[np.concatenate([h_ix + 1, v_ix])]
@@ -698,62 +679,50 @@ def scan_zero_locus(
     edge_ids = np.concatenate([h_edge(h_ix, h_iy), v_edge(v_ix, v_iy)])
     vertices = dict(zip(edge_ids.tolist(), zip(vx.tolist(), vy.tolist(), vr.tolist())))
 
-    # Marching-squares case per cell; segments in row order (chi, then a2).
-    n8 = neg.view(np.uint8)
-    case = n8[:-1, :-1] | n8[1:, :-1] << 1 | n8[1:, 1:] << 2 | n8[:-1, 1:] << 3
-    cells_iy, cells_ix = np.nonzero((case.T != 0) & (case.T != 15))
-    segments: list[tuple[int, int]] = []
-    for iy, ix in zip(cells_iy.tolist(), cells_ix.tolist()):
-        c = int(case[ix, iy])
-        ids = (h_edge(ix, iy), v_edge(ix + 1, iy), h_edge(ix, iy + 1), v_edge(ix, iy))
-        if c in (5, 10):
-            f00, f10 = field[ix, iy], field[ix + 1, iy]
-            f11, f01 = field[ix + 1, iy + 1], field[ix, iy + 1]
-            center = 0.25 * (f00 + f10 + f11 + f01)
-            if c == 5:
-                segs = ((_L, _T), (_B, _R)) if center < 0 else ((_L, _B), (_T, _R))
-            else:
-                segs = ((_L, _B), (_T, _R)) if center < 0 else ((_L, _T), (_B, _R))
-        else:
-            segs = _CASES[c]
-        for e_a, e_b in segs:
-            segments.append((ids[e_a], ids[e_b]))
+    # A cell crosses 0, 2 or 4 of its edges, listed (left, top, bottom, right);
+    # consecutive crossing edges pair into segments.  A saddle (all four) keeps
+    # that pairing when its centre mean is on corner (ix, iy)'s side of 0, so
+    # the centre joins that corner's diagonal; otherwise top and bottom swap.
+    c_left, c_right = v_cross[:-1, :], v_cross[1:, :]
+    c_bottom, c_top = h_cross[:, :-1], h_cross[:, 1:]
+    cx, cy = np.nonzero(c_left | c_right | c_bottom | c_top)
+    crossing = np.stack([c_left[cx, cy], c_top[cx, cy], c_bottom[cx, cy], c_right[cx, cy]], 1)
+    ids = np.stack([v_edge(cx, cy), h_edge(cx, cy + 1), h_edge(cx, cy), v_edge(cx + 1, cy)], 1)
+    saddle = np.flatnonzero(crossing.all(axis=1))
+    sx, sy = cx[saddle], cy[saddle]
+    f00, f10 = field[sx, sy], field[sx + 1, sy]
+    f11, f01 = field[sx + 1, sy + 1], field[sx, sy + 1]
+    center = 0.25 * (f00 + f10 + f11 + f01)
+    split = saddle[(center < 0) != neg[sx, sy]]
+    ids[split, 1], ids[split, 2] = ids[split, 2], ids[split, 1]
 
-    curves = _chain_segments(segments, vertices)
+    curves = _chain_segments(ids[crossing].reshape(-1, 2).tolist(), vertices)
     return ZeroLocus(j, curves)
 
 
 def _chain_segments(segments, vertices):
-    """Join edge-id segments into polylines; deterministic traversal order."""
-    adj: dict[int, list[int]] = {}
-    unused: set[tuple[int, int]] = set()
-    for e1, e2 in segments:
-        adj.setdefault(e1, []).append(e2)
-        adj.setdefault(e2, []).append(e1)
-        unused.add((min(e1, e2), max(e1, e2)))
-    for nbrs in adj.values():
-        nbrs.sort()
+    """Walk edge-id segments into polylines in a deterministic order.
 
-    remaining_deg = {e: len(nbrs) for e, nbrs in adj.items()}
+    An edge vertex joins at most two segments, so the segments form disjoint
+    open paths and closed loops.  Open paths come first, in the order of their
+    smaller end id and each walked from it; then closed loops, in the order of
+    their smallest id, each walked from it towards its smaller neighbour and
+    ending on it again.
+    """
+    links: dict[int, list[int]] = {}
+    for a, b in segments:
+        links.setdefault(a, []).append(b)
+        links.setdefault(b, []).append(a)
+    ends = sorted(e for e, nbrs in links.items() if len(nbrs) == 1)
     curves = []
-    while unused:
-        odd = sorted(e for e, d in remaining_deg.items() if d % 2 == 1 and d > 0)
-        start = odd[0] if odd else min(e for e, d in remaining_deg.items() if d > 0)
+    for start in ends + sorted(links):
         path = [start]
-        current = start
-        while True:
-            nxt = None
-            for cand in adj[current]:
-                key = (min(current, cand), max(current, cand))
-                if key in unused:
-                    nxt = cand
-                    break
-            if nxt is None:
-                break
-            unused.discard((min(current, nxt), max(current, nxt)))
-            remaining_deg[current] -= 1
-            remaining_deg[nxt] -= 1
-            path.append(nxt)
-            current = nxt
-        curves.append(tuple(vertices[e] for e in path))
+        while links[path[-1]]:
+            a = path[-1]
+            b = min(links[a])
+            links[a].remove(b)
+            links[b].remove(a)
+            path.append(b)
+        if len(path) > 1:
+            curves.append(tuple(vertices[e] for e in path))
     return tuple(curves)

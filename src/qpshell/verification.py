@@ -7,12 +7,14 @@ deviation seen.  All draws are seeded, all grids fixed: repeated runs give
 identical results.
 
 `run_verification` executes the selected groups in registry order.  The
-`fault_v0_bump` knob perturbs one side of the two-path comparison and exists
-to prove the harness can fail; it must never be set in production runs.
+smatrix and phase groups read the same reference sweeps, built once per
+process.  The test suite shows that a group can fail by patching one route
+of its comparison; no run-time option perturbs a route.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
@@ -107,7 +109,7 @@ def _random_potential(rng: np.random.Generator) -> ShellPotential:
     )
 
 
-def check_two_path(fault_v0_bump: float = 0.0) -> GroupResult:
+def check_two_path() -> GroupResult:
     """Generic kernel amplitudes against the expanded per-variant forms."""
     rng = np.random.default_rng(_SEED)
     worst = 0.0
@@ -118,7 +120,7 @@ def check_two_path(fault_v0_bump: float = 0.0) -> GroupResult:
         v0 = float(rng.uniform(-5, 5))
         a = float(rng.uniform(0.1, 6.0))
         f_gen = amplitude(j, kin, ShellPotential.single(v0, a))
-        f_exp = amplitude_explicit(j, kin, ShellPotential.single(v0 + fault_v0_bump, a))
+        f_exp = amplitude_explicit(j, kin, ShellPotential.single(v0, a))
         worst = max(worst, abs(f_gen - f_exp) / max(abs(f_gen), 1e-300))
         n += 1
     for _ in range(50):
@@ -128,9 +130,7 @@ def check_two_path(fault_v0_bump: float = 0.0) -> GroupResult:
         v1 = float(rng.uniform(-4, 4))
         v2 = float(rng.uniform(-4, 4))
         f_gen = amplitude(3, kin, ShellPotential.double(v1, a1, v2, a2))
-        f_exp = amplitude_explicit(
-            3, kin, ShellPotential.double(v1 + fault_v0_bump, a1, v2, a2)
-        )
+        f_exp = amplitude_explicit(3, kin, ShellPotential.double(v1, a1, v2, a2))
         worst = max(worst, abs(f_gen - f_exp) / max(abs(f_gen), 1e-300))
         n += 1
     return _result("two_path", worst, _TWO_PATH_TOL, n,
@@ -210,23 +210,21 @@ def _reference_deltas(j: int, pot: ShellPotential, chis: list[float]) -> np.ndar
     return np.linalg.det(np.eye(n) - g * np.array(pot.strengths))
 
 
-def _reference_sweeps() -> list[tuple[ScatterSweep, np.ndarray]]:
+@functools.cache
+def _reference_sweeps() -> tuple[tuple[ScatterSweep, np.ndarray], ...]:
     """(array sweep, reference D per point) on both sweeps and a coarser
     3-shell one; the sweep is the route the scatter CLI writes."""
-    return [(sweep(j, 1.0, pot, chis), _reference_deltas(j, pot, chis))
-            for pot, chis in ((_single_pot(), _chi_grid()), (_double_pot(), _chi_grid()),
-                              (_triple_pot(), _chi_grid(200)))
-            for j in ALL_VARIANTS]
+    return tuple((sweep(j, 1.0, pot, chis), _reference_deltas(j, pot, chis))
+                 for pot, chis in ((_single_pot(), _chi_grid()), (_double_pot(), _chi_grid()),
+                                   (_triple_pot(), _chi_grid(200)))
+                 for j in ALL_VARIANTS)
 
 
-def check_smatrix(sweeps=None) -> GroupResult:
-    """S = 1 + 2iqf vs conj(D)/D from the reference D, and unimodularity.
-
-    sweeps is _reference_sweeps(), built here unless given.
-    """
+def check_smatrix() -> GroupResult:
+    """S = 1 + 2iqf vs conj(D)/D from the reference D, and unimodularity."""
     worst = 0.0
     n = 0
-    for sw, delta in _reference_sweeps() if sweeps is None else sweeps:
+    for sw, delta in _reference_sweeps():
         s_mat = sw.s_matrix
         worst = max(worst, float(np.abs(s_mat - delta.conj() / delta).max()),
                     float(np.abs(np.abs(s_mat) - 1.0).max()))
@@ -241,12 +239,11 @@ def check_phase(sweeps=None) -> GroupResult:
     With D = alpha + i beta from the complex det, S = (alpha - i beta) /
     (alpha + i beta) gives tan(2 phi) = -2 alpha beta / (alpha^2 - beta^2),
     whatever multiple of pi unwrapping added to phi.  Checked where
-    |cos(2 phi)| > 0.1 so the tangent is well-conditioned.  sweeps is
-    _reference_sweeps(), built here unless given.
+    |cos(2 phi)| > 0.1 so the tangent is well-conditioned.
     """
     worst = 0.0
     n = 0
-    for sw, delta in _reference_sweeps() if sweeps is None else sweeps:
+    for sw, delta in _reference_sweeps():
         two_phi = 2.0 * sw.phase
         keep = np.abs(np.cos(two_phi)) > 0.1
         alpha, beta = delta.real[keep], delta.imag[keep]
@@ -450,7 +447,7 @@ def check_determinism() -> GroupResult:
                    "bit-identical repeated sweeps, curves and loci", violations)
 
 
-_GROUPS: dict[str, Callable[..., GroupResult]] = {
+_GROUPS: dict[str, Callable[[], GroupResult]] = {
     "two_path": check_two_path,
     "unitarity": check_unitarity,
     "gf_identity": check_gf_identity,
@@ -469,23 +466,10 @@ _GROUPS: dict[str, Callable[..., GroupResult]] = {
 GROUP_NAMES: tuple[str, ...] = tuple(_GROUPS)
 
 
-def run_verification(
-    groups: Iterable[str] | None = None, fault_v0_bump: float = 0.0
-) -> list[GroupResult]:
+def run_verification(groups: Iterable[str] | None = None) -> list[GroupResult]:
     """Run the selected invariant groups (all of them by default), in order."""
     names: Sequence[str] = GROUP_NAMES if groups is None else tuple(groups)
     unknown = sorted(set(names) - set(_GROUPS))
     if unknown:
         raise DomainError(f"unknown verification groups: {', '.join(unknown)}")
-    results = []
-    sweeps = None
-    for name in names:
-        if name == "two_path":
-            results.append(check_two_path(fault_v0_bump))
-        elif name in ("smatrix", "phase"):
-            if sweeps is None:
-                sweeps = _reference_sweeps()
-            results.append(_GROUPS[name](sweeps))
-        else:
-            results.append(_GROUPS[name]())
-    return results
+    return [_GROUPS[name]() for name in names]

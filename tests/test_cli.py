@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from qpshell import scattering
+from qpshell import scattering, verification
 from qpshell.cli import _SCATTER_ROW, _fmt, _parse_range, build_parser, main
 from qpshell.kinematics import Kinematics
 from qpshell.scattering import ShellPotential, amplitude_explicit, sweep
@@ -240,6 +240,7 @@ def test_flux_factor_overflow_is_a_parameter_error(capsys, argv):
     "greens --j all --m 1e200 --branch real --chi 0.1:1:3 --r 1e200",
     "nrlimit --masses 1,2,1e308",
     "scatter --j all --m 1e200 --a 1e200 --v0 2 --chi 0.1:1:3",
+    "zeros --j 1 --m 1e200 --a1 1e108 --v1 2 --v2 -3 --a2 1e108:2e108:20 --chi 0.2:4:20",
 ])
 def test_non_finite_chi_m_r_is_a_parameter_error(capsys, argv):
     # sin(chi m r) has no value once chi m r overflows
@@ -307,13 +308,14 @@ def test_nrlimit_table(capsys):
     assert devs[-1] < 1e-2
 
 
-def test_verify_exit_codes(capsys):
+def test_verify_exit_codes(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "--group", "rt_zeros", "--group", "gf_identity")
     assert code == 0
     assert "rt_zeros" in out and "PASS" in out
-    code, _out, err = run(
-        capsys, "verify", "--group", "two_path", "--fault-v0-bump", "1e-6",
-    )
+    explicit = verification.amplitude_explicit
+    monkeypatch.setattr(verification, "amplitude_explicit",
+                        lambda j, kin, pot: explicit(j, kin, pot) * (1.0 + 1e-6))
+    code, _out, err = run(capsys, "verify", "--group", "two_path")
     assert code == 3
     assert "two_path" in err
 

@@ -338,4 +338,12 @@ def test_non_finite_chi_m_r_is_refused():
             green_line(j, kin, 2e200)
         with pytest.raises(DomainError, match="chi m r is not finite"):
             green_partial(j, kin, 1e200, 1e200)
+        with pytest.raises(DomainError, match="chi m r is not finite"):
+            green_partial_real(j, 1e200, 0.1, 1e200, 1e200)
         assert green_partial(j, kin, 1e-200, 1e-200).imag != 0.0
+    # on arrays the refusal names the first point out of reach
+    with pytest.raises(DomainError, match=r"chi = 2\.0, m = 1\.0, r = 1e\+308"):
+        green_partial_real(1, 1.0, np.array([[0.1], [2.0]]), np.array([1.0, 1e308]), 0.0)
+    # r + r' itself overflows: refused, with no RuntimeWarning on the way
+    with pytest.raises(DomainError, match="chi m r is not finite"):
+        green_partial_real(1, 1.0, 0.1, 1e308, 1e308)

@@ -418,6 +418,12 @@ def test_zero_condition_needs_two_shells():
         zero_condition(1, Kinematics(1.0, 0.5), ShellPotential.single(2.0, 5.0))
 
 
+def test_zero_condition_refuses_non_finite_reach():
+    # m (a1 + a1) = 2e400 overflows, so sin(chi m r) has no value there
+    with pytest.raises(DomainError, match="chi m r is not finite"):
+        zero_condition(1, Kinematics(1e200, 0.1), ShellPotential.double(2, 1e200, -3, 1.5e200))
+
+
 def test_scan_window_may_touch_inner_radius():
     # the left window edge sits exactly at a2 = a1, where the two shells
     # coalesce: the scan must treat the column continuously, not reject it
@@ -510,6 +516,78 @@ def test_scan_vertices_satisfy_expanded_condition():
         kin = Kinematics(1.0, y)
         pot = ShellPotential.double(1.0, 3.0, -1.0, x)
         assert abs(zero_condition_explicit(kin, pot)) / _explicit_terms(kin, pot) < 1e-8
+
+
+def _spy_chain(monkeypatch):
+    """Record the (segments, vertices) that scan_zero_locus chains."""
+    seen = []
+    chain = scattering._chain_segments
+
+    def spy(segments, vertices):
+        seen.append((list(segments), vertices))
+        return chain(segments, vertices)
+
+    monkeypatch.setattr(scattering, "_chain_segments", spy)
+    return seen
+
+
+@pytest.mark.parametrize("c, expected", [
+    # the centre is on corner (ix, iy)'s side: its diagonal joins through it
+    (2.5e-4, {("left", "top"), ("bottom", "right")}),
+    # the centre is on the other side: corner (ix, iy) is cut off
+    (-2.5e-4, {("left", "bottom"), ("top", "right")}),
+])
+def test_scan_saddle_segments_follow_the_centre(monkeypatch, c, expected):
+    # f = (a2 - mid)(chi - mid) + c with (mid, mid) the centre of cell (7, 7):
+    # its corners read +h^2, -h^2, +h^2, -h^2 (h = half a step, h^2 > |c|)
+    # and its centre mean is c, so that cell is the only saddle
+    n = 16
+    xs = 1.0 + np.arange(n) / (n - 1)
+    ix = 7
+    mid = 0.5 * (xs[ix] + xs[ix + 1])
+    monkeypatch.setattr(scattering, "_zero_condition_raw",
+                        lambda j, m, chi, v1, a1, v2, a2: (a2 - mid) * (chi - mid) + c)
+    seen = _spy_chain(monkeypatch)
+    scan_zero_locus(1, 1.0, 1.0, 1.0, 1.0, (1.0, 2.0), (1.0, 2.0), grid=(n, n))
+    (segments, vertices), = seen
+    lo, hi = xs[ix], xs[ix + 1]
+
+    def side(e):
+        x, y, _ = vertices[e]
+        if lo < y < hi:
+            return {lo: "left", hi: "right"}.get(x)
+        if lo < x < hi:
+            return {lo: "bottom", hi: "top"}.get(y)
+        return None
+
+    named = {frozenset((side(a), side(b))) for a, b in segments}
+    assert {s for s in named if None not in s} == set(map(frozenset, expected))
+
+
+def test_chain_segments_walks_paths_then_loops(monkeypatch):
+    seen = _spy_chain(monkeypatch)
+    locus = scan_zero_locus(3, 1.0, 3.0, 1.0, -1.0, (3.0, 8.0), (0.1, 3.0), grid=(48, 48))
+    (segments, vertices), = seen
+    edge_of = {v: e for e, v in vertices.items()}
+    loops = [c for c in locus.curves if c[0] == c[-1]]
+    assert loops and len(loops) < len(locus.curves)
+    # open paths first, then loops, each kind in the order of its start id
+    starts = [edge_of[c[0]] for c in locus.curves]
+    n_paths = len(locus.curves) - len(loops)
+    assert all(c[0] != c[-1] for c in locus.curves[:n_paths])
+    assert starts[:n_paths] == sorted(starts[:n_paths])
+    assert starts[n_paths:] == sorted(starts[n_paths:])
+    for curve in locus.curves:
+        ids = [edge_of[v] for v in curve]
+        if curve in loops:
+            assert ids[0] == min(ids) and ids[1] < ids[-2]
+        else:
+            assert ids[0] < ids[-1]
+    rng = np.random.default_rng(17)
+    for _ in range(3):
+        shuffled = [tuple(s[::-1]) if rng.random() < 0.5 else tuple(s)
+                    for s in rng.permutation(segments).tolist()]
+        assert scattering._chain_segments(shuffled, vertices) == locus.curves
 
 
 def test_scan_refinement_stall_raises(monkeypatch):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from qpshell import verification
 from qpshell.errors import DomainError
 from qpshell.verification import GROUP_NAMES, run_verification
 
@@ -16,8 +17,12 @@ def test_all_groups_pass():
         assert r.n_checks > 0
 
 
-def test_fault_injection_is_caught():
-    results = run_verification(groups=("two_path",), fault_v0_bump=1e-6)
+def test_fault_injection_is_caught(monkeypatch):
+    # a 1e-6 relative error in the expanded closed forms must fail two_path
+    explicit = verification.amplitude_explicit
+    monkeypatch.setattr(verification, "amplitude_explicit",
+                        lambda j, kin, pot: explicit(j, kin, pot) * (1.0 + 1e-6))
+    results = run_verification(groups=("two_path",))
     assert len(results) == 1
     assert not results[0].passed
 
