@@ -99,13 +99,12 @@ def green_line(j: int, kin: Kinematics, r: float) -> complex:
     return complex(_line_re(_variant(j), m, chi, kj, x), -math.cos(chi * x) / kj)
 
 
-def _check_reach(chi: float, m: float, r: float) -> None:
-    """Refuse a rapidity at which chi m r leaves the float range, where
-    sin(chi m r) has no value."""
-    if not math.isfinite(chi * (m * r)):
-        raise DomainError(
-            f"chi m r is not finite at chi = {chi!r}, m = {m!r}, r = {r!r}"
-        )
+def _check_reach(chi: float, m: float, r: float, rp: float = 0.0) -> None:
+    """Refuse a rapidity at which chi m (r + r') leaves the float range, where
+    sin(chi m (r + r')) has no value; the message names r' when it is not 0."""
+    if not math.isfinite(chi * (m * (r + rp))):
+        at = f"r = {r!r}" if rp == 0.0 else f"r + r' = {r!r} + {rp!r}"
+        raise DomainError(f"chi m r is not finite at chi = {chi!r}, m = {m!r}, {at}")
 
 
 def _line_re(v: _Variant, m: float, chi: float, kj: float, x: float) -> float:
@@ -164,20 +163,20 @@ def green_partial_real(j: int, m: float, chi, r, rp) -> np.ndarray:
     chi = np.asarray(chi, dtype=float)
     if (chi == 0.0).any():
         raise ThresholdError("line kernel undefined at chi = 0 (elastic threshold)")
-    with np.errstate(all="ignore"):
-        kj, sech_den = _real_factors(v, m, chi)
-        span = np.add(r, rp)
-        reach = np.isfinite(chi * (m * span))
+    kj, sech_den = _real_factors(v, m, chi)
     if not (np.isfinite(kj).all() and np.isfinite(sech_den).all()):
         raise DomainError(
             f"rapidity too large: K_{v.j} or cosh(chi) overflows "
             f"for chi up to {float(chi.max())!r} at m = {m!r}"
         )
-    if not reach.all():
-        k = np.argmin(reach)
-        chi_k, span_k = np.broadcast_arrays(chi, span)
-        _check_reach(float(chi_k.flat[k]), m, float(span_k.flat[k]))
-    return _partial_re_array(v, m, chi, kj, sech_den, r, rp)
+    g = _partial_re_array(v, m, chi, kj, sech_den, r, rp)
+    # With K_j finite, a NaN can only be sin of a non-finite chi m (r + r')
+    bad = np.isnan(g)
+    if bad.any():
+        k = np.argmax(bad)
+        chi_k, r_k, rp_k = np.broadcast_arrays(chi, r, rp)
+        _check_reach(float(chi_k.flat[k]), m, float(r_k.flat[k]), float(rp_k.flat[k]))
+    return g
 
 
 def _partial_re_array(v: _Variant, m: float, chi: np.ndarray, kj: np.ndarray,
@@ -255,6 +254,7 @@ def green_partial(j: int, kin: Kinematics, r: float, rp: float) -> complex:
     """Half-line s-wave kernel via the image construction (scattering branch)."""
     if r < 0 or rp < 0:
         raise DomainError(f"radial coordinates must be non-negative, got {r}, {rp}")
+    _check_reach(kin.chi, kin.m, r, rp)
     return green_line(j, kin, r - rp) - green_line(j, kin, r + rp)
 
 

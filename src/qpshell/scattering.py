@@ -210,7 +210,8 @@ def delta_system(j: int, kin: Kinematics, pot: ShellPotential) -> DeltaSystem:
     beyond the float range raises DomainError, as green_line does."""
     m, chi = kin.m, kin.chi
     kj = k_factor(j, kin)
-    _check_reach(chi, m, 2.0 * pot.shells[-1][1])
+    a_n = pot.shells[-1][1]
+    _check_reach(chi, m, a_n, a_n)
     a = _shell_matrix(pot, partial(_partial_re, _variant(j), m, chi, kj))
     s = [math.sin(chi * m * r) for _, r in pot.shells]
     return _k_system(a, s, 2.0 / kj, pot)
@@ -414,7 +415,7 @@ def sweep(j: int, m: float, pot: ShellPotential, chi_grid) -> ScatterSweep:
         if not math.isfinite(grid[n]):
             raise DomainError(f"chi must be finite, got {grid[n]!r}")
         if math.isfinite(kj[n]):
-            _check_reach(grid[n], m, reach)
+            _check_reach(grid[n], m, pot.shells[-1][1], pot.shells[-1][1])
         raise DomainError(
             f"rapidity too large: K_{v.j} overflows at chi = {grid[n]!r}, m = {m!r}"
         )

@@ -213,7 +213,9 @@ def _reference_deltas(j: int, pot: ShellPotential, chis: list[float]) -> np.ndar
 @functools.cache
 def _reference_sweeps() -> tuple[tuple[ScatterSweep, np.ndarray], ...]:
     """(array sweep, reference D per point) on both sweeps and a coarser
-    3-shell one; the sweep is the route the scatter CLI writes."""
+    3-shell one; the sweep is the route the scatter CLI writes.  Cached for
+    the process, so a test that patches sweep or a kernel under smatrix or
+    phase must call _reference_sweeps.cache_clear() first."""
     return tuple((sweep(j, 1.0, pot, chis), _reference_deltas(j, pot, chis))
                  for pot, chis in ((_single_pot(), _chi_grid()), (_double_pot(), _chi_grid()),
                                    (_triple_pot(), _chi_grid(200)))
@@ -233,7 +235,7 @@ def check_smatrix() -> GroupResult:
                    "additive S vs conj(D)/D of the complex det, and | |S| - 1 |")
 
 
-def check_phase(sweeps=None) -> GroupResult:
+def check_phase() -> GroupResult:
     """tan(2 phase) against the real/imaginary split of the reference D.
 
     With D = alpha + i beta from the complex det, S = (alpha - i beta) /

@@ -347,3 +347,15 @@ def test_non_finite_chi_m_r_is_refused():
     # r + r' itself overflows: refused, with no RuntimeWarning on the way
     with pytest.raises(DomainError, match="chi m r is not finite"):
         green_partial_real(1, 1.0, 0.1, 1e308, 1e308)
+    # with r' != 0 the message names r and r', not their sum
+    for call, at in (
+        (lambda: green_partial(1, Kinematics(1.0, 0.1), 1e308, 1e308),
+         "chi = 0.1, m = 1.0, r + r' = 1e+308 + 1e+308"),
+        (lambda: green_partial_real(1, 1.0, 0.1, 1e308, 1e308),
+         "chi = 0.1, m = 1.0, r + r' = 1e+308 + 1e+308"),
+        (lambda: green_partial_real(1, 1.0, np.array([0.1, 2.0]), 1.0, np.array([2.0, 1e308])),
+         "chi = 2.0, m = 1.0, r + r' = 1.0 + 1e+308"),
+    ):
+        with pytest.raises(DomainError) as exc:
+            call()
+        assert str(exc.value) == f"chi m r is not finite at {at}"
