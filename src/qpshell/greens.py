@@ -156,10 +156,14 @@ def green_partial_real(j: int, m: float, chi, r, rp) -> np.ndarray:
     place).  r and r' must be finite and non-negative.  The variant
     constants (hyperbolic rate, K_j and the j = 2 sech prefactor) are
     computed once per call.  chi = 0 anywhere raises ThresholdError; a
-    rapidity so large that K_j or cosh(chi) overflows raises DomainError, and
-    so does a chi m (r + r') beyond the float range, as in green_line.
+    negative radius raises DomainError, as in green_partial; a rapidity so
+    large that K_j or cosh(chi) overflows raises DomainError, and so does a
+    chi m (r + r') beyond the float range, as in green_line.
     """
     v = _variant(j)
+    if (np.asarray(r) < 0).any() or (np.asarray(rp) < 0).any():
+        raise DomainError(f"radial coordinates must be non-negative, got min r = "
+                          f"{float(np.min(r))!r}, min r' = {float(np.min(rp))!r}")
     chi = np.asarray(chi, dtype=float)
     if (chi == 0.0).any():
         raise ThresholdError("line kernel undefined at chi = 0 (elastic threshold)")

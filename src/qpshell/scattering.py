@@ -57,6 +57,8 @@ _POLE_EPS = 1e-14
 # emitted residuals never graze their own acceptance threshold.
 _VERTEX_RESIDUAL = 1e-10
 _MAX_EDGE_BISECT = 200
+# Above this sine argument the spacing of floats is 2, so sin is noise.
+_MAX_SINE_ARG = 2.0 ** 53
 # Points per array evaluation of the zero condition; bounds the temporaries.
 _FIELD_BLOCK = 4096
 
@@ -534,38 +536,73 @@ def _condition_at(j, m, v1, a1, v2, n, points) -> np.ndarray:
     return out
 
 
-def _refine_edge_zero(cond, neg, pos):
-    """Bisect every crossing edge at once until |cond| < _VERTEX_RESIDUAL.
-
-    neg and pos are (x, y) arrays of the edge ends where the condition is
-    negative and non-negative; cond(n, points) evaluates it as _condition_at
-    does.  Each edge follows its own midpoint sequence and stops at the
-    first midpoint under the target; returns the (x, y, |cond|) rows of
-    those midpoints, in edge order.
-    """
-    (neg_x, neg_y), (pos_x, pos_y) = neg, pos
-    out = np.empty((3, len(neg_x)))
-    todo = np.arange(len(neg_x))
-    for _ in range(_MAX_EDGE_BISECT):
-        mid_x = 0.5 * (neg_x + pos_x)
-        mid_y = 0.5 * (neg_y + pos_y)
-        f_mid = cond(len(mid_x), lambda k: (mid_x[k], mid_y[k]))
-        res = np.abs(f_mid)
-        done = res < _VERTEX_RESIDUAL
-        out[:, todo[done]] = mid_x[done], mid_y[done], res[done]
-        if done.all():
-            return out
-        left = ~done
-        todo, mid_x, mid_y, res = todo[left], mid_x[left], mid_y[left], res[left]
-        lower = f_mid[left] < 0
-        neg_x = np.where(lower, mid_x, neg_x[left])
-        neg_y = np.where(lower, mid_y, neg_y[left])
-        pos_x = np.where(lower, pos_x[left], mid_x)
-        pos_y = np.where(lower, pos_y[left], mid_y)
-    raise AccuracyError(
+def _stalled(point, residual) -> AccuracyError:
+    return AccuracyError(
         f"zero-locus vertex refinement stalled near (x, y) = "
-        f"({float(mid_x[0])!r}, {float(mid_y[0])!r}) with residual {res[0]:.3e}"
+        f"({float(point[0])!r}, {float(point[1])!r}) with residual {residual:.3e}"
     )
+
+
+def _refine_edge_zero(cond, neg, pos, f_neg, f_pos):
+    """Refine a zero on every crossing edge by batched Illinois regula falsi.
+
+    Each edge runs along x or along y.  neg and pos are (x, y) arrays of its
+    ends, where the condition takes the values f_neg < 0 and f_pos >= 0, and
+    cond(n, points) evaluates it as _condition_at does.  Each round evaluates
+    one point per open edge, all in one call: the false-position point of the
+    edge's bracket, or its midpoint when that point is not strictly inside.
+    The point replaces the bracket end of its sign, and when the same end
+    moves twice in a row the value kept at the other end is halved (the
+    Illinois rule).  An edge stops at the first point with |cond| below
+    _VERTEX_RESIDUAL, or at its positive end if that is an exact zero.
+    Returns the (x, y, |cond|) rows of those points, in edge order.  An edge
+    whose midpoint is one of its ends cannot shrink further and raises
+    AccuracyError at once, as does any edge still open after
+    _MAX_EDGE_BISECT rounds.
+    """
+    neg, pos = np.array(neg, dtype=float), np.array(pos, dtype=float)
+    out = np.empty((3, neg.shape[1]))
+    exact = f_pos == 0.0
+    out[:2, exact], out[2, exact] = pos[:, exact], 0.0
+    todo = np.flatnonzero(~exact)
+    neg, pos, f_neg, f_pos = neg[:, todo], pos[:, todo], f_neg[todo], f_pos[todo]
+    point, res = neg, -f_neg  # each edge's latest point, for the stall message
+    moved = np.zeros(len(todo))  # the end that moved last: -1 negative, +1 positive
+
+    def strictly_inside(p):
+        # on an axis-parallel edge: between its ends and equal to neither
+        return ((p - neg) * (pos - p)).sum(axis=0) > 0
+
+    for _ in range(_MAX_EDGE_BISECT):
+        if not len(todo):
+            return out
+        with np.errstate(all="ignore"):
+            trial = neg + f_neg / (f_neg - f_pos) * (pos - neg)
+            inside = strictly_inside(trial)
+            if not inside.all():
+                mid = 0.5 * (neg + pos)
+                stuck = ~(inside | strictly_inside(mid))
+                if stuck.any():
+                    k = np.argmax(stuck)
+                    raise _stalled(point[:, k], res[k])
+                trial = np.where(inside, trial, mid)
+        point = trial
+        f = cond(len(todo), lambda k: (point[0, k], point[1, k]))
+        res = np.abs(f)
+        done = res < _VERTEX_RESIDUAL
+        finished = todo[done]
+        out[:2, finished], out[2, finished] = point[:, done], res[done]
+        left = ~done
+        todo, point, res, f = todo[left], point[:, left], res[left], f[left]
+        lower = f < 0
+        side = np.where(lower, -1.0, 1.0)
+        illinois = np.where(side == moved[left], 0.5, 1.0)
+        f_neg = np.where(lower, f, illinois * f_neg[left])
+        f_pos = np.where(lower, illinois * f_pos[left], f)
+        neg = np.where(lower, point, neg[:, left])
+        pos = np.where(lower, pos[:, left], point)
+        moved = side
+    raise _stalled(point[:, 0], res[0])
 
 
 def scan_zero_locus(
@@ -582,8 +619,12 @@ def scan_zero_locus(
 
     Evaluates the zero condition on the grid as numpy arrays, _FIELD_BLOCK
     points at a time, and contours its sign.  Every edge whose ends differ
-    in sign gets its vertex from one batched bisection over all such edges,
-    each stopping at residual below _VERTEX_RESIDUAL (1e-10).  A cell with
+    in sign gets its vertex from one batched Illinois regula falsi over all
+    such edges (_refine_edge_zero), which starts from the field values at
+    the edge ends and stops each edge at residual below _VERTEX_RESIDUAL
+    (1e-10).  A window whose largest sine argument, chi m (a + a) at the
+    top rapidity and the larger radius, exceeds 2^53 is refused with
+    DomainError: sin keeps no significant digit there.  A cell with
     two crossing edges joins them; a saddle (four) pairs them by the sign of
     its corner mean.  The segments are walked into open paths, then closed
     loops (see _chain_segments), so the curve order is deterministic.
@@ -610,6 +651,15 @@ def scan_zero_locus(
         raise DomainError(f"m and a1 must be positive, got {m}, {a1}")
     if v1 == 0.0 and v2 == 0.0:
         raise DomainError("at least one shell strength must be non-zero")
+    # the largest sine argument of the field is chi m (r + r') at r = r' = a
+    a_max = max(a1, x_hi)
+    _check_reach(y_hi, m, a_max, a_max)
+    reach = y_hi * (m * (a_max + a_max))
+    if reach > _MAX_SINE_ARG:
+        raise DomainError(
+            f"chi m (r + r') reaches {reach:.3e} at chi = {y_hi!r}, m = {m!r}, "
+            f"r = r' = {a_max!r}; above 2^53 sin keeps no significant digit"
+        )
 
     xs = x_lo + (x_hi - x_lo) * np.arange(nx) / (nx - 1)
     ys = y_lo + (y_hi - y_lo) * np.arange(ny) / (ny - 1)
@@ -668,14 +718,14 @@ def scan_zero_locus(
     v_ix, v_iy = np.nonzero(v_cross)
     lo_ix = np.concatenate([h_ix, v_ix])
     lo_iy = np.concatenate([h_iy, v_iy])
-    hi_x = xs[np.concatenate([h_ix + 1, v_ix])]
-    hi_y = ys[np.concatenate([h_iy, v_iy + 1])]
-    lo_x, lo_y = xs[lo_ix], ys[lo_iy]
+    hi_ix = np.concatenate([h_ix + 1, v_ix])
+    hi_iy = np.concatenate([h_iy, v_iy + 1])
     lo_neg = neg[lo_ix, lo_iy]
+    neg_ix, neg_iy = np.where(lo_neg, lo_ix, hi_ix), np.where(lo_neg, lo_iy, hi_iy)
+    pos_ix, pos_iy = np.where(lo_neg, hi_ix, lo_ix), np.where(lo_neg, hi_iy, lo_iy)
     vx, vy, vr = _refine_edge_zero(
-        cond,
-        (np.where(lo_neg, lo_x, hi_x), np.where(lo_neg, lo_y, hi_y)),
-        (np.where(lo_neg, hi_x, lo_x), np.where(lo_neg, hi_y, lo_y)),
+        cond, (xs[neg_ix], ys[neg_iy]), (xs[pos_ix], ys[pos_iy]),
+        field[neg_ix, neg_iy], field[pos_ix, pos_iy],
     )
     edge_ids = np.concatenate([h_edge(h_ix, h_iy), v_edge(v_ix, v_iy)])
     vertices = dict(zip(edge_ids.tolist(), zip(vx.tolist(), vy.tolist(), vr.tolist())))

@@ -408,5 +408,19 @@ def test_edge_inputs_give_a_table_or_a_typed_refusal(capsys, argv):
         assert out == ""
 
 
+@pytest.mark.parametrize("m, code, message", [
+    # chi m (a2 + a2) = 3.2e201: far above 2^53, sin keeps no digit
+    ("1e200", 2, r"parameter error: chi m \(r \+ r'\) reaches 3\.200e\+201 at chi = 4\.0"),
+    # 3.2e14 is below 2^53, so the scan runs; its refinement stalls
+    ("1e13", 3, r"accuracy failure: zero-locus vertex refinement stalled near"),
+])
+def test_zeros_sine_argument_limit(capsys, m, code, message):
+    got, out, err = run(capsys, *f"zeros --j 1 --m {m} --a1 1 --v1 2 --v2 -3 "
+                                 f"--a2 1.2:4:20 --chi 0.2:4:20".split())
+    assert got == code
+    assert out == ""
+    assert re.match(message, err) and "Traceback" not in err
+
+
 def test_one_parser_per_process():
     assert build_parser() is build_parser()

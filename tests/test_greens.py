@@ -248,6 +248,17 @@ def test_array_kernel_guards():
     assert np.isfinite(green_partial_real(3, 1.0, 400.0, 1.0, 2.0))
 
 
+@pytest.mark.parametrize("r, rp", [(-1.0, 0.5), (0.5, -1.0), (np.array([1.0, -0.5]), 2.0),
+                                   (1.0, np.array([[2.0], [-1e-300]]))])
+def test_array_kernel_refuses_negative_radii(r, rp):
+    # as the scalar green_partial does
+    with pytest.raises(DomainError, match="radial coordinates must be non-negative"):
+        green_partial_real(1, 1.0, 0.5, r, rp)
+    if np.ndim(r) == np.ndim(rp) == 0:
+        with pytest.raises(DomainError, match="radial coordinates must be non-negative"):
+            green_partial(1, Kinematics(1.0, 0.5), r, rp)
+
+
 def bound_term_scale(j: int, m: float, w: float, r: float, rp: float) -> float:
     """Sum of the magnitudes of the terms summed into G_j(i w, r, r').
 

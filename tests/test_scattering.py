@@ -479,13 +479,45 @@ def test_scan_rejects_degenerate_input():
         scan_zero_locus(1, 1.0, 3.0, 1.0, -1.0, (3.0, 8.0), (0.1, 3.0), grid=(8, 40))
 
 
+# Sampled vertices of the README window, (curve_id, vertex_id, x, y), as
+# midpoint bisection placed them: any refinement must find the same zeros.
+README_WINDOW = {
+    1: (15, 3539, [(0, 1, 3.0000000009967334, 0.1096989966555184),
+                   (4, 111, 7.601866515932674, 2.7187290969899665),
+                   (6, 783, 5.642140468227424, 1.4430646156686604),
+                   (8, 637, 3.1272268847478273, 2.5635451505016724),
+                   (14, 3, 5.993311036789297, 2.099275731163281)]),
+    2: (13, 3314, [(0, 1, 3.0000000009967334, 0.1096989966555184),
+                   (4, 95, 7.531772575250836, 2.7152923524728596),
+                   (6, 730, 5.506011120576323, 1.3705685618729098),
+                   (8, 601, 3.100334448160535, 2.5746048668704704),
+                   (12, 3, 7.481605351170568, 2.1035010978130995)]),
+    3: (20, 4280, [(0, 1, 3.0000000009967334, 0.1096989966555184),
+                   (6, 6, 7.916387959866221, 0.6390042183428604),
+                   (7, 1001, 5.591973244147157, 1.5082205747730757),
+                   (9, 696, 3.000000000031148, 2.4180602006688963),
+                   (19, 3, 7.7324414715719065, 2.655367360226686)]),
+    4: (14, 3384, [(0, 1, 3.0000000009967334, 0.1096989966555184),
+                   (5, 7, 7.565217391304348, 2.9784625476967523),
+                   (6, 808, 5.725752508361204, 1.4575947016851365),
+                   (8, 584, 3.0000000002491833, 2.6023411371237457),
+                   (13, 3, 7.481605351170568, 2.1035191375874356)]),
+}
+
+
 def test_scan_readme_example_is_complete():
-    # the 300^2 window of the README: a scan that drops cells or vertices
-    # shows here as fewer curves or vertices
-    locus = scan_zero_locus(1, 1.0, 3.0, 1.0, -1.0, (3.0, 8.0), (0.1, 3.0), grid=(300, 300))
-    assert len(locus.curves) == 15
-    assert sum(len(c) for c in locus.curves) == 3539
-    assert max(r for c in locus.curves for (_, _, r) in c) < 1e-10
+    # the 300^2 window of the README for every variant: a scan that drops
+    # cells or vertices shows here as fewer curves or vertices, and a vertex
+    # refined to a different zero as a sampled vertex that moved
+    for j, (n_curves, n_vertices, sampled) in README_WINDOW.items():
+        locus = scan_zero_locus(j, 1.0, 3.0, 1.0, -1.0, (3.0, 8.0), (0.1, 3.0),
+                                grid=(300, 300))
+        assert len(locus.curves) == n_curves
+        assert sum(len(c) for c in locus.curves) == n_vertices
+        assert max(r for c in locus.curves for (_, _, r) in c) < 1e-10
+        for ci, vi, x, y in sampled:
+            vx, vy, _ = locus.curves[ci][vi]
+            assert abs(vx - x) < 1e-7 and abs(vy - y) < 1e-7
 
 
 def _explicit_terms(kin, pot):
@@ -595,6 +627,101 @@ def test_scan_refinement_stall_raises(monkeypatch):
     monkeypatch.setattr(scattering, "_VERTEX_RESIDUAL", 0.0)
     with pytest.raises(AccuracyError, match="stalled"):
         scan_zero_locus(1, 1.0, 3.0, 1.0, -1.0, (3.0, 8.0), (0.1, 3.0), grid=(16, 16))
+
+
+def _crossing_edges(g, n=60, h=0.05, seed=3):
+    """cond(n, points) for the condition g(x + y - 2.5), and n axis-parallel
+    edges of length h across the line x + y = 2.5 (half along x, half along
+    y) as neg, pos, f_neg, f_pos."""
+    rng = np.random.default_rng(seed)
+    fixed = rng.uniform(1.0, 1.5, n)
+    start = 2.5 - fixed - rng.uniform(0.0, h, n)
+    along_x = np.arange(n) % 2 == 0
+    a = (np.where(along_x, start, fixed), np.where(along_x, fixed, start))
+    b = (np.where(along_x, start + h, fixed), np.where(along_x, fixed, start + h))
+    f_a, f_b = g(a[0] + a[1] - 2.5), g(b[0] + b[1] - 2.5)
+    a_neg = f_a < 0
+    neg = tuple(np.where(a_neg, ca, cb) for ca, cb in zip(a, b))
+    pos = tuple(np.where(a_neg, cb, ca) for ca, cb in zip(a, b))
+    f_neg, f_pos = np.where(a_neg, f_a, f_b), np.where(a_neg, f_b, f_a)
+    assert (f_neg < 0).all() and (f_pos >= 0).all()
+
+    def cond(n, points):
+        x, y = points(np.arange(n))
+        return g(x + y - 2.5)
+
+    return cond, neg, pos, f_neg, f_pos
+
+
+@pytest.mark.parametrize("g", [
+    lambda u: 3.0 * u,                  # linear: one false-position step
+    lambda u: np.tanh(300.0 * u),       # steep: nearly a step across the edge
+    lambda u: u ** 3,                   # flat crossing: zero slope at the root
+], ids=["linear", "steep_tanh", "flat_cubic"])
+def test_refine_edge_zero_synthetic_conditions(g):
+    cond, neg, pos, f_neg, f_pos = _crossing_edges(g)
+    calls = []
+
+    def counted(n, points):
+        calls.append(n)
+        return cond(n, points)
+
+    x, y, res = scattering._refine_edge_zero(counted, neg, pos, f_neg, f_pos)
+    assert len(calls) < scattering._MAX_EDGE_BISECT
+    # row k belongs to edge k: on it, within its bracket, not at its negative end
+    for c, lo, hi in ((x, neg[0], pos[0]), (y, neg[1], pos[1])):
+        fixed = lo == hi
+        assert (c[fixed] == lo[fixed]).all()
+        assert ((c - lo) * (hi - c) >= 0).all()
+    assert ((x != neg[0]) | (y != neg[1])).all()
+    assert (res < 1e-10).all()
+    assert (res == np.abs(g(x + y - 2.5))).all()
+
+
+def test_refine_edge_zero_needs_few_rounds_on_a_smooth_condition():
+    cond, *edges = _crossing_edges(lambda u: np.sin(u) + 0.3 * u * u)
+    calls = []
+    scattering._refine_edge_zero(lambda n, p: calls.append(n) or cond(n, p), *edges)
+    # bisection needs about 29 rounds to take a 0.05 edge below 1e-10
+    assert len(calls) <= 8
+
+
+def test_refine_edge_zero_takes_an_exact_zero_end():
+    cond, neg, pos, f_neg, f_pos = _crossing_edges(lambda u: u, n=4)
+    f_pos = f_pos.copy()
+    f_pos[1] = 0.0
+    seen = []
+
+    def spy(n, points):
+        seen.append(points(np.arange(n)))
+        return cond(n, points)
+
+    x, y, res = scattering._refine_edge_zero(spy, neg, pos, f_neg, f_pos)
+    assert (x[1], y[1], res[1]) == (pos[0][1], pos[1][1], 0.0)
+    # that edge costs no evaluation
+    assert all(len(px) == 3 for px, _ in seen)
+
+
+def test_refine_edge_zero_stalls_at_once_on_a_bracket_that_cannot_shrink():
+    # a step: no point has |cond| < 1e-10, so the bracket closes on the jump
+    def step(n, points):
+        x, _ = points(np.arange(n))
+        calls.append(n)
+        return np.where(x < 1.3, -1.0, 1.0)
+
+    calls = []
+    edge = (np.array([1.25]), np.array([2.0])), (np.array([1.35]), np.array([2.0]))
+    with pytest.raises(AccuracyError, match="stalled near"):
+        scattering._refine_edge_zero(step, *edge, np.array([-1.0]), np.array([1.0]))
+    assert 0 < len(calls) < scattering._MAX_EDGE_BISECT
+    # ends that are neighbouring floats stall before any evaluation
+    calls = []
+    lo = 1.3
+    edge = (np.array([lo]), np.array([2.0])), (np.array([math.nextafter(lo, 2)]), np.array([2.0]))
+    with pytest.raises(AccuracyError, match=r"stalled near \(x, y\) = \(1\.3, 2\.0\) "
+                                            r"with residual 1\.000e\+00"):
+        scattering._refine_edge_zero(step, *edge, np.array([-1.0]), np.array([1.0]))
+    assert calls == []
 
 
 def test_scan_non_finite_field_raises():
