@@ -293,8 +293,8 @@ def bound_wavefunction(
     n_const = sign / math.sqrt(norm_sq.value)
 
     def psi(r: float) -> float:
-        if r < 0:
-            raise DomainError(f"r must be non-negative, got {r}")
+        if not 0 <= r < math.inf:
+            raise DomainError(f"r must be {'non-negative' if r < 0 else 'finite'}, got {r}")
         return n_const * psi_hat(r)
 
     level = BoundLevel(

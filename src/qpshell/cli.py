@@ -339,7 +339,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--levels", action="store_true")
     p.add_argument("--alpha", type=float, default=None,
                    help="strength ratio V2/V1 for --curve v1pm")
-    p.add_argument("--n", type=int, default=2000, help="curve sample count")
+    p.add_argument("--n", type=int, default=2000,
+                   help="curve sample count, or with --levels the level scan's interval count")
     p.add_argument("--out", default=None)
     p.set_defaults(handler=_cmd_bound)
 

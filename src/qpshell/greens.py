@@ -30,14 +30,13 @@ rapidity-space spectral integral with adaptive quadrature.  It shares no
 code path with the closed forms above and exists purely as an independent
 cross-check.
 
-green_partial_real evaluates Re G_j(chi, r, r') on numpy arrays for drivers
-that need the real part over many points at once (the rapidity sweep calls
-its unchecked core _partial_re_array, with K_j resolved once per sweep), and
-green_partial_bound_array does the same for G_j(i w, r, r') over an array of
-w (the bound curves and the level scan's grid).  The scalar shell systems
-call _partial_re and _partial_bound with the variant's row and K_j resolved
-once per system; the scalar kernels stay the reference the array kernels are
-tested against.
+green_partial_real evaluates Re G_j(chi, r, r') on numpy arrays, and
+green_partial_bound_array evaluates G_j(i w, r, r') over an array of w (the
+bound curves and the level scan's grid).  The real shell system, at one
+rapidity or over a sweep, calls the unchecked core _partial_re_array, and the
+bound-branch scalar systems call _partial_bound, each with K_j resolved once
+per system.  The scalar kernels green_line and green_partial stay the
+reference the array kernels and the real system are tested against.
 """
 
 from __future__ import annotations
@@ -130,12 +129,6 @@ def _line_re(v: _Variant, m: float, chi: float, kj: float, x: float) -> float:
     return g
 
 
-def _partial_re(v: _Variant, m: float, chi: float, kj: float,
-                r: float, rp: float) -> float:
-    """Re G_j(chi, r, r') by images; the scalar kernel of the shell system."""
-    return _line_re(v, m, chi, kj, m * (r - rp)) - _line_re(v, m, chi, kj, m * (r + rp))
-
-
 def _real_factors(v: _Variant, m: float,
                   chi: np.ndarray) -> tuple[np.ndarray, np.ndarray | float]:
     """K_j as k_factor computes it and the j = 2 sech denominator
@@ -185,9 +178,9 @@ def green_partial_real(j: int, m: float, chi, r, rp) -> np.ndarray:
 
 def _partial_re_array(v: _Variant, m: float, chi: np.ndarray, kj: np.ndarray,
                       sech_den, r, rp) -> np.ndarray:
-    """Re G_j(chi, r, r') over arrays with _real_factors given; the array twin
-    of _partial_re, with no checks.  As in the scalar kernel, a j = 2 sech
-    term whose 4 m cosh(chi) overflows is 0."""
+    """Re G_j(chi, r, r') by images over arrays, with _real_factors given and
+    no checks; the kernel of the real shell system.  As in _line_re, a j = 2
+    sech term whose 4 m cosh(chi) overflows is 0."""
 
     def line(x):
         a = v.rate * x

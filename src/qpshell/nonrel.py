@@ -22,7 +22,7 @@ from functools import partial
 from .errors import DomainError, ThresholdError, UnsupportedFormError
 from .greens import green_partial, green_partial_bound
 from .kinematics import BoundEnergy, Kinematics, _variant
-from .scattering import (DeltaSystem, ShellPotential, _check_pole, _det, _k_system,
+from .scattering import (DeltaSystem, ShellPotential, _check_pole, _det, _k_parts,
                          _shell_matrix, amplitude)
 from .boundstates import v0_of_w
 
@@ -57,7 +57,8 @@ def nr_green_bound(kappa: float, r: float, rp: float) -> float:
 def _nr_system(q: float, pot: ShellPotential) -> DeltaSystem:
     """The Schroedinger shell system D = det A + i c, adj(A) s at momentum q."""
     a = _shell_matrix(pot, lambda r, rp: nr_green(q, r, rp).real)
-    sys = _k_system(a, [math.sin(q * r) for _, r in pot.shells], 1.0 / q, pot)
+    det, c, nums, scale = _k_parts(a, [math.sin(q * r) for _, r in pot.shells], 1.0 / q, pot)
+    sys = DeltaSystem(complex(det, c), tuple(nums), scale)
     _check_pole(sys, "q", q)
     return sys
 
@@ -73,8 +74,8 @@ def nr_wavefunction(q: float, pot: ShellPotential, r: float) -> complex:
     """Schroedinger wave psi(r) = sin(q r) + sum_k V_k G0(r, a_k) psi(a_k);
     normalized so psi -> sin(q r) + q f exp(i q r) far outside the shells."""
     _check_q(q)
-    if r < 0:
-        raise DomainError(f"r must be non-negative, got {r}")
+    if not 0 <= r < math.inf:
+        raise DomainError(f"r must be {'non-negative' if r < 0 else 'finite'}, got {r}")
     sys = _nr_system(q, pot)
     psi = complex(math.sin(q * r))
     for (v, a), dk in zip(pot.shells, sys.numerators):

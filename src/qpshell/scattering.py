@@ -13,16 +13,17 @@ c = kappa (V s)^T adj(A) s, and everything before the last division is real:
 
     psi(a_k) = (adj(A) s)_k / D,    f = -c / (q D),    S = conj(D) / D.
 
-S = 1 + 2 i q f and conj(D) / D agree by construction; scatter_point still
-forms both, so the comparison only rejects non-finite values.  The system
-uses only + - * (_k_parts), so sweep fills it with numpy arrays over a whole
-rapidity grid through the same code; scatter_point is the scalar reference
-the array sweep is tested against.  The bound branch (`boundstates`) and the
-Schroedinger limit (`nonrel`) solve the same real system with their own
-kernels.  Determinants and adjugates are taken by
-cofactor expansion, whose cost grows as N!, so the system is meant for a
-few shells: one scatter_point takes about 0.2 ms at N = 4 and 0.6 s at N = 8
-on a 2-vCPU VM.
+S = 1 + 2 i q f and conj(D) / D agree by construction; sweep forms both, so
+the comparison only rejects non-finite values.  The system uses only + - *
+(_k_parts), so it is assembled once, in _real_system, with numpy arrays over
+a rapidity grid (sweep) or a single rapidity (delta_system); scatter_point
+and amplitude read a one-point sweep.  The tests check it against numpy's
+determinant of 1 - G V with the scalar complex kernel green_partial.  The
+bound branch (`boundstates`) and the Schroedinger limit (`nonrel`) solve the
+same real system with their own kernels.  Determinants and adjugates are
+taken by cofactor expansion, whose cost grows as N!, so the system is meant
+for a few shells: one scatter_point takes about 0.5 ms at N = 4, 8 ms at
+N = 6 and 0.65 s at N = 8 on a 2-vCPU VM.
 
 Transparency (Ramsauer-Townsend) points are zeros of f.  For a single shell
 they sit exactly at chi = pi n / (m a); for two shells they trace curves in
@@ -32,7 +33,6 @@ zero condition, evaluated on numpy arrays.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import partial
@@ -46,9 +46,9 @@ from .errors import (
     ThresholdError,
     UnsupportedFormError,
 )
-from .greens import (_check_reach, _partial_re, _partial_re_array, _real_factors, _sech,
+from .greens import (_check_reach, _partial_re_array, _real_factors, _sech,
                      green_partial, green_partial_real)
-from .kinematics import EquationVariant, Kinematics, _variant, k_factor
+from .kinematics import EquationVariant, Kinematics, _Variant, _variant, k_factor
 
 # Relative threshold below which a closed-form denominator counts as a pole.
 _POLE_EPS = 1e-14
@@ -133,7 +133,7 @@ class ScatterPoint:
 
 @dataclass(frozen=True)
 class ScatterSweep:
-    """The observables of scatter_point over a rapidity grid, as read-only
+    """The observables of ScatterPoint over a rapidity grid, as read-only
     numpy columns of equal length (phase unwrapped along the grid)."""
 
     j: int
@@ -198,25 +198,57 @@ def _k_parts(a, s, kappa, pot: ShellPotential):
     return _det(a), c, nums, scale
 
 
-def _k_system(a: list[list[float]], s: list[float], kappa: float,
-              pot: ShellPotential) -> DeltaSystem:
-    """The scalar system D = det A + i c (see _k_parts)."""
-    det, c, nums, scale = _k_parts(a, s, kappa, pot)
-    return DeltaSystem(complex(det, c), tuple(nums), scale)
+def _real_system(v: _Variant, m: float, chi: np.ndarray, pot: ShellPotential):
+    """The real K-matrix system over a 0-d or 1-d array of rapidities.
+
+    The array kernel (_partial_re_array, the core of green_partial_real)
+    fills A, and _k_parts gives det A, c, adj(A) s and the pole scale.
+    Returns those with the index n of the first rapidity whose chi, K_j,
+    kappa = 2 / K_j or chi m 2a_N (the widest kernel argument, a_N the
+    outermost radius) is not finite, and a function that raises its
+    DomainError (ThresholdError for kappa); n = chi.size and None when there
+    is none.  The values from n on must not be read.
+    """
+    a_n = pot.shells[-1][1]
+    kj, sech_den = _real_factors(v, m, chi)
+    with np.errstate(all="ignore"):
+        kappa = 2.0 / kj
+        stop = ~(np.isfinite(chi) & np.isfinite(kj) & np.isfinite(kappa)
+                 & np.isfinite(chi * (m * (a_n + a_n))))
+        a = _shell_matrix(pot, partial(_partial_re_array, v, m, chi, kj, sech_den))
+        s = [np.sin(chi * m * r) for r in pot.radii]
+        parts = _k_parts(a, s, kappa, pot)
+    if not stop.any():
+        return *parts, chi.size, None
+    n = int(np.argmax(stop))
+    chi_n, kj_n = float(chi.flat[n]), float(kj.flat[n])
+
+    def refuse():
+        if not math.isfinite(chi_n):
+            raise DomainError(f"chi must be finite, got {chi_n!r}")
+        if not math.isfinite(kj_n):
+            raise DomainError(
+                f"rapidity too large: K_{v.j} overflows at chi = {chi_n!r}, m = {m!r}")
+        _check_reach(chi_n, m, a_n, a_n)
+        raise ThresholdError(f"2 / K_{v.j} overflows at chi = {chi_n!r}, m = {m!r}: "
+                             f"K_{v.j} = {kj_n!r} is too close to the elastic threshold")
+
+    return *parts, n, refuse
 
 
 def delta_system(j: int, kin: Kinematics, pot: ShellPotential) -> DeltaSystem:
     """The real K-matrix system at this energy (see the module docstring).
 
-    A chi m 2a_N (the widest kernel argument, a_N the outermost radius)
-    beyond the float range raises DomainError, as green_line does."""
-    m, chi = kin.m, kin.chi
-    kj = k_factor(j, kin)
-    a_n = pot.shells[-1][1]
-    _check_reach(chi, m, a_n, a_n)
-    a = _shell_matrix(pot, partial(_partial_re, _variant(j), m, chi, kj))
-    s = [math.sin(chi * m * r) for _, r in pot.shells]
-    return _k_system(a, s, 2.0 / kj, pot)
+    chi = 0, or a K_j so small that 2 / K_j overflows, raises ThresholdError;
+    an overflowing K_j, or a chi m 2a_N beyond the float range, raises
+    DomainError, as k_factor and green_line do."""
+    v = _variant(j)
+    if kin.chi == 0.0:
+        raise ThresholdError("k_factor vanishes at chi = 0 (elastic threshold)")
+    det, c, nums, scale, _, refuse = _real_system(v, kin.m, np.asarray(kin.chi), pot)
+    if refuse is not None:
+        refuse()
+    return DeltaSystem(complex(det, c), tuple(map(float, nums)), float(scale))
 
 
 def _check_pole(sys: DeltaSystem, name: str, value: float) -> None:
@@ -237,21 +269,8 @@ def _s_route_error(chi: float, err: float) -> AccuracyError:
 
 
 def amplitude(j: int, kin: Kinematics, pot: ShellPotential) -> complex:
-    """Partial s-wave amplitude f_j(chi) from the shell linear system."""
-    f, _ = _amplitude_parts(j, kin, pot)
-    return f
-
-
-def _amplitude_parts(
-    j: int, kin: Kinematics, pot: ShellPotential
-) -> tuple[complex, complex]:
-    """f = -c / (q D) together with the system determinant D."""
-    if kin.chi == 0.0:
-        raise ThresholdError("amplitude undefined at chi = 0 (elastic threshold)")
-    sys = delta_system(j, kin, pot)
-    _check_pole(sys, "chi", kin.chi)
-    f = -sys.delta.imag / (kin.q * sys.delta)
-    return f, sys.delta
+    """Partial s-wave amplitude f_j(chi): the f of scatter_point."""
+    return scatter_point(j, kin, pot).f
 
 
 def amplitude_explicit(j: int, kin: Kinematics, pot: ShellPotential) -> complex:
@@ -329,8 +348,8 @@ def wavefunction(j: int, kin: Kinematics, pot: ShellPotential, r: float) -> comp
 
     Normalized so psi -> sin(chi m r) + q f exp(i chi m r) for large r.
     """
-    if r < 0:
-        raise DomainError(f"r must be non-negative, got {r}")
+    if not 0 <= r < math.inf:
+        raise DomainError(f"r must be {'non-negative' if r < 0 else 'finite'}, got {r}")
     sys = delta_system(j, kin, pot)
     _check_pole(sys, "chi", kin.chi)
     m, chi = kin.m, kin.chi
@@ -341,37 +360,30 @@ def wavefunction(j: int, kin: Kinematics, pot: ShellPotential, r: float) -> comp
 
 
 def scatter_point(j: int, kin: Kinematics, pot: ShellPotential) -> ScatterPoint:
-    """Amplitude, S matrix, cross section and principal phase at one rapidity.
-
-    S is formed as 1 + 2 i q f and compared with conj(D)/D.  Both come
-    from the same D = det A + i c, so they agree by construction and the
-    comparison only rejects non-finite values (AccuracyError).  It does not
-    guard accuracy: digits the kernel loses before D is formed, e.g. to
-    cancellation at small m a, are lost from both routes alike.
-    """
-    f, delta = _amplitude_parts(j, kin, pot)
-    q = kin.q
-    s_mat = 1.0 + 2j * q * f
-    err = abs(s_mat - delta.conjugate() / delta)
-    if not err <= 1e-12:
-        raise _s_route_error(kin.chi, err)
-    sigma0 = 4.0 * math.pi * abs(f) ** 2
-    phase = cmath.phase(s_mat) / 2.0
-    return ScatterPoint(int(j), kin.chi, q, f, s_mat, sigma0, phase)
+    """Amplitude, S matrix, cross section and principal phase at one
+    rapidity: row 0 of a one-point sweep, with its refusals.  chi = 0 raises
+    ThresholdError."""
+    if kin.chi == 0.0:
+        raise ThresholdError("amplitude undefined at chi = 0 (elastic threshold)")
+    sw = sweep(j, kin.m, pot, [kin.chi])
+    return ScatterPoint(sw.j, *(col[0].item() for col in sw.columns()))
 
 
 def sweep(j: int, m: float, pot: ShellPotential, chi_grid) -> ScatterSweep:
-    """scatter_point over a strictly increasing grid of positive rapidities.
+    """Amplitude, S matrix, cross section and phase over a strictly
+    increasing grid of positive rapidities.
 
-    The grid is evaluated at once: the real array kernel (_partial_re_array,
-    the core of green_partial_real) fills the shell system with arrays over
-    chi, and every observable is a numpy column.  Every
-    per-point check of scatter_point is kept, and the first failing
-    rapidity decides the outcome as a point-by-point loop would: a non-finite
-    chi, an overflowing K_j or a non-finite chi m 2a_N (DomainError), a pole
-    (PoleError) or a non-finite S (AccuracyError).  The values equal
-    scatter_point's up to rounding (numpy's sin and tanh may differ from
-    math's in the last place).
+    The grid is evaluated at once: _real_system fills the shell system with
+    arrays over chi, and every observable is a numpy column.  The first
+    failing rapidity decides the outcome as a point-by-point loop would: a
+    non-finite chi, an overflowing K_j or a non-finite chi m 2a_N
+    (DomainError), an overflowing 2 / K_j (ThresholdError), a pole
+    (PoleError) or a non-finite S (AccuracyError).
+    S is formed as 1 + 2 i q f and compared with conj(D)/D.  Both come from
+    the same D = det A + i c, so they agree by construction and the
+    comparison only rejects non-finite values.  It does not guard accuracy:
+    digits the kernel loses before D is formed, e.g. to cancellation at
+    small m a, are lost from both routes alike.
 
     Phases are unwrapped along the grid: each principal value is shifted by
     the multiple of pi that brings it nearest its predecessor, so the
@@ -389,38 +401,25 @@ def sweep(j: int, m: float, pot: ShellPotential, chi_grid) -> ScatterSweep:
     if not (math.isfinite(m) and m > 0):
         raise DomainError(f"mass must be finite and positive, got {m!r}")
     chi = np.array(grid)
-    reach = 2.0 * pot.shells[-1][1]
-    kj, sech_den = _real_factors(v, m, chi)
+    # squeezed, a one-point grid runs on numpy scalars, which cost less
+    det, c, _, scale, n, refuse = _real_system(v, m, chi.squeeze(), pot)
     with np.errstate(all="ignore"):
-        # n is the first non-finite chi, overflowing K_j or non-finite
-        # chi m 2a_N (delta_system's refusals); a failure before it decides
-        # first, and the values from n on are computed but never read
-        stop = ~(np.isfinite(chi) & np.isfinite(kj) & np.isfinite(chi * (m * reach)))
-        n = int(np.argmax(stop)) if stop.any() else len(grid)
-        a = _shell_matrix(pot, partial(_partial_re_array, v, m, chi, kj, sech_den))
-        s = [np.sin(chi * m * r) for r in pot.radii]
-        det, c, _, scale = _k_parts(a, s, 2.0 / kj, pot)
         delta = np.empty(len(grid), dtype=complex)
         delta.real, delta.imag = det, c
         q = m * np.sinh(chi)
         f = -c / (q * delta)
         s_mat = 1.0 + 2j * q * f
         err = np.abs(s_mat - delta.conj() / delta)
-        pole = np.hypot(det, c) < _POLE_EPS * scale
+        pole = np.hypot(delta.real, delta.imag) < _POLE_EPS * scale
+    # a pole or S failure before the first refused rapidity n decides first
     bad = (pole | ~(err <= 1e-12))[:n]
     if bad.any():
         k = int(np.argmax(bad))
         if pole[k]:
             raise _pole_error("chi", float(chi[k]), abs(complex(delta[k])))
         raise _s_route_error(float(chi[k]), float(err[k]))
-    if n < len(grid):
-        if not math.isfinite(grid[n]):
-            raise DomainError(f"chi must be finite, got {grid[n]!r}")
-        if math.isfinite(kj[n]):
-            _check_reach(grid[n], m, pot.shells[-1][1], pot.shells[-1][1])
-        raise DomainError(
-            f"rapidity too large: K_{v.j} overflows at chi = {grid[n]!r}, m = {m!r}"
-        )
+    if refuse is not None:
+        refuse()
     phase = (np.angle(s_mat) / 2.0).tolist()
     for i in range(1, n):
         phase[i] += math.pi * round((phase[i - 1] - phase[i]) / math.pi)
@@ -448,12 +447,15 @@ def _zero_condition_raw(
     plane scans whose windows may touch a2 = a1 exactly.  Overflowing
     strengths give a non-finite value, not a warning.
     """
+    chi, a2 = np.broadcast_arrays(chi, a2)
+    a1s = np.full(a2.shape, a1)
+    # one kernel call over (r, r') = (a1, a1), (a2, a2), (a1, a2): in this
+    # order a reach refusal names the first pair out of reach
+    g11, g22, g12 = green_partial_real(j, m, chi, np.stack([a1s, a2, a1s]),
+                                       np.stack([a1s, a2, a2]))
     with np.errstate(all="ignore"):
         s1 = np.sin(chi * m * a1)
         s2 = np.sin(chi * m * a2)
-        g11 = green_partial_real(j, m, chi, a1, a1)
-        g22 = green_partial_real(j, m, chi, a2, a2)
-        g12 = green_partial_real(j, m, chi, a1, a2)
         return (
             v1 * s1 * s1
             + v2 * s2 * s2

@@ -7,9 +7,9 @@ deviation seen.  All draws are seeded, all grids fixed: repeated runs give
 identical results.
 
 `run_verification` executes the selected groups in registry order.  The
-smatrix and phase groups read the same reference sweeps, built once per
-process.  The test suite shows that a group can fail by patching one route
-of its comparison; no run-time option perturbs a route.
+unitarity, smatrix and phase groups read the same reference sweeps, built
+once per process.  The test suite shows that a group can fail by patching
+one route of its comparison; no run-time option perturbs a route.
 """
 
 from __future__ import annotations
@@ -137,26 +137,26 @@ def check_two_path() -> GroupResult:
                    "kernel-built f vs expanded closed forms, relative")
 
 
+def _unitarity_defect(q, f):
+    """|Im f - q |f|^2| / (1 + |f|^2), for numbers or numpy arrays."""
+    return abs(f.imag - q * abs(f) ** 2) / (1.0 + abs(f) ** 2)
+
+
 def check_unitarity() -> GroupResult:
     """|Im f - q |f|^2| on random points and on both sweep grids."""
     rng = np.random.default_rng(_SEED + 1)
     worst = 0.0
     n = 0
-
-    def defect(j: int, kin: Kinematics, pot: ShellPotential) -> float:
-        f = amplitude(j, kin, pot)
-        return abs(f.imag - kin.q * abs(f) ** 2) / (1.0 + abs(f) ** 2)
-
     for _ in range(200):
         j = int(rng.integers(1, 5))
         kin = Kinematics(float(rng.uniform(0.2, 3.0)), float(rng.uniform(0.05, 4.0)))
-        worst = max(worst, defect(j, kin, _random_potential(rng)))
+        f = amplitude(j, kin, _random_potential(rng))
+        worst = max(worst, _unitarity_defect(kin.q, f))
         n += 1
-    for pot in (_single_pot(), _double_pot()):
-        for j in ALL_VARIANTS:
-            for chi in _chi_grid():
-                worst = max(worst, defect(j, Kinematics(1.0, chi), pot))
-                n += 1
+    # the single- and double-shell sweeps over the 800-point grid
+    for sw, _ in _reference_sweeps()[:2 * len(ALL_VARIANTS)]:
+        worst = max(worst, float(_unitarity_defect(sw.q, sw.f).max()))
+        n += len(sw.f)
     return _result("unitarity", worst, _UNITARITY_TOL, n,
                    "optical-theorem defect, normalized by 1 + |f|^2")
 
@@ -261,12 +261,11 @@ def check_rt_zeros() -> GroupResult:
     """Transparency: |f| at chi = pi n / (m a) for n = 1..10, every variant."""
     worst = 0.0
     n = 0
-    pot = _single_pot()
+    chis = [math.pi * k / 5.0 for k in range(1, 11)]
     for j in ALL_VARIANTS:
-        for k in range(1, 11):
-            kin = Kinematics(1.0, math.pi * k / 5.0)
-            worst = max(worst, abs(amplitude(j, kin, pot)))
-            n += 1
+        f = sweep(j, 1.0, _single_pot(), chis).f
+        worst = max(worst, float(np.abs(f).max()))
+        n += len(f)
     return _result("rt_zeros", worst, _RT_TOL, n,
                    "|f| at the shared transparency rapidities, m=1 a=5 V0=2")
 

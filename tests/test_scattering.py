@@ -15,8 +15,10 @@ from qpshell.errors import (
     UnsupportedFormError,
 )
 from qpshell import scattering
+from qpshell.boundstates import bound_wavefunction, v0_of_w
 from qpshell.greens import green_partial
-from qpshell.kinematics import ALL_VARIANTS, Kinematics, k_factor
+from qpshell.kinematics import ALL_VARIANTS, BoundEnergy, Kinematics, k_factor
+from qpshell.nonrel import nr_wavefunction
 from qpshell.scattering import (
     ShellPotential,
     amplitude,
@@ -202,22 +204,32 @@ SWEEP_POTENTIALS = (
 
 @pytest.mark.parametrize("pot", SWEEP_POTENTIALS)
 def test_sweep_matches_scatter_point(pot):
-    # the array sweep against the scalar reference, point by point; every
+    # the array sweep against numpy's LU det D of 1 - G V with the scalar
+    # complex kernels, point by point: q f = -Im D / D and S = conj(D) / D.
+    # scatter_point is a one-point sweep and must give its row.  Every
     # diagonal kernel entry (r = r') takes the series branch
     chis = [0.05 + 3.95 * i / 199 for i in range(200)]
+    radii, strengths = pot.radii, np.array(pot.strengths)
     for m in (0.7, 1.6):
         for j in ALL_VARIANTS:
             sw = sweep(j, m, pot, chis)
             assert sw.j == j and sw.chi.tolist() == chis
             for k, chi in enumerate(chis):
-                sp = scatter_point(j, Kinematics(m, chi), pot)
-                assert abs(sw.q[k] - sp.q) <= 1e-15 * sp.q
-                assert abs(sw.q[k] * sw.f[k] - sp.q * sp.f) <= 1e-12
-                assert abs(sw.s_matrix[k] - sp.s_matrix) <= 1e-12
-                turn = sw.phase[k] - sp.phase     # unwrapping adds multiples of pi
+                kin = Kinematics(m, chi)
+                g = np.array([[green_partial(j, kin, r, rp) for rp in radii] for r in radii])
+                d_ref = np.linalg.det(np.eye(len(radii)) - g * strengths)
+                s_ref = d_ref.conjugate() / d_ref
+                assert abs(sw.q[k] - kin.q) <= 1e-15 * kin.q
+                assert abs(sw.q[k] * sw.f[k] + d_ref.imag / d_ref) <= 1e-12
+                assert abs(sw.s_matrix[k] - s_ref) <= 1e-12
+                turn = sw.phase[k] - cmath.phase(s_ref) / 2.0  # unwrapping adds pi n
                 assert abs(turn - math.pi * round(turn / math.pi)) <= 1e-12
                 assert math.isclose(sw.sigma0[k], 4.0 * math.pi * abs(sw.f[k]) ** 2,
                                     rel_tol=1e-15)
+                if k % 50 == 0:
+                    sp = scatter_point(j, kin, pot)
+                    assert abs(sp.q * sp.f - sw.q[k] * sw.f[k]) <= 1e-14
+                    assert abs(sp.s_matrix - sw.s_matrix[k]) <= 1e-14
 
 
 def test_sweep_columns_are_read_only():
@@ -275,6 +287,19 @@ def test_sweep_refuses_a_non_finite_chi_m_r_as_scatter_point_does(j, m, a, grid,
     assert _scalar_outcome(j, m, pot, grid) == (DomainError, bad)
 
 
+@pytest.mark.parametrize("j, m, chi", [
+    (4, 1e-300, 1e-300),   # K_4 = 2 m sinh(chi) underflows to 0
+    (3, 1e-300, 1e-10),    # K_3 = 2e-310 is subnormal, and 2 / K_3 overflows
+])
+def test_flux_factor_underflow_is_a_threshold_refusal(j, m, chi):
+    pot = ShellPotential.single(2.0, 5.0)
+    kin = Kinematics(m, chi)
+    for call in (lambda: sweep(j, m, pot, [chi, 1.0]), lambda: scatter_point(j, kin, pot),
+                 lambda: amplitude(j, kin, pot), lambda: delta_system(j, kin, pot)):
+        with pytest.raises(ThresholdError, match=rf"^2 / K_{j} overflows at chi = {chi!r}, "):
+            call()
+
+
 @pytest.mark.parametrize("m, grid, error", [
     (math.nan, [0.5, 1.0], DomainError),
     (-1.0, [0.5, 1.0], DomainError),
@@ -300,11 +325,9 @@ def test_sweep_born_underflow_is_finite():
 
 
 def _force_kernel(monkeypatch, forced):
-    """Both real kernels give Re G = forced[chi] at the rapidities in forced."""
-    scalar, array = scattering._partial_re, scattering._partial_re_array
-
-    def forced_scalar(j, m, chi, kj, r, rp):
-        return forced[chi] if chi in forced else scalar(j, m, chi, kj, r, rp)
+    """The real system's kernel gives Re G = forced[chi] at the rapidities in
+    forced."""
+    array = scattering._partial_re_array
 
     def forced_array(j, m, chi, kj, sech_den, r, rp):
         g = array(j, m, chi, kj, sech_den, r, rp)
@@ -312,7 +335,6 @@ def _force_kernel(monkeypatch, forced):
             g = np.where(chi == chi_at, value, g)
         return g
 
-    monkeypatch.setattr(scattering, "_partial_re", forced_scalar)
     monkeypatch.setattr(scattering, "_partial_re_array", forced_array)
 
 
@@ -383,6 +405,31 @@ def test_wavefunction_far_field():
         r = 25.0
         expected = math.sin(kin.chi * kin.m * r) + kin.q * f * cmath.exp(1j * kin.chi * kin.m * r)
         assert abs(wavefunction(j, kin, pot, r) - expected) < 1e-12
+
+
+def _bound_psi(r):
+    pot = ShellPotential.single(v0_of_w(1, BoundEnergy(1.0, 0.6), 1.0), 1.0)
+    return bound_wavefunction(1, 1.0, 0.6, pot)[0](r)
+
+
+_WAVES = {
+    "scattering": lambda r: wavefunction(1, Kinematics(1.0, 0.8),
+                                         ShellPotential.double(1.0, 3.0, -1.0, 4.0), r),
+    "nonrel": lambda r: nr_wavefunction(0.8, ShellPotential.double(1.0, 3.0, -1.0, 4.0), r),
+    "bound": _bound_psi,
+}
+
+
+@pytest.mark.parametrize("r, message", [
+    (math.nan, "r must be finite, got nan"),
+    (math.inf, "r must be finite, got inf"),
+    (-math.inf, "r must be non-negative, got -inf"),
+])
+@pytest.mark.parametrize("wave", sorted(_WAVES))
+def test_wavefunctions_refuse_a_non_finite_radius(wave, r, message):
+    with pytest.raises(DomainError) as exc:
+        _WAVES[wave](r)
+    assert str(exc.value) == message
 
 
 def test_zero_condition_routes_agree():
