@@ -36,13 +36,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, SingularPointError
-from .greens import (
-    _hyperbolic_ratio,
-    _partial_bound,
-    _sech,
-    green_partial_bound,
-    green_partial_bound_array,
-)
+from .greens import _partial_bound, _sech, green_partial_bound, green_partial_bound_array
 from .kinematics import (
     BOUND_W_HI,
     BOUND_W_LO,
@@ -55,6 +49,11 @@ from .kinematics import (
 )
 from .numerics import find_roots_scan, integrate_semi_infinite
 from .scattering import ShellPotential, _adj_apply, _det, _shell_matrix
+
+# A quantization point must close det A to this residual, and the
+# normalization integral of a bound wave function converge to this tolerance.
+_RESIDUAL_TOL = 1e-8
+_NORM_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -95,6 +94,30 @@ def v0_of_w(j: int, be: BoundEnergy, a: float) -> float:
     if g == 0.0 or not math.isfinite(g):
         raise SingularPointError(f"kernel diagonal vanishes at w = {be.w!r}")
     return 1.0 / g
+
+
+# Above this exponent _hyperbolic_ratio switches to exponential form.
+_EXP_SWITCH = 30.0
+
+
+def _hyperbolic_ratio(kind: str, alpha: float, beta: float, x: float) -> float:
+    """sinh(alpha x)/sinh(beta x) or cosh(alpha x)/cosh(beta x), x >= 0.
+
+    Requires 0 < alpha <= beta; evaluated via scaled exponentials once
+    beta x is large enough that direct sinh/cosh would lose range.
+    """
+    if x == 0.0:
+        return alpha / beta if kind == "sinh" else 1.0
+    if beta * x > _EXP_SWITCH:
+        lead = math.exp((alpha - beta) * x)
+        ea = math.exp(-2.0 * alpha * x)
+        eb = math.exp(-2.0 * beta * x)
+        if kind == "sinh":
+            return lead * (1.0 - ea) / (1.0 - eb)
+        return lead * (1.0 + ea) / (1.0 + eb)
+    if kind == "sinh":
+        return math.sinh(alpha * x) / math.sinh(beta * x)
+    return math.cosh(alpha * x) / math.cosh(beta * x)
 
 
 def v0_of_w_explicit(j: int, be: BoundEnergy, a: float) -> float:
@@ -240,21 +263,15 @@ def v1_pm_of_w(j: int, be: BoundEnergy, a1: float, a2: float, alpha: float):
     return V1Roots(plus=float(plus), minus=float(minus), degenerate=bool(degenerate))
 
 
-def bound_wavefunction(
-    j: int,
-    m: float,
-    w: float,
-    pot: ShellPotential,
-    residual_tol: float = 1e-8,
-    norm_tol: float = 1e-10,
-) -> tuple[Callable[[float], float], BoundLevel]:
+def bound_wavefunction(j: int, m: float, w: float,
+                       pot: ShellPotential) -> tuple[Callable[[float], float], BoundLevel]:
     """Normalized bound wave function at a quantization point (m, w, pot).
 
     Returns (psi, level).  psi is a plain callable; level records the
     quantization residual |det|, psi evaluated at the shells and the
     normalization constant applied to the kernel superposition.  A residual
-    above residual_tol means (m, w, pot) is not on the quantization surface
-    and is rejected; the normalization integral must converge to norm_tol.
+    above _RESIDUAL_TOL means (m, w, pot) is not on the quantization surface
+    and is rejected; the normalization integral must converge to _NORM_TOL.
     """
     v = _variant(j)
     be = BoundEnergy(m, w)
@@ -262,10 +279,10 @@ def bound_wavefunction(
     kernel = _kernel(v, be)
     mat = _shell_matrix(pot, kernel)
     residual = abs(_det(mat))
-    if residual > residual_tol:
+    if residual > _RESIDUAL_TOL:
         raise DomainError(
             f"(m, w) = ({m}, {w}) is not a quantization point of this "
-            f"potential: |det| = {residual:.3e} > {residual_tol:.1e}"
+            f"potential: |det| = {residual:.3e} > {_RESIDUAL_TOL:.1e}"
         )
     # A adj(A) = det(A) = 0: every adjugate column is a null vector of A;
     # the largest is the best conditioned.
@@ -287,7 +304,7 @@ def bound_wavefunction(
     sign = -1.0 if anchor < 0 else 1.0
 
     decay = 2.0 * w * m  # psi ~ exp(-w m r) far out
-    norm_sq = integrate_semi_infinite(lambda r: psi_hat(r) ** 2, 0.0, decay, norm_tol)
+    norm_sq = integrate_semi_infinite(lambda r: psi_hat(r) ** 2, 0.0, decay, _NORM_TOL)
     if norm_sq.value <= 0:
         raise SingularPointError(f"normalization integral degenerate at w = {w!r}")
     n_const = sign / math.sqrt(norm_sq.value)

@@ -10,11 +10,12 @@ the scattering branch:
     j=4:  [coth(pi m r)     sin(chi m r) - i cos(chi m r)] / K_4
 
 with K_1 = K_2 = m sinh(2 chi) and K_3 = K_4 = 2 m sinh(chi).  All kernels
-are even in r and have removable singularities at r = 0, handled here by a
-series branch so that evaluation is smooth through the origin.  What tells
-the variants apart (the hyperbolic rate, the ratio form, K_j and the j = 2
-sech term) is one row of the variant table in `kinematics`, which every
-kernel here reads; the spectral oracle keeps its own per-variant weights.
+are even in r, and each is evaluated in one closed form (see _line_re and
+_line_bound); a quotient that is 0/0 or subnormal takes its r = 0 limit.
+What tells the variants apart (the hyperbolic rate, the ratio form, K_j and
+the j = 2 sech term) is one row of the variant table in `kinematics`, which
+every kernel here reads; the spectral oracle keeps its own per-variant
+weights.
 
 The half-line (partial-wave) kernel follows by the method of images,
 G(chi, r, r') = G(chi, r - r') - G(chi, r + r'), which vanishes at r = 0 and
@@ -22,8 +23,8 @@ obeys the unitarity identity Im G_j(chi, a, b) = -2 sin(chi m a) sin(chi m b)
 / K_j.
 
 On the bound branch chi = i w (0 < w < pi/2) the kernels are real, negative
-ratios of hyperbolic functions, evaluated in exponential form for large
-arguments so no overflow occurs.
+ratios of hyperbolic functions, written with e^{-w m r} and expm1 so that
+they neither overflow nor cancel at any r.
 
 green_spectral_oracle recomputes the bound-branch line kernel from its
 rapidity-space spectral integral with adaptive quadrature.  It shares no
@@ -42,6 +43,7 @@ reference the array kernels and the real system are tested against.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -50,36 +52,15 @@ from .kinematics import (BoundEnergy, EquationVariant, Kinematics, _variant, _Va
                          k_factor, k_factor_bound)
 from .numerics import QuadResult, integrate_adaptive
 
-# Below this |m r| the hyperbolic-ratio factor switches to its Taylor series.
-_SMALL_MR = 1e-4
-# Above this exponent the bound-branch ratios switch to exponential form.
-_EXP_SWITCH = 30.0
+# Below this, a kernel argument is subnormal or 0 and a ratio of two such
+# arguments takes its limit: a property of the float format, not a tuning knob.
+_TINY = sys.float_info.min
 
 
 def _sech(x: float) -> float:
     """1 / cosh(x) without overflow for large |x|."""
     e = math.exp(-abs(x))
     return 2.0 * e / (1.0 + e * e)
-
-
-def _ratio_sin_series(v: _Variant, a, b, chi):
-    """Taylor series of c_j(x) sin(chi x) in a = rate x and b = chi x.
-
-    Plain arithmetic, so floats and numpy arrays both work.
-    """
-    a2 = a * a
-    b2 = b * b
-    if v.tanh:
-        # tanh(a) sin(b) = a b (1 - a^2/3 - b^2/6 + 2a^4/15 + a^2 b^2/18 + b^4/120 + ...)
-        return a * b * (
-            1.0 - a2 / 3.0 - b2 / 6.0
-            + 2.0 * a2 * a2 / 15.0 + a2 * b2 / 18.0 + b2 * b2 / 120.0
-        )
-    # coth(a) sin(b) = (b/a) (1 + a^2/3 - b^2/6 - a^4/45 - a^2 b^2/18 + b^4/120 + ...)
-    return (chi / v.rate) * (
-        1.0 + a2 / 3.0 - b2 / 6.0
-        - a2 * a2 / 45.0 - a2 * b2 / 18.0 + b2 * b2 / 120.0
-    )
 
 
 def green_line(j: int, kin: Kinematics, r: float) -> complex:
@@ -110,17 +91,17 @@ def _line_re(v: _Variant, m: float, chi: float, kj: float, x: float) -> float:
     """Re G_j(chi, r) at x = m r, with the flux factor kj = K_j given.
 
     c_j(x) sin(chi x) / K_j (plus the sech term for j = 2), where c_1 =
-    coth(pi x / 2), c_2 = c_4 = coth(pi x) and c_3 = tanh(pi x / 2).  The
-    product is even in x with a removable singularity (j != 3) or a double
-    zero (j = 3) at x = 0; a joint Taylor expansion in the two proportional
-    arguments covers |x| < _SMALL_MR.
+    coth(pi x / 2), c_2 = c_4 = coth(pi x) and c_3 = tanh(pi x / 2): with
+    a = rate x and b = chi x, tanh(a) sin(b) for j = 3 and sin(b) / tanh(a)
+    otherwise.  The quotient takes its x -> 0 limit chi / rate where a or b
+    is below _TINY, where it is 0/0 or subnormal.
     """
     a = v.rate * x
     b = chi * x
-    if abs(x) < _SMALL_MR:
-        g = _ratio_sin_series(v, a, b, chi)
-    elif v.tanh:
+    if v.tanh:
         g = math.tanh(a) * math.sin(b)
+    elif abs(a) < _TINY or abs(b) < _TINY:
+        g = chi / v.rate
     else:
         g = math.sin(b) / math.tanh(a)
     g /= kj
@@ -133,10 +114,10 @@ def _real_factors(v: _Variant, m: float,
                   chi: np.ndarray) -> tuple[np.ndarray, np.ndarray | float]:
     """K_j as k_factor computes it and the j = 2 sech denominator
     4 m cosh(chi) (1.0 for the other variants) over an array of rapidities;
-    inf where they overflow, for the caller to judge."""
-    with np.errstate(over="ignore"):
-        kj = v.k_scale * m * np.sinh(v.k_rate * chi)
-        sech_den = 4.0 * m * np.cosh(chi) if v.sech else 1.0
+    inf where they overflow, for the caller to judge.  Call it where
+    overflow warnings are off."""
+    kj = v.k_scale * m * np.sinh(v.k_rate * chi)
+    sech_den = 4.0 * m * np.cosh(chi) if v.sech else 1.0
     return kj, sech_den
 
 
@@ -160,13 +141,14 @@ def green_partial_real(j: int, m: float, chi, r, rp) -> np.ndarray:
     chi = np.asarray(chi, dtype=float)
     if (chi == 0.0).any():
         raise ThresholdError("line kernel undefined at chi = 0 (elastic threshold)")
-    kj, sech_den = _real_factors(v, m, chi)
-    if not (np.isfinite(kj).all() and np.isfinite(sech_den).all()):
-        raise DomainError(
-            f"rapidity too large: K_{v.j} or cosh(chi) overflows "
-            f"for chi up to {float(chi.max())!r} at m = {m!r}"
-        )
-    g = _partial_re_array(v, m, chi, kj, sech_den, r, rp)
+    with np.errstate(all="ignore"):
+        kj, sech_den = _real_factors(v, m, chi)
+        if not (np.isfinite(kj).all() and np.isfinite(sech_den).all()):
+            raise DomainError(
+                f"rapidity too large: K_{v.j} or cosh(chi) overflows "
+                f"for chi up to {float(chi.max())!r} at m = {m!r}"
+            )
+        g = _partial_re_array(v, m, chi, kj, sech_den, r, rp)
     # With K_j finite, a NaN can only be sin of a non-finite chi m (r + r')
     bad = np.isnan(g)
     if bad.any():
@@ -179,8 +161,10 @@ def green_partial_real(j: int, m: float, chi, r, rp) -> np.ndarray:
 def _partial_re_array(v: _Variant, m: float, chi: np.ndarray, kj: np.ndarray,
                       sech_den, r, rp) -> np.ndarray:
     """Re G_j(chi, r, r') by images over arrays, with _real_factors given and
-    no checks; the kernel of the real shell system.  As in _line_re, a j = 2
-    sech term whose 4 m cosh(chi) overflows is 0."""
+    no checks; the kernel of the real shell system.  The line kernel is
+    _line_re's, element by element, and as there a j = 2 sech term whose
+    4 m cosh(chi) overflows is 0.  Call it where floating-point warnings are
+    off: the quotient is 0/0 where its limit replaces it."""
 
     def line(x):
         a = v.rate * x
@@ -188,37 +172,14 @@ def _partial_re_array(v: _Variant, m: float, chi: np.ndarray, kj: np.ndarray,
         if v.tanh:
             g = np.tanh(a) * np.sin(b)
         else:
-            g = np.sin(b) / np.tanh(a)
-        small = np.abs(x) < _SMALL_MR
-        if small.any():
-            g = np.where(small, _ratio_sin_series(v, a, b, chi), g)
+            g = np.where((np.abs(a) < _TINY) | (np.abs(b) < _TINY), chi / v.rate,
+                         np.sin(b) / np.tanh(a))
         g = g / kj
         if v.sech:
             g = g + 1.0 / np.cosh(math.pi * x / 2) / sech_den
         return g
 
-    with np.errstate(all="ignore"):
-        return line(m * (r - rp)) - line(m * (r + rp))
-
-
-def _hyperbolic_ratio(kind: str, alpha: float, beta: float, x: float) -> float:
-    """sinh(alpha x)/sinh(beta x) or cosh(alpha x)/cosh(beta x), x >= 0.
-
-    Requires 0 < alpha <= beta; evaluated via scaled exponentials once
-    beta x is large enough that direct sinh/cosh would lose range.
-    """
-    if x == 0.0:
-        return alpha / beta if kind == "sinh" else 1.0
-    if beta * x > _EXP_SWITCH:
-        lead = math.exp((alpha - beta) * x)
-        ea = math.exp(-2.0 * alpha * x)
-        eb = math.exp(-2.0 * beta * x)
-        if kind == "sinh":
-            return lead * (1.0 - ea) / (1.0 - eb)
-        return lead * (1.0 + ea) / (1.0 + eb)
-    if kind == "sinh":
-        return math.sinh(alpha * x) / math.sinh(beta * x)
-    return math.cosh(alpha * x) / math.cosh(beta * x)
+    return line(m * (r - rp)) - line(m * (r + rp))
 
 
 def green_line_bound(j: int, be: BoundEnergy, r: float) -> float:
@@ -239,8 +200,24 @@ def green_line_bound(j: int, be: BoundEnergy, r: float) -> float:
 
 
 def _line_bound(v: _Variant, m: float, w: float, kb: float, x: float) -> float:
-    """G_j(i w, r) at x = m r, with kb = K_j(i w) / i given."""
-    ratio = _hyperbolic_ratio("cosh" if v.tanh else "sinh", v.rate - w, v.rate, abs(x))
+    """G_j(i w, r) at x = m r, with kb = K_j(i w) / i given.
+
+    With beta = rate and alpha = beta - w, the ratio cosh(alpha x) /
+    cosh(beta x) (j = 3) is e^{-w x} (1 + e^{-2 alpha x}) / (1 + e^{-2 beta
+    x}), and sinh(alpha x) / sinh(beta x) is e^{-w x} expm1(-2 alpha x) /
+    expm1(-2 beta x), which takes its limit alpha / beta where alpha x is
+    below _TINY, where it is 0/0 or subnormal.
+    """
+    x = abs(x)
+    beta = v.rate
+    alpha = beta - w
+    if v.tanh:
+        ratio = math.exp(-w * x) * (1.0 + math.exp(-2.0 * alpha * x)) / (
+            1.0 + math.exp(-2.0 * beta * x))
+    elif alpha * x < _TINY:
+        ratio = alpha / beta
+    else:
+        ratio = math.exp(-w * x) * math.expm1(-2.0 * alpha * x) / math.expm1(-2.0 * beta * x)
     g = -ratio / kb
     if v.sech:
         g += _sech(math.pi * x / 2) / (4.0 * m * math.cos(w))
@@ -273,12 +250,11 @@ def green_partial_bound_array(j: int, m: float, w, r, rp) -> np.ndarray:
 
     w, r and r' broadcast against each other; m is a scalar.  The values are
     those of green_partial_bound(j, BoundEnergy(m, w), r, rp) up to rounding
-    (numpy's exp, sinh and cosh may differ from math's in the last place):
-    the variant constants and K_j(i w) are computed once per call, and each
-    element takes the exponential form by the scalar kernel's rule (beta x
-    above _EXP_SWITCH) and its x = 0 limit where x = 0.  m must be finite
-    and positive, every w inside (0, pi/2), and r, r' finite and
-    non-negative; otherwise DomainError.
+    (numpy's exp and expm1 may differ from math's in the last place): the
+    variant constants and K_j(i w) are computed once per call, and each
+    element takes _line_bound's form.  m must be finite and positive, every
+    w inside (0, pi/2), and r, r' finite and non-negative; otherwise
+    DomainError.
     """
     v = _variant(j)
     m = float(m)
@@ -297,22 +273,15 @@ def green_partial_bound_array(j: int, m: float, w, r, rp) -> np.ndarray:
     sech_den = 4.0 * m * np.cos(w) if v.sech else None
 
     def line(x):
-        # both forms everywhere, then picked per element; the form not taken
-        # may overflow or divide 0 by 0, hence the errstate
         x = np.abs(x)
-        lead = np.exp((alpha - beta) * x)
-        ea = np.exp(-2.0 * alpha * x)
-        eb = np.exp(-2.0 * beta * x)
         if v.tanh:
-            scaled = lead * (1.0 + ea) / (1.0 + eb)
-            direct = np.cosh(alpha * x) / np.cosh(beta * x)
-            at_zero = 1.0
+            ratio = np.exp(-w * x) * (1.0 + np.exp(-2.0 * alpha * x)) / (
+                1.0 + np.exp(-2.0 * beta * x))
         else:
-            scaled = lead * (1.0 - ea) / (1.0 - eb)
-            direct = np.sinh(alpha * x) / np.sinh(beta * x)
-            at_zero = alpha / beta
-        ratio = np.where(x == 0.0, at_zero,
-                         np.where(beta * x > _EXP_SWITCH, scaled, direct))
+            # 0/0 where alpha x is 0, hence the errstate
+            ratio = np.where(alpha * x < _TINY, alpha / beta,
+                             np.exp(-w * x) * np.expm1(-2.0 * alpha * x)
+                             / np.expm1(-2.0 * beta * x))
         g = -ratio / kb
         if sech_den is not None:
             e = np.exp(-(math.pi * x / 2))

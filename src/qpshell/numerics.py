@@ -48,6 +48,8 @@ _WG = (
 
 _MAX_DEPTH = 60
 _MAX_BISECT = 200
+# find_roots_scan bisects each bracket down to this width.
+_TOL_X = 1e-12
 
 
 @dataclass(frozen=True)
@@ -227,17 +229,16 @@ def find_roots_scan(
     lo: float,
     hi: float,
     n_scan: int = 2000,
-    tol_x: float = 1e-12,
     f_grid: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> list[BracketRoot]:
     """Locate roots of a real function by grid scan plus bisection.
 
     Every sign change between adjacent grid points is bisected down to a
-    bracket of width tol_x.  Brackets in which |f| grows instead of shrinking
+    bracket of width _TOL_X.  Brackets in which |f| grows instead of shrinking
     (sign-change poles, e.g. tan-like behaviour) are discarded: the refined
     midpoint must not exceed ten times the larger of the smaller endpoint
     magnitude of the original bracket and its slope scale
-    |f(b) - f(a)| tol_x / (b - a), the residual a simple root leaves after
+    |f(b) - f(a)| _TOL_X / (b - a), the residual a simple root leaves after
     bisection, so a root next to a grid point is kept.  Exact zeros at grid
     points are reported directly.
     Returns roots sorted in increasing x.  Roots closer together than the
@@ -257,8 +258,6 @@ def find_roots_scan(
         raise DomainError(f"scan interval must satisfy lo < hi, got [{lo}, {hi}]")
     if n_scan < 2:
         raise DomainError(f"n_scan must be at least 2, got {n_scan}")
-    if not math.isfinite(tol_x) or tol_x <= 0:
-        raise DomainError(f"tol_x must be positive, got {tol_x}")
 
     step = (hi - lo) / n_scan
     xs = [lo + i * step for i in range(n_scan)] + [hi]
@@ -277,11 +276,11 @@ def find_roots_scan(
             continue
         # a simple root leaves a residual up to its slope times half the
         # final bracket; the grid value next to it may be far smaller
-        floor_mag = max(min(abs(fa), abs(fb)), abs(fb - fa) * tol_x / step)
+        floor_mag = max(min(abs(fa), abs(fb)), abs(fb - fa) * _TOL_X / step)
         a, b = xs[i], xs[i + 1]
         va = fa
         for _ in range(_MAX_BISECT):
-            if (b - a) <= tol_x:
+            if (b - a) <= _TOL_X:
                 break
             mid = 0.5 * (a + b)
             vm = f(mid)

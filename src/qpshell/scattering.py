@@ -210,8 +210,8 @@ def _real_system(v: _Variant, m: float, chi: np.ndarray, pot: ShellPotential):
     is none.  The values from n on must not be read.
     """
     a_n = pot.shells[-1][1]
-    kj, sech_den = _real_factors(v, m, chi)
     with np.errstate(all="ignore"):
+        kj, sech_den = _real_factors(v, m, chi)
         kappa = 2.0 / kj
         stop = ~(np.isfinite(chi) & np.isfinite(kj) & np.isfinite(kappa)
                  & np.isfinite(chi * (m * (a_n + a_n))))
@@ -378,7 +378,8 @@ def sweep(j: int, m: float, pot: ShellPotential, chi_grid) -> ScatterSweep:
     failing rapidity decides the outcome as a point-by-point loop would: a
     non-finite chi, an overflowing K_j or a non-finite chi m 2a_N
     (DomainError), an overflowing 2 / K_j (ThresholdError), a pole
-    (PoleError) or a non-finite S (AccuracyError).
+    (PoleError), a non-finite S (AccuracyError) or an overflowing cross
+    section 4 pi |f|^2 (DomainError).
     S is formed as 1 + 2 i q f and compared with conj(D)/D.  Both come from
     the same D = det A + i c, so they agree by construction and the
     comparison only rejects non-finite values.  It does not guard accuracy:
@@ -411,20 +412,24 @@ def sweep(j: int, m: float, pot: ShellPotential, chi_grid) -> ScatterSweep:
         s_mat = 1.0 + 2j * q * f
         err = np.abs(s_mat - delta.conj() / delta)
         pole = np.hypot(delta.real, delta.imag) < _POLE_EPS * scale
-    # a pole or S failure before the first refused rapidity n decides first
-    bad = (pole | ~(err <= 1e-12))[:n]
+        sigma0 = 4.0 * math.pi * np.hypot(f.real, f.imag) ** 2
+    # a pole, S or sigma0 failure before the first refused rapidity n decides first
+    s_bad = ~(err <= 1e-12)
+    bad = (pole | s_bad | ~np.isfinite(sigma0))[:n]
     if bad.any():
         k = int(np.argmax(bad))
         if pole[k]:
             raise _pole_error("chi", float(chi[k]), abs(complex(delta[k])))
-        raise _s_route_error(float(chi[k]), float(err[k]))
+        if s_bad[k]:
+            raise _s_route_error(float(chi[k]), float(err[k]))
+        raise DomainError(f"cross section 4 pi |f|^2 overflows at chi = {float(chi[k])!r}: "
+                          f"|f| = {abs(complex(f[k])):.3e}")
     if refuse is not None:
         refuse()
     phase = (np.angle(s_mat) / 2.0).tolist()
     for i in range(1, n):
         phase[i] += math.pi * round((phase[i - 1] - phase[i]) / math.pi)
-    return ScatterSweep(v.j, chi, q, f, s_mat,
-                        4.0 * math.pi * np.hypot(f.real, f.imag) ** 2, np.array(phase))
+    return ScatterSweep(v.j, chi, q, f, s_mat, sigma0, np.array(phase))
 
 
 def single_shell_zero_rapidities(m: float, a: float, chi_max: float) -> list[float]:

@@ -251,6 +251,15 @@ def test_non_finite_chi_m_r_is_a_parameter_error(capsys, argv):
     assert "Traceback" not in err
 
 
+def test_scatter_cross_section_overflow_is_a_parameter_error(capsys):
+    # f = 1e26 + 1e163 i is finite, 4 pi |f|^2 is not
+    code, out, err = run(capsys, *"scatter --j 1 --m 1e-160 --v0=-1e300 --a 1 "
+                                  "--chi 0.001:1:2".split())
+    assert code == 2
+    assert out == ""
+    assert err.startswith("parameter error: cross section 4 pi |f|^2 overflows at chi = 0.001")
+
+
 def test_scatter_large_rapidity_is_finite(capsys):
     # K_3 and q are finite at chi = 400, but q K_3 is not; the amplitude is
     # the Born value, about 1e-346, which underflows to zero

@@ -10,15 +10,15 @@ derived from.
 
 import cmath
 import math
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+from qpshell.boundstates import _EXP_SWITCH, _hyperbolic_ratio
 from qpshell.errors import DomainError, ThresholdError, UnsupportedBranchError
 from qpshell.greens import (
-    _EXP_SWITCH,
-    _hyperbolic_ratio,
     _sech,
     green_line,
     green_line_bound,
@@ -111,14 +111,15 @@ def test_zero_separation_limits():
         got = green_line(j, kin, 0.0)
         ref = reference_line(j, 1.0, 0.7, 0.0)
         assert abs(got - ref) < 1e-15
-    # small-x series joins the x = 0 limit continuously
+    # the closed form joins the x = 0 limit continuously
     for j in ALL_VARIANTS:
         step = abs(green_line(j, kin, 1e-12) - green_line(j, kin, 0.0))
         assert step < 1e-10
 
 
 def test_series_branch_consistent_with_direct():
-    # the series kicks in below m r = 1e-4; compare just above and below
+    # just below and above m r = 1e-4 the closed form agrees with the
+    # undecomposed reference
     kin = Kinematics(1.0, 1.3)
     for j in ALL_VARIANTS:
         lo = green_line(j, kin, 0.99e-4)
@@ -214,7 +215,7 @@ def test_negative_separation_even():
 
 
 def test_array_kernel_matches_scalar():
-    # r = r', the |m (r - r')| < 1e-4 series branch, moderate and large r;
+    # r = r' (the x = 0 limit), |m (r - r')| = 3.9e-5, moderate and large r;
     # chi is broadcast against r.  Tolerance: a few ulp of the magnitudes of
     # the terms summed.  For j = 2 each line kernel adds a sech term of at
     # most 1/(4 m cosh chi) that may cancel the ratio term, so twice that
@@ -235,6 +236,89 @@ def test_array_kernel_matches_scalar():
                 if j == 2:
                     scale += 1.0 / (m * math.cosh(c))
                 assert abs(value - green_partial(j, kin, a, b).real) <= 4 * eps * scale
+
+
+def _mp_line(j: int, m: float, chi: float, x: float, bound: bool):
+    """The line kernel to 50 digits, and the sum of its terms' magnitudes.
+
+    Re G_j(chi, r) at x = m r, or G_j(i w, r) with chi = w when bound, from
+    the plain hyperbolic functions, with no exponential form.  pi is the
+    double the library uses, so the check measures how the closed forms are
+    evaluated, not the rounding of pi, which moves alpha = pi/2 - w by up to
+    6e-17 (6e-8 of alpha at BOUND_W_HI).
+    """
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        pi = mp.mpf(math.pi)
+        m, chi, x = mp.mpf(m), mp.mpf(chi), abs(mp.mpf(x))
+        rate = pi / 2 if j in (1, 3) else pi
+        if bound:
+            alpha = rate - chi
+            if j == 3:
+                ratio = mp.cosh(alpha * x) / mp.cosh(rate * x)
+            else:
+                ratio = alpha / rate if x == 0 else mp.sinh(alpha * x) / mp.sinh(rate * x)
+            kb = m * mp.sin(2 * chi) if j in (1, 2) else 2 * m * mp.sin(chi)
+            term = -ratio / kb
+            sech = mp.sech(pi * x / 2) / (4 * m * mp.cos(chi))
+        else:
+            if j == 3:
+                c_sin = mp.tanh(rate * x) * mp.sin(chi * x)
+            else:
+                c_sin = chi / rate if x == 0 else mp.sin(chi * x) / mp.tanh(rate * x)
+            kq = m * mp.sinh(2 * chi) if j in (1, 2) else 2 * m * mp.sinh(chi)
+            term = c_sin / kq
+            sech = mp.sech(pi * x / 2) / (4 * m * mp.cosh(chi))
+        if j != 2:
+            sech = mp.mpf(0)
+        return term + sech, abs(term) + abs(sech)
+
+
+def test_real_kernels_match_mpmath_near_the_origin():
+    # both bodies at the x = 0 limit and for |x| = m r from 1e-300 to 1e-3,
+    # where chi x or rate x is subnormal for the smallest x.  Gate: 4 ulp of
+    # the terms summed, plus the smallest normal float over K_j: a value
+    # below the normal range keeps only absolute digits, and dividing by
+    # K_j magnifies them (j = 3 only, whose tanh(a) sin(b) underflows)
+    eps = np.finfo(float).eps
+    xs = np.logspace(-300, -3, 45)
+    for j in ALL_VARIANTS:
+        for chi in np.logspace(-8, math.log10(20.0), 9).tolist():
+            kin = Kinematics(1.0, chi)
+            floor = sys.float_info.min / k_factor(j, kin)
+            ref0, scale0 = _mp_line(j, 1.0, chi, 0.0, bound=False)
+            assert abs(green_line(j, kin, 0.0).real - ref0) <= 4 * eps * scale0 + floor
+            # the array body at r = r' = x / 2 is line(0) - line(x)
+            got = green_partial_real(j, 1.0, chi, xs / 2, xs / 2)
+            for x, g in zip(xs.tolist(), got.tolist()):
+                ref, scale = _mp_line(j, 1.0, chi, x, bound=False)
+                for sign in (1.0, -1.0):
+                    line = green_line(j, kin, sign * x).real
+                    assert abs(line - ref) <= 4 * eps * scale + floor
+                assert abs(g - (ref0 - ref)) <= 4 * eps * (scale0 + scale) + 2 * floor
+
+
+def test_bound_kernels_match_mpmath():
+    # both bodies at x = 0, for beta x from 25 to 35 and at x = 600, from
+    # w = BOUND_W_LO to BOUND_W_HI.  Gate: 4 ulp of the terms summed (at
+    # BOUND_W_HI the two j = 2 terms are O(1 / cos w) and cancel), times
+    # 1 + w x: e^{-w x} is formed from the rounded product w x, and its
+    # relative condition number is w x.  Values below the normal range keep
+    # only absolute digits
+    eps = np.finfo(float).eps
+    tiny = sys.float_info.min
+    for j in ALL_VARIANTS:
+        beta = math.pi / 2 if j in (1, 3) else math.pi
+        xs = np.append(np.linspace(25.0, 35.0, 41) / beta, [0.0, 600.0])
+        for w in (BOUND_W_LO, 0.05, 0.7, 1.5, BOUND_W_HI):
+            ref0, scale0 = _mp_line(j, 1.0, w, 0.0, bound=True)
+            # the array body at r = r' = x / 2 is line(0) - line(x)
+            got = green_partial_bound_array(j, 1.0, w, xs / 2, xs / 2)
+            for x, g in zip(xs.tolist(), got.tolist()):
+                ref, scale = _mp_line(j, 1.0, w, x, bound=True)
+                line = green_line_bound(j, BoundEnergy(1.0, w), x)
+                assert abs(line - ref) <= 4 * eps * (1 + w * x) * scale + tiny
+                assert abs(g - (ref0 - ref)) <= 4 * eps * (1 + w * x) * (scale0 + scale) + tiny
 
 
 def test_array_kernel_guards():
@@ -282,8 +366,9 @@ def bound_term_scale(j: int, m: float, w: float, r: float, rp: float) -> float:
 
 
 # r = r' (x = 0 on the direct line), r = r' = 0, the m r ~ 1 range, both
-# sides of _EXP_SWITCH for beta = pi (x = 9.55) and beta = pi/2 (x = 19.1),
-# and separations where the direct sinh overflows (x = 600)
+# sides of bound_term_scale's _EXP_SWITCH for beta = pi (x = 9.55) and
+# beta = pi/2 (x = 19.1), and separations where a direct sinh would
+# overflow (x = 600)
 _BOUND_PAIRS = [(1.0, 1.0), (0.0, 0.0), (0.0, 0.7), (0.5, 2.3), (4.5, 4.5), (5.0, 5.0),
                 (9.0, 9.0), (10.0, 10.0), (9.0, 10.5), (30.0, 0.2), (300.0, 300.0)]
 
@@ -305,9 +390,8 @@ def _assert_bound_array_matches_scalar(ws: np.ndarray, ulps: float) -> None:
 def test_bound_array_kernel_matches_scalar():
     # gate: a few ulp of the magnitudes of the terms summed (worst seen 2.2).
     # At m = 1 the pairs (4.5, 4.5) / (5, 5) put m (r + r') = 9 / 10 on
-    # either side of the switch for beta = pi, and (9, 9) / (10, 10) put
-    # 18 / 20 on either side of it for beta = pi / 2
-    assert math.pi * 9.0 < _EXP_SWITCH < math.pi * 10.0
+    # either side of bound_term_scale's switch for beta = pi, and (9, 9) /
+    # (10, 10) put 18 / 20 on either side of it for beta = pi / 2
     _assert_bound_array_matches_scalar(np.linspace(1e-6, math.pi / 2 - 1e-6, 97), 4.0)
 
 

@@ -133,8 +133,7 @@ _TAKES_J = {
     "det_bound": lambda j: boundstates.det_bound(j, _BE, _TWO),
     "v2_of_w": lambda j: boundstates.v2_of_w(j, _BE, 1.0, 2.0, -1.0),
     "v1_pm_of_w": lambda j: boundstates.v1_pm_of_w(j, _BE, 1.0, 2.0, 0.5),
-    "bound_wavefunction":
-        lambda j: boundstates.bound_wavefunction(j, 1.0, 0.7, _ONE, residual_tol=10.0),
+    "bound_wavefunction": lambda j: boundstates.bound_wavefunction(j, 1.0, 0.7, _ONE),
     "level_roots": lambda j: boundstates.level_roots(j, 1.0, _ONE, n_scan=50),
     "solve_levels": lambda j: boundstates.solve_levels(j, 1.0, _ONE, n_scan=50),
     "sample_v0_curve": lambda j: boundstates.sample_v0_curve(j, 1.0, 1.0, n=8),

@@ -109,7 +109,7 @@ def test_find_roots_exact_grid_hit():
 
 def test_find_roots_keeps_a_root_next_to_a_grid_point():
     # the grid point 6 * 0.05 = 0.30000000000000004 leaves |f| = 5.6e-17
-    # there, far below the residual bisection to tol_x leaves at the root
+    # there, far below the residual bisection to _TOL_X leaves at the root
     roots = find_roots_scan(lambda x: x - 0.3, 0.0, 1.0, n_scan=20)
     assert len(roots) == 1
     assert abs(roots[0].x - 0.3) < 1e-12

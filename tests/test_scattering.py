@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -361,6 +362,24 @@ def test_sweep_forced_failure_comes_before_a_later_overflow(monkeypatch, forced,
     assert _scalar_outcome(1, 1.0, pot, grid) == (error, chi_at)
     # without the forced points, the overflow decides
     assert _sweep_outcome(1, 1.0, pot, [0.3, 1.2, 399.0])[0] is DomainError
+
+
+# f is finite but 4 pi |f|^2 overflows: |f| = 1e163 at chi = 0.001
+_HUGE_F = (1, 1e-160, ShellPotential.single(-1e300, 1.0))
+
+
+def test_sweep_refuses_an_overflowing_cross_section(monkeypatch):
+    j, m, pot = _HUGE_F
+    message = "cross section 4 pi |f|^2 overflows at chi = 0.001"
+    with pytest.raises(DomainError, match=re.escape(message)):
+        sweep(j, m, pot, [0.001, 1.0])
+    with pytest.raises(DomainError, match=re.escape(message)):
+        scatter_point(j, Kinematics(m, 0.001), pot)
+    # in grid order: before a later K_1 overflow, after an earlier S failure
+    kind, exc = _sweep_outcome(j, m, pot, [0.001, 1.0, 399.0, 400.0])
+    assert kind is DomainError and message in str(exc)
+    _force_kernel(monkeypatch, {0.0005: math.nan})
+    assert _sweep_outcome(j, m, pot, [0.0005, 0.001])[0] is AccuracyError
 
 
 def test_transparency_zeros_shared_by_variants():
