@@ -3,8 +3,13 @@
 Each run writes one CSV table with a fixed column set per command.  The
 first line is a single '# ' comment echoing the resolved invocation, so
 every file is self-describing; identical invocations produce byte-identical
-files.  Numbers are serialized in scientific notation with 17 significant
-digits, comma separated, '\\n' line ends.
+files.  Fields are comma separated with '\\n' line ends.  Every command hands
+its columns to `tables.write_table`, which writes each float exactly as
+Python's format(x, ".16e") does (17 significant digits), formatting all of
+a table's floats in one numpy pass; a value it cannot decide there
+(non-finite, subnormal or beyond about 1e+-280, or rounding within 1e-6 of
+a tie) is formatted by Python itself.  Integers and names are written as
+str().
 
 Exit codes: 0 success, 2 parameter or domain error, 3 numerical-quality
 failure (an oracle disagreed beyond tolerance or a quadrature gave up).
@@ -44,6 +49,7 @@ from .kinematics import ALL_VARIANTS, BoundEnergy, Kinematics
 from .nonrel import limit_convergence
 from .numerics import integrate_semi_infinite
 from .scattering import ShellPotential, scan_zero_locus, sweep
+from .tables import write_table
 from .verification import GROUP_NAMES, run_verification
 
 _PARAM_ERRORS = (
@@ -55,10 +61,6 @@ _PARAM_ERRORS = (
     UnsupportedFormError,
 )
 _QUALITY_ERRORS = (AccuracyError, EvaluationError)
-
-
-def _fmt(x: float) -> str:
-    return "%.16e" % x
 
 
 def _parse_range(text: str) -> list[float]:
@@ -124,39 +126,20 @@ def _potential_from(ns: argparse.Namespace) -> ShellPotential:
     raise DomainError("no potential given: use --v0/--a or --v1/--a1/--v2/--a2")
 
 
-def _write_csv(out: str | None, invocation: str, header: Sequence[str],
-               rows: Sequence[Sequence[str]]) -> None:
-    _write_table(out, invocation, header, "".join(",".join(row) + "\n" for row in rows))
-
-
-def _write_table(out: str | None, invocation: str, header: Sequence[str],
-                 body: str) -> None:
-    text = "# qpshell " + invocation + "\n" + ",".join(header) + "\n" + body
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-
-
-# one scatter row: the same bytes as str(j) and _fmt per value, joined by ","
-_SCATTER_ROW = "%d" + ",%.16e" * 9 + "\n"
-
-
 def _cmd_scatter(ns: argparse.Namespace, invocation: str) -> int:
     pot = _potential_from(ns)
-    body = []
+    blocks = []
     for j in ns.j:
         sw = sweep(j, ns.m, pot, ns.chi)
         f, s_mat = sw.f, sw.s_matrix
         f2 = np.hypot(f.real, f.imag) ** 2
         defect = np.abs(f.imag - sw.q * f2) / (1.0 + f2)
-        columns = (sw.chi, sw.q, f.real, f.imag, sw.sigma0, s_mat.real, s_mat.imag,
-                   sw.phase, defect)
-        body += [_SCATTER_ROW % ((j,) + row) for row in zip(*(c.tolist() for c in columns))]
-    _write_table(ns.out, invocation,
-                 ["j", "chi", "q", "re_f", "im_f", "sigma0", "re_S", "im_S",
-                  "phase_unwrapped", "unitarity_defect"], "".join(body))
+        blocks.append((np.full(len(sw.chi), j), sw.chi, sw.q, f.real, f.imag, sw.sigma0,
+                       s_mat.real, s_mat.imag, sw.phase, defect))
+    write_table(ns.out, invocation,
+                ["j", "chi", "q", "re_f", "im_f", "sigma0", "re_S", "im_S",
+                 "phase_unwrapped", "unitarity_defect"],
+                [np.concatenate(column) for column in zip(*blocks)])
     return 0
 
 
@@ -169,73 +152,66 @@ def _cmd_greens(ns: argparse.Namespace, invocation: str) -> int:
         for j in ns.j:
             for chi in ns.chi:
                 g = green_partial(j, Kinematics(ns.m, chi), ns.r, rp)
-                rows.append([str(j), "real", _fmt(chi), _fmt(ns.r), _fmt(rp),
-                             _fmt(g.real), _fmt(g.imag)])
+                rows.append((j, "real", chi, ns.r, rp, g.real, g.imag))
     else:
         if ns.w is None:
             raise DomainError("--branch bound needs a --w range")
         for j in ns.j:
             for w in ns.w:
                 g = green_partial_bound(j, BoundEnergy(ns.m, w), ns.r, rp)
-                rows.append([str(j), "bound", _fmt(w), _fmt(ns.r), _fmt(rp),
-                             _fmt(g), _fmt(0.0)])
-    _write_csv(ns.out, invocation,
-               ["j", "branch", "chi_or_w", "r", "rp", "re_G", "im_G"], rows)
+                rows.append((j, "bound", w, ns.r, rp, g, 0.0))
+    write_table(ns.out, invocation,
+                ["j", "branch", "chi_or_w", "r", "rp", "re_G", "im_G"], list(zip(*rows)))
     return 0
 
 
-def _curve_rows(j: int, curve_id: str, points) -> list[list[str]]:
-    return [
-        [str(j), _fmt(p.w), curve_id, _fmt(p.value) if p.finite else "",
-         "1" if p.finite else "0"]
-        for p in points
-    ]
-
-
 def _cmd_bound(ns: argparse.Namespace, invocation: str) -> int:
-    rows: list[list[str]] = []
     if ns.levels:
         pot = _potential_from(ns)
+        rows = []
         for j in ns.j:
             for w in level_roots(j, ns.m, pot, n_scan=ns.n):
                 psi, level = bound_wavefunction(j, ns.m, w, pot)
                 decay = 2.0 * level.w * ns.m
                 total = integrate_semi_infinite(lambda r: psi(r) ** 2, 0.0, decay, 1e-10)
-                rows.append([str(j), _fmt(level.w), _fmt(level.two_body_energy),
-                             _fmt(level.residual), _fmt(abs(total.value - 1.0))])
-        _write_csv(ns.out, invocation,
-                   ["j", "w", "two_body_energy", "residual", "norm_check"], rows)
+                rows.append((j, level.w, level.two_body_energy, level.residual,
+                             abs(total.value - 1.0)))
+        write_table(ns.out, invocation,
+                    ["j", "w", "two_body_energy", "residual", "norm_check"], list(zip(*rows)))
         return 0
     if ns.curve is None:
         raise DomainError("bound needs either --levels or --curve")
     if ns.curve == "v0":
         if ns.a is None:
             raise DomainError("--curve v0 needs --a")
-        for j in ns.j:
-            rows += _curve_rows(j, "v0", sample_v0_curve(j, ns.m, ns.a, n=ns.n))
+        curves = [(j, "v0", sample_v0_curve(j, ns.m, ns.a, n=ns.n)) for j in ns.j]
     elif ns.curve == "det":
         pot = _potential_from(ns)
-        for j in ns.j:
-            rows += _curve_rows(j, "det", sample_det_curve(j, ns.m, pot, n=ns.n))
+        curves = [(j, "det", sample_det_curve(j, ns.m, pot, n=ns.n)) for j in ns.j]
     elif ns.curve == "v2":
         missing = [f for f, v in (("--v1", ns.v1), ("--a1", ns.a1), ("--a2", ns.a2))
                    if v is None]
         if missing:
             raise DomainError(f"--curve v2 needs {' '.join(missing)}")
-        for j in ns.j:
-            rows += _curve_rows(j, "v2",
-                                sample_v2_curve(j, ns.m, ns.a1, ns.a2, ns.v1, n=ns.n))
+        curves = [(j, "v2", sample_v2_curve(j, ns.m, ns.a1, ns.a2, ns.v1, n=ns.n))
+                  for j in ns.j]
     else:  # v1pm
         missing = [f for f, v in (("--a1", ns.a1), ("--a2", ns.a2),
                                   ("--alpha", ns.alpha)) if v is None]
         if missing:
             raise DomainError(f"--curve v1pm needs {' '.join(missing)}")
+        curves = []
         for j in ns.j:
             plus, minus = sample_v1pm_curve(j, ns.m, ns.a1, ns.a2, ns.alpha, n=ns.n)
-            rows += _curve_rows(j, "v1plus", plus)
-            rows += _curve_rows(j, "v1minus", minus)
-    _write_csv(ns.out, invocation,
-               ["j", "w", "curve_id", "value", "finite_flag"], rows)
+            curves += [(j, "v1plus", plus), (j, "v1minus", minus)]
+    blocks = [(np.full(len(points), j), [p.w for p in points], np.full(len(points), curve_id),
+               [p.value for p in points], [p.finite for p in points])
+              for j, curve_id, points in curves]
+    js, ws, ids, values, finite = (np.concatenate(column) for column in zip(*blocks))
+    # a flagged point (finite_flag 0) leaves its value field empty
+    write_table(ns.out, invocation, ["j", "w", "curve_id", "value", "finite_flag"],
+                [js, ws, ids, np.where(finite, values, 0.0), finite.astype(int)],
+                empty={3: ~finite})
     return 0
 
 
@@ -247,12 +223,10 @@ def _cmd_zeros(ns: argparse.Namespace, invocation: str) -> int:
         ns.j[0], ns.m, ns.a1, ns.v1, ns.v2,
         (a2s[0], a2s[-1]), (chis[0], chis[-1]), grid=(len(a2s), len(chis)),
     )
-    rows = []
-    for ci, curve in enumerate(locus.curves):
-        for vi, (x, y, residual) in enumerate(curve):
-            rows.append([str(ci), str(vi), _fmt(x), _fmt(y), _fmt(residual)])
-    _write_csv(ns.out, invocation,
-               ["curve_id", "vertex_id", "x", "y", "residual"], rows)
+    rows = [(ci, vi, x, y, residual) for ci, curve in enumerate(locus.curves)
+            for vi, (x, y, residual) in enumerate(curve)]
+    write_table(ns.out, invocation, ["curve_id", "vertex_id", "x", "y", "residual"],
+                list(zip(*rows)))
     return 0
 
 
@@ -269,9 +243,9 @@ def _cmd_nrlimit(ns: argparse.Namespace, invocation: str) -> int:
             params = dict(kappa=ns.kappa, a=ns.a_bound)
         for j in ns.j:
             report = limit_convergence(observable, j, ns.masses, **params)
-            for mass, deviation in zip(report.masses, report.deviations):
-                rows.append([observable, str(j), _fmt(mass), _fmt(deviation)])
-    _write_csv(ns.out, invocation, ["observable", "j", "mass", "deviation"], rows)
+            rows += [(observable, j, mass, deviation)
+                     for mass, deviation in zip(report.masses, report.deviations)]
+    write_table(ns.out, invocation, ["observable", "j", "mass", "deviation"], list(zip(*rows)))
     return 0
 
 

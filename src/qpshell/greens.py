@@ -20,7 +20,7 @@ weights.
 The half-line (partial-wave) kernel follows by the method of images,
 G(chi, r, r') = G(chi, r - r') - G(chi, r + r'), which vanishes at r = 0 and
 obeys the unitarity identity Im G_j(chi, a, b) = -2 sin(chi m a) sin(chi m b)
-/ K_j.
+/ K_j; green_partial takes its imaginary part in that product form.
 
 On the bound branch chi = i w (0 < w < pi/2) the kernels are real, negative
 ratios of hyperbolic functions, written with e^{-w m r} and expm1 so that
@@ -225,11 +225,19 @@ def _line_bound(v: _Variant, m: float, w: float, kb: float, x: float) -> float:
 
 
 def green_partial(j: int, kin: Kinematics, r: float, rp: float) -> complex:
-    """Half-line s-wave kernel via the image construction (scattering branch)."""
+    """Half-line s-wave kernel via the image construction (scattering branch).
+
+    The real part is the image difference of the line kernels.  The
+    imaginary part is its product form -2 sin(chi m r) sin(chi m r') / K_j:
+    the difference of the two cosine images cancels as chi -> 0.
+    """
     if r < 0 or rp < 0:
         raise DomainError(f"radial coordinates must be non-negative, got {r}, {rp}")
     _check_reach(kin.chi, kin.m, r, rp)
-    return green_line(j, kin, r - rp) - green_line(j, kin, r + rp)
+    re = green_line(j, kin, r - rp).real - green_line(j, kin, r + rp).real
+    chi, m = kin.chi, kin.m
+    return complex(re, -2.0 * math.sin(chi * (m * r)) * math.sin(chi * (m * rp))
+                   / k_factor(j, kin))
 
 
 def green_partial_bound(j: int, be: BoundEnergy, r: float, rp: float) -> float:

@@ -30,8 +30,8 @@ from .boundstates import (
     v1_pm_of_w,
 )
 from .errors import DomainError
-from .greens import green_partial, green_partial_bound, green_spectral_oracle
-from .kinematics import ALL_VARIANTS, BoundEnergy, EquationVariant, Kinematics, k_factor
+from .greens import green_line, green_partial, green_partial_bound, green_spectral_oracle
+from .kinematics import ALL_VARIANTS, BoundEnergy, EquationVariant, Kinematics
 from .nonrel import limit_convergence
 from .numerics import integrate_semi_infinite
 from .scattering import (
@@ -162,7 +162,8 @@ def check_unitarity() -> GroupResult:
 
 
 def check_gf_identity() -> GroupResult:
-    """Im G(chi,a,b) against -2 sin(chi m a) sin(chi m b) / K."""
+    """Im G(chi,a,b), the sine product -2 sin(chi m a) sin(chi m b) / K, against
+    the image difference of the line kernels' -cos(chi m r) / K."""
     rng = np.random.default_rng(_SEED + 2)
     worst = 0.0
     for _ in range(100):
@@ -172,11 +173,10 @@ def check_gf_identity() -> GroupResult:
         a = float(rng.uniform(0.05, 6.0))
         b = float(rng.uniform(0.05, 6.0))
         kin = Kinematics(m, chi)
-        lhs = green_partial(j, kin, a, b).imag
-        rhs = -2.0 * math.sin(chi * m * a) * math.sin(chi * m * b) / k_factor(j, kin)
-        worst = max(worst, abs(lhs - rhs))
+        images = (green_line(j, kin, a - b) - green_line(j, kin, a + b)).imag
+        worst = max(worst, abs(green_partial(j, kin, a, b).imag - images))
     return _result("gf_identity", worst, _GF_IDENTITY_TOL, 100,
-                   "imaginary part of the partial kernel vs its sine product form")
+                   "imaginary part of the partial kernel vs its cosine images")
 
 
 def check_spectral() -> GroupResult:

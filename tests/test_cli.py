@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from qpshell import scattering, verification
-from qpshell.cli import _SCATTER_ROW, _fmt, _parse_range, build_parser, main
+from qpshell.cli import _parse_range, build_parser, main
 from qpshell.kinematics import Kinematics
 from qpshell.scattering import ShellPotential, amplitude_explicit, sweep
 
@@ -55,16 +55,6 @@ def test_scatter_csv(capsys):
         assert float(row[9]) < 1e-12
 
 
-def test_scatter_row_template_is_fmt_per_value():
-    edge = [-0.0, 5e-324, -5e-324, 1e-300, 1e308, -1.7976931348623157e308, 0.0, 1.0,
-            -3.0, 2.0 ** 53, 1e16, 0.1, 4.0 * math.pi]
-    for j in (1, 4):
-        for k in range(len(edge)):
-            values = tuple((edge * 2)[k:k + 9])
-            assert _SCATTER_ROW % ((j,) + values) == (
-                ",".join([str(j)] + [_fmt(v) for v in values]) + "\n")
-
-
 def test_scatter_csv_is_the_sweep_columns(capsys):
     pot = ShellPotential.double(1.0, 3.0, -1.0, 4.0)
     code, out, _ = run(capsys, "scatter", "--j", "all", "--m", "1.3", "--v1", "1",
@@ -76,7 +66,7 @@ def test_scatter_csv_is_the_sweep_columns(capsys):
         sw = sweep(j, 1.3, pot, _parse_range("0.05:4:50"))
         for chi, q, f, s_mat, sigma0, phase in zip(*(c.tolist() for c in sw.columns())):
             defect = abs(f.imag - q * abs(f) ** 2) / (1.0 + abs(f) ** 2)
-            expected.append(",".join([str(j)] + [_fmt(v) for v in (
+            expected.append(",".join([str(j)] + ["%.16e" % v for v in (
                 chi, q, f.real, f.imag, sigma0, s_mat.real, s_mat.imag, phase)]))
             assert math.isclose(float(rows[len(expected) - 1].split(",")[9]), defect,
                                 rel_tol=1e-14, abs_tol=1e-30)
@@ -433,3 +423,45 @@ def test_zeros_sine_argument_limit(capsys, m, code, message):
 
 def test_one_parser_per_process():
     assert build_parser() is build_parser()
+
+
+# One run of each table kind, with a letter per column: f a float, i an int,
+# s a name, v a curve value (empty where finite_flag is 0).
+TABLE_KINDS = (
+    ("scatter --j all --m 1 --a 5 --v0 2 --chi 0.05:4:40", "ifffffffff"),
+    ("scatter --j all --m 1.3 --v1 1 --a1 3 --v2 -1 --a2 4 --chi 0.05:4:50", "ifffffffff"),
+    ("greens --j all --m 1 --branch real --chi 0.1:2:20 --r 1.5 --rp 0.5", "isfffff"),
+    ("greens --j all --m 1 --branch bound --w 0.2:1.4:20 --r 1.5", "isfffff"),
+    ("bound --j all --m 1 --a 1 --v0 -2 --levels", "iffff"),
+    ("bound --j all --m 1 --a 1 --curve v0 --n 200", "ifsvi"),
+    ("bound --j all --m 1 --v1 -2 --a1 1 --v2 -1 --a2 3 --curve det --n 200", "ifsvi"),
+    ("bound --j 2 --m 1 --v1 -3.5 --a1 1 --v2 0 --a2 4 --curve v2 --n 400", "ifsvi"),
+    ("bound --j all --m 1 --a1 1 --a2 2 --alpha -1 --curve v1pm --n 200", "ifsvi"),
+    ("zeros --j 1 --m 1 --a1 3 --v1 1 --v2 -1 --a2 3:8:60 --chi 0.1:3:60", "iifff"),
+    ("nrlimit --observable all --j all", "siff"),
+)
+
+
+@pytest.mark.parametrize("argv, kinds", TABLE_KINDS)
+def test_every_field_reads_back_as_written(capsys, argv, kinds):
+    # independent of the writer: a float field is "%.16e" of its own value,
+    # an int field str() of its own value
+    code, out, err = run(capsys, *argv.split())
+    assert code == 0 and err == ""
+    _meta, header, rows = parse_csv(out)
+    assert rows and len(header) == len(kinds)
+    flagged = 0
+    for row in rows:
+        assert len(row) == len(kinds)
+        for kind, field in zip(kinds, row):
+            if kind == "v" and row[-1] == "0":
+                assert field == ""
+                flagged += 1
+            elif kind in "fv":
+                assert "%.16e" % float(field) == field
+            elif kind == "i":
+                assert str(int(field)) == field
+            else:
+                assert field.isidentifier()
+    if "--curve v2" in argv:
+        assert flagged == 1

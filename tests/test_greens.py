@@ -171,7 +171,20 @@ def test_partial_imaginary_part_identity():
         kin = Kinematics(m, chi)
         lhs = green_partial(j, kin, a, b).imag
         rhs = -2.0 * math.sin(chi * m * a) * math.sin(chi * m * b) / k_factor(j, kin)
-        assert abs(lhs - rhs) < 1e-12
+        images = (green_line(j, kin, a - b) - green_line(j, kin, a + b)).imag
+        assert abs(lhs - rhs) < 1e-12 and abs(lhs - images) < 1e-12
+
+
+@pytest.mark.parametrize("chi", [1e-8, 1e-5])
+def test_partial_imaginary_part_matches_mpmath_at_small_chi(chi):
+    # the cosine images cos(chi m (r - r')) - cos(chi m (r + r')) cancel as
+    # chi -> 0; their difference was 6.4 % off at chi = 1e-8
+    mp = pytest.importorskip("mpmath")
+    got = green_partial(1, Kinematics(1.0, chi), 1.0, 0.7).imag
+    with mp.workdps(50):
+        c, r, rp = mp.mpf(chi), mp.mpf(1.0), mp.mpf(0.7)
+        ref = float((mp.cos(c * (r + rp)) - mp.cos(c * (r - rp))) / mp.sinh(2 * c))
+    assert abs(got - ref) <= 4 * np.finfo(float).eps * abs(ref)
 
 
 def test_bound_diagonal_negative():
