@@ -15,9 +15,10 @@ can close (no real strength reaches that w when it is negative).
 The curves and the level scan's grid of w are evaluated as numpy arrays:
 green_partial_bound_array fills the same shell system (`_shell_matrix`,
 `_det`, whose + - * work element-wise), and the V2 and V1(+-) algebra is
-written once for floats and arrays alike.  Each level is then bisected, and
-its poles rejected, on the scalar det_bound, so the level positions are
-those of a point-by-point scan.
+written once for floats and arrays alike; a sampled curve is one
+`QuantCurve` of read-only columns, NaN wherever a sample is flagged.  Each
+level is then bisected, and its poles rejected, on the scalar det_bound, so
+the level positions are those of a point-by-point scan.
 
 Wave functions are superpositions of bound kernels anchored at the shells,
 psi(r) = N sum_k c_k V_k G(i w, r, a_k), with (c_k) the null vector of A
@@ -69,12 +70,24 @@ class BoundLevel:
 
 
 @dataclass(frozen=True)
-class QuantCurvePoint:
-    """Sample of an inverse-strength curve; finite=False marks a pole."""
+class QuantCurve:
+    """A curve sampled over a grid of w, as read-only numpy columns of equal
+    length; value is NaN exactly where finite is False (a pole, a closed
+    discriminant or a non-finite value)."""
 
-    w: float
-    value: float
-    finite: bool
+    w: np.ndarray
+    value: np.ndarray
+    finite: np.ndarray
+
+    def __post_init__(self):
+        for col in self.columns():
+            col.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.w)
+
+    def columns(self) -> tuple[np.ndarray, ...]:
+        return (self.w, self.value, self.finite)
 
 
 @dataclass(frozen=True)
@@ -185,14 +198,11 @@ def _pair_values(kernel: Callable, a1: float, a2: float) -> tuple:
 
 
 def _v2_parts(g11, g22, g12, v1: float) -> tuple:
-    """Numerator, denominator and denominator term scale of the V2 curve.
+    """Numerator and denominator of the V2 curve.
 
     Plain arithmetic on the kernel values, so floats and arrays both work.
     """
-    den = g22 + v1 * (g12 * g12 - g11 * g22)
-    num = 1.0 - v1 * g11
-    scale = abs(g22) + abs(v1) * (g12 * g12 + abs(g11 * g22))
-    return num, den, scale
+    return 1.0 - v1 * g11, g22 + v1 * (g12 * g12 - g11 * g22)
 
 
 def v2_of_w(j: int, be: BoundEnergy, a1: float, a2: float, v1: float) -> float:
@@ -205,8 +215,9 @@ def v2_of_w(j: int, be: BoundEnergy, a1: float, a2: float, v1: float) -> float:
     """
     _check_pair(a1, a2)
     _check_finite("v1", v1)
-    g = _pair_values(partial(green_partial_bound, j, be), a1, a2)
-    num, den, scale = _v2_parts(*g, v1)
+    g11, g22, g12 = _pair_values(partial(green_partial_bound, j, be), a1, a2)
+    num, den = _v2_parts(g11, g22, g12, v1)
+    scale = abs(g22) + abs(v1) * (g12 * g12 + abs(g11 * g22))
     if den == 0.0 or abs(den) < 1e-12 * scale:
         raise SingularPointError(f"V2 curve has a pole at w = {be.w!r}")
     return num / den
@@ -225,13 +236,14 @@ def _v1pm_parts(g11, g22, g12, alpha: float) -> tuple:
     the digits of the scalar formula.
     """
     g11, g22, g12 = (np.asarray(g, dtype=float) for g in (g11, g22, g12))
-    qa = alpha * (g11 * g22 - g12 * g12)
-    qb = -(g11 + alpha * g22)
     qc = 1.0
-    disc = (g11 - alpha * g22) ** 2 + 4.0 * alpha * g12 * g12
-    scale_a = abs(alpha) * (abs(g11 * g22) + g12 * g12)
-    degenerate = (qa == 0.0) | (abs(qa) < 1e-14 * (scale_a + 0.25 * qb * qb))
+    # overflows and NaNs are left to the callers' finiteness tests
     with np.errstate(all="ignore"):
+        qa = alpha * (g11 * g22 - g12 * g12)
+        qb = -(g11 + alpha * g22)
+        disc = (g11 - alpha * g22) ** 2 + 4.0 * alpha * g12 * g12
+        scale_a = abs(alpha) * (abs(g11 * g22) + g12 * g12)
+        degenerate = (qa == 0.0) | (abs(qa) < 1e-14 * (scale_a + 0.25 * qb * qb))
         qq = -0.5 * (qb + np.copysign(np.sqrt(disc), qb))
         far, near = qq / qa, qc / qq
         single = -qc / qb
@@ -352,79 +364,77 @@ def solve_levels(
 
 
 def _det_array(j: int, m: float, pot: ShellPotential, ws: np.ndarray) -> np.ndarray:
-    """det_bound over an array of w, through the same shell system."""
-    return _det(_shell_matrix(pot, partial(green_partial_bound_array, j, m, ws)))
+    """det_bound over an array of w, through the same shell system; the
+    callers test every value for finiteness, so overflows stay silent."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _det(_shell_matrix(pot, partial(green_partial_bound_array, j, m, ws)))
 
 
-def _w_grid(n: int) -> list[float]:
+def _w_grid(n: int) -> np.ndarray:
     if n < 2:
         raise DomainError(f"curve needs at least 2 samples, got {n}")
-    return [(math.pi / 2) * k / (n + 1) for k in range(1, n + 1)]
+    return (math.pi / 2) * np.arange(1, n + 1) / (n + 1)
 
 
-def _points(ws: list[float], values: np.ndarray, finite: np.ndarray) -> list[QuantCurvePoint]:
-    """Curve samples; values at flagged points are written as NaN."""
-    values = np.where(finite, values, math.nan)
-    return [QuantCurvePoint(w, v, f)
-            for w, v, f in zip(ws, values.tolist(), finite.tolist())]
-
-
-def sample_v0_curve(j: int, m: float, a: float, n: int = 2000) -> list[QuantCurvePoint]:
-    """V0(w) sampled on an open uniform grid; poles flagged, not raised."""
+def sample_v0_curve(j: int, m: float, a: float, n: int = 2000) -> QuantCurve:
+    """V0(w) on the open w grid of n samples; poles and non-finite values flagged."""
     if not 0 < a < math.inf:
         raise DomainError(f"shell radius must be finite and positive, got {a}")
     ws = _w_grid(n)
-    g = green_partial_bound_array(j, m, np.array(ws), a, a)
-    finite = (g != 0.0) & np.isfinite(g)
-    with np.errstate(divide="ignore"):
-        return _points(ws, 1.0 / g, finite)
+    g = green_partial_bound_array(j, m, ws, a, a)
+    with np.errstate(divide="ignore", over="ignore"):
+        v0 = 1.0 / g
+    finite = np.isfinite(g) & np.isfinite(v0)
+    return QuantCurve(ws, np.where(finite, v0, math.nan), finite)
 
 
 def sample_v2_curve(
     j: int, m: float, a1: float, a2: float, v1: float, n: int = 2000
-) -> list[QuantCurvePoint]:
-    """V2(w) at fixed (V1, a1), pole abscissae flagged via finite=False.
+) -> QuantCurve:
+    """V2(w) at fixed (V1, a1), poles and non-finite values flagged.
 
     The curve has a simple pole wherever its denominator crosses zero, so a
     sign change between neighbouring grid points brackets one.  The grid
     point closer to the crossing (smaller |den|) is flagged instead of its
-    near-pole value; exact denominator zeros are flagged directly.  No
-    absolute threshold: the branches next to an asymptote stay finite
-    however large they grow.
+    near-pole value; exact denominator zeros, like every other non-finite
+    num / den, are flagged directly.  No absolute threshold: the branches
+    next to an asymptote stay finite however large they grow.
     """
     _check_pair(a1, a2)
     _check_finite("v1", v1)
     ws = _w_grid(n)
-    g = _pair_values(partial(green_partial_bound_array, j, m, np.array(ws)), a1, a2)
-    num, den, _ = _v2_parts(*g, v1)
-    flagged = den == 0.0
+    g = _pair_values(partial(green_partial_bound_array, j, m, ws), a1, a2)
+    with np.errstate(all="ignore"):
+        num, den = _v2_parts(*g, v1)
+        v2 = num / den
+    flagged = ~np.isfinite(v2)
     pos = den > 0.0
     # in grid order, since a flagged point ends the test of its neighbours
     for i in np.flatnonzero(pos[:-1] != pos[1:]):
         if flagged[i] or flagged[i + 1]:
             continue
         flagged[i if abs(den[i]) <= abs(den[i + 1]) else i + 1] = True
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return _points(ws, num / den, ~flagged)
+    return QuantCurve(ws, np.where(flagged, math.nan, v2), ~flagged)
 
 
-def sample_det_curve(
-    j: int, m: float, pot: ShellPotential, n: int = 2000
-) -> list[QuantCurvePoint]:
+def sample_det_curve(j: int, m: float, pot: ShellPotential, n: int = 2000) -> QuantCurve:
     """Quantization determinant over the w grid; non-finite values flagged."""
     ws = _w_grid(n)
-    det = _det_array(j, m, pot, np.array(ws))
-    return _points(ws, det, np.isfinite(det))
+    det = _det_array(j, m, pot, ws)
+    finite = np.isfinite(det)
+    return QuantCurve(ws, np.where(finite, det, math.nan), finite)
 
 
 def sample_v1pm_curve(
     j: int, m: float, a1: float, a2: float, alpha: float, n: int = 2000
-) -> tuple[list[QuantCurvePoint], list[QuantCurvePoint]]:
-    """Both V1 branches over the w grid; closed-discriminant gaps flagged."""
+) -> tuple[QuantCurve, QuantCurve]:
+    """Both V1 branches over the w grid, as a (plus, minus) pair sharing w
+    and finite; closed-discriminant gaps and non-finite roots flagged."""
     _check_alpha(alpha)
     _check_pair(a1, a2)
     ws = _w_grid(n)
-    g = _pair_values(partial(green_partial_bound_array, j, m, np.array(ws)), a1, a2)
+    g = _pair_values(partial(green_partial_bound_array, j, m, ws), a1, a2)
     plus, minus, _, closed = _v1pm_parts(*g, alpha)
     finite = ~closed & np.isfinite(plus) & np.isfinite(minus)
-    return _points(ws, plus, finite), _points(ws, minus, finite)
+    return (QuantCurve(ws, np.where(finite, plus, math.nan), finite),
+            QuantCurve(ws, np.where(finite, minus, math.nan), finite))

@@ -181,32 +181,25 @@ def _cmd_bound(ns: argparse.Namespace, invocation: str) -> int:
         return 0
     if ns.curve is None:
         raise DomainError("bound needs either --levels or --curve")
+    needs = {"v0": ("a",), "v2": ("v1", "a1", "a2"), "v1pm": ("a1", "a2", "alpha")}
+    missing = [f"--{flag}" for flag in needs.get(ns.curve, ()) if getattr(ns, flag) is None]
+    if missing:
+        raise DomainError(f"--curve {ns.curve} needs {' '.join(missing)}")
     if ns.curve == "v0":
-        if ns.a is None:
-            raise DomainError("--curve v0 needs --a")
         curves = [(j, "v0", sample_v0_curve(j, ns.m, ns.a, n=ns.n)) for j in ns.j]
     elif ns.curve == "det":
         pot = _potential_from(ns)
         curves = [(j, "det", sample_det_curve(j, ns.m, pot, n=ns.n)) for j in ns.j]
     elif ns.curve == "v2":
-        missing = [f for f, v in (("--v1", ns.v1), ("--a1", ns.a1), ("--a2", ns.a2))
-                   if v is None]
-        if missing:
-            raise DomainError(f"--curve v2 needs {' '.join(missing)}")
         curves = [(j, "v2", sample_v2_curve(j, ns.m, ns.a1, ns.a2, ns.v1, n=ns.n))
                   for j in ns.j]
     else:  # v1pm
-        missing = [f for f, v in (("--a1", ns.a1), ("--a2", ns.a2),
-                                  ("--alpha", ns.alpha)) if v is None]
-        if missing:
-            raise DomainError(f"--curve v1pm needs {' '.join(missing)}")
         curves = []
         for j in ns.j:
             plus, minus = sample_v1pm_curve(j, ns.m, ns.a1, ns.a2, ns.alpha, n=ns.n)
             curves += [(j, "v1plus", plus), (j, "v1minus", minus)]
-    blocks = [(np.full(len(points), j), [p.w for p in points], np.full(len(points), curve_id),
-               [p.value for p in points], [p.finite for p in points])
-              for j, curve_id, points in curves]
+    blocks = [(np.full(len(c), j), c.w, np.full(len(c), curve_id), c.value, c.finite)
+              for j, curve_id, c in curves]
     js, ws, ids, values, finite = (np.concatenate(column) for column in zip(*blocks))
     # a flagged point (finite_flag 0) leaves its value field empty
     write_table(ns.out, invocation, ["j", "w", "curve_id", "value", "finite_flag"],

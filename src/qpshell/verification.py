@@ -407,8 +407,8 @@ def check_zero_locus() -> GroupResult:
 
 
 def _bits(col: np.ndarray) -> np.ndarray:
-    """The 64-bit words of each element of a float or complex column."""
-    return col.view(np.uint64).reshape(len(col), -1)
+    """The bytes of each element of a column, one row per element."""
+    return col.view(np.uint8).reshape(len(col), -1)
 
 
 def check_determinism() -> GroupResult:
@@ -427,19 +427,12 @@ def check_determinism() -> GroupResult:
         return scan_zero_locus(1, 1.0, 3.0, 1.0, -1.0, (3.0, 8.0), (0.5, 2.5),
                                grid=(32, 32))
 
-    a, b = run_scatter(), run_scatter()
-    same = np.ones(len(a.chi), dtype=bool)
-    for col_a, col_b in zip(a.columns(), b.columns()):
-        same &= (_bits(col_a) == _bits(col_b)).all(axis=1)
-    n += len(same)
-    violations += int((~same).sum())
-    a, b = run_curve(), run_curve()
-    for p, q in zip(a, b):
-        n += 1
-        if (p.w, p.value, p.finite) != (q.w, q.value, q.finite) and not (
-            math.isnan(p.value) and math.isnan(q.value) and p.w == q.w
-        ):
-            violations += 1
+    for run in (run_scatter, run_curve):
+        a, b = run(), run()
+        same = np.all([(_bits(col_a) == _bits(col_b)).all(axis=1)
+                       for col_a, col_b in zip(a.columns(), b.columns())], axis=0)
+        n += len(same)
+        violations += int((~same).sum())
     a, b = run_locus(), run_locus()
     n += 1
     if a.curves != b.curves:

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qpshell.boundstates import (
     V1Roots,
@@ -21,7 +23,7 @@ from qpshell.boundstates import (
     v1_pm_of_w,
     v2_of_w,
 )
-from qpshell.errors import DomainError, SingularPointError
+from qpshell.errors import DomainError, QpshellError, SingularPointError
 from qpshell.greens import green_partial_bound
 from qpshell.kinematics import ALL_VARIANTS, BOUND_W_HI, BOUND_W_LO, BoundEnergy
 from qpshell.numerics import find_roots_scan, integrate_semi_infinite
@@ -187,16 +189,24 @@ def test_v2_curve_flags_only_true_poles():
     # at (a1, a2, V1) = (1, 4, -3.5) the denominator crosses zero once for
     # variants 1, 2 and 4 and never for 3; at (1, 2, +1.5) it never does
     for j, n_poles in ((1, 1), (2, 1), (3, 0), (4, 1)):
-        pts = sample_v2_curve(j, 1.0, 1.0, 4.0, -3.5)
-        assert sum(not p.finite for p in pts) == n_poles
-        pts = sample_v2_curve(j, 1.0, 1.0, 2.0, 1.5)
-        assert all(p.finite for p in pts)
+        curve = sample_v2_curve(j, 1.0, 1.0, 4.0, -3.5)
+        assert (~curve.finite).sum() == n_poles
+        assert sample_v2_curve(j, 1.0, 1.0, 2.0, 1.5).finite.all()
 
 
 def test_v2_curve_flagged_points_carry_nan():
-    pts = sample_v2_curve(2, 1.0, 1.0, 4.0, -3.5)
-    for p in pts:
-        assert p.finite != math.isnan(p.value)
+    curve = sample_v2_curve(2, 1.0, 1.0, 4.0, -3.5)
+    assert not curve.finite.all()
+    assert (curve.finite != np.isnan(curve.value)).all()
+
+
+def test_curve_columns_are_read_only():
+    curve = sample_v2_curve(2, 1.0, 1.0, 4.0, -3.5, n=20)
+    for col in (curve.w, curve.value, curve.finite):
+        with pytest.raises(ValueError):
+            col[0] = col[1]
+    plus, minus = sample_v1pm_curve(3, 1.0, 1.0, 2.0, 1.0, n=20)
+    assert plus.w is minus.w and plus.finite is minus.finite
 
 
 def test_v1pm_requires_coupling():
@@ -246,8 +256,7 @@ def test_v1pm_labels_follow_quadratic_signs():
 def test_v1pm_curve_shapes():
     plus, minus = sample_v1pm_curve(3, 1.0, 1.0, 2.0, 1.0, n=50)
     assert len(plus) == len(minus) == 50
-    assert all(p.finite for p in plus)         # alpha > 0 never gaps
-    assert all(p.finite for p in minus)
+    assert plus.finite.all() and minus.finite.all()     # alpha > 0 never gaps
 
 
 def test_bound_wavefunction_contract():
@@ -291,10 +300,9 @@ def test_curve_samplers_are_grids():
     v0 = sample_v0_curve(1, 1.0, 1.0, n=30)
     det = sample_det_curve(1, 1.0, ShellPotential.single(-2.0, 1.0), n=30)
     assert len(v0) == len(det) == 30
-    assert all(p.finite for p in v0)
-    assert all(p.finite for p in det)
-    assert all(0 < p.w < math.pi / 2 for p in v0)
-    assert [p.w for p in v0] == [p.w for p in det]
+    assert v0.finite.all() and det.finite.all()
+    assert ((0 < v0.w) & (v0.w < math.pi / 2)).all() and (np.diff(v0.w) > 0).all()
+    assert v0.w.tolist() == det.w.tolist() == [(math.pi / 2) * k / 31 for k in range(1, 31)]
     with pytest.raises(DomainError):
         sample_v0_curve(1, 1.0, 1.0, n=1)
 
@@ -370,14 +378,16 @@ _CURVE_RTOL = 1e-9
 
 def test_v0_curve_matches_pointwise():
     for j, m, a, *_ in _draws(31, 25):
-        for p in sample_v0_curve(j, m, a, n=300):
+        curve = sample_v0_curve(j, m, a, n=300)
+        for w, value, finite in zip(curve.w.tolist(), curve.value.tolist(),
+                                    curve.finite.tolist()):
             try:
-                ref = v0_of_w(j, BoundEnergy(m, p.w), a)
+                ref = v0_of_w(j, BoundEnergy(m, w), a)
             except SingularPointError:
-                assert not p.finite
+                assert not finite
                 continue
-            assert p.finite
-            assert abs(p.value - ref) <= _CURVE_RTOL * abs(ref)
+            assert finite
+            assert abs(value - ref) <= _CURVE_RTOL * abs(ref)
 
 
 def test_v2_curve_matches_pointwise():
@@ -386,18 +396,20 @@ def test_v2_curve_matches_pointwise():
     cases += [(j, m, a1, a2, v1) for j, m, a1, a2, v1, _ in _draws(32, 25)]
     poles = 0
     for j, m, a1, a2, v1 in cases:
-        pts = sample_v2_curve(j, m, a1, a2, v1, n=300)
+        curve = sample_v2_curve(j, m, a1, a2, v1, n=300)
         ws, nums, dens, flagged = _pointwise_v2(j, m, a1, a2, v1, 300)
-        assert [p.w for p in pts] == ws
-        assert [not p.finite for p in pts] == flagged
+        assert curve.w.tolist() == ws
+        assert (~curve.finite).tolist() == flagged
         poles += sum(flagged)
-        for p, num, den in zip(pts, nums, dens):
-            if p.finite:
-                be = BoundEnergy(m, p.w)
-                g11, g22, g12 = (green_partial_bound(j, be, r, rp)
-                                 for r, rp in ((a1, a1), (a2, a2), (a1, a2)))
-                scale = abs(g22) + abs(v1) * (g12 * g12 + abs(g11 * g22))
-                assert abs(p.value - num / den) * abs(den) <= _CURVE_RTOL * abs(num) * scale
+        for w, value, num, den, flag in zip(ws, curve.value.tolist(), nums, dens, flagged):
+            if flag:
+                assert math.isnan(value)
+                continue
+            be = BoundEnergy(m, w)
+            g11, g22, g12 = (green_partial_bound(j, be, r, rp)
+                             for r, rp in ((a1, a1), (a2, a2), (a1, a2)))
+            scale = abs(g22) + abs(v1) * (g12 * g12 + abs(g11 * g22))
+            assert abs(value - num / den) * abs(den) <= _CURVE_RTOL * abs(num) * scale
     assert poles >= 3
 
 
@@ -406,15 +418,19 @@ def test_v1pm_curve_matches_pointwise():
     assert any(alpha < 0 for *_, alpha in cases)
     for j, m, a1, a2, alpha in cases:
         plus, minus = sample_v1pm_curve(j, m, a1, a2, alpha, n=300)
-        for p, q in zip(plus, minus):
+        assert plus.w is minus.w and plus.finite is minus.finite
+        for w, p, q, finite in zip(plus.w.tolist(), plus.value.tolist(),
+                                   minus.value.tolist(), plus.finite.tolist()):
             try:
-                roots = v1_pm_of_w(j, BoundEnergy(m, p.w), a1, a2, alpha)
+                roots = v1_pm_of_w(j, BoundEnergy(m, w), a1, a2, alpha)
             except SingularPointError:
                 roots = None
-            assert p.finite == q.finite == (roots is not None)
+            assert finite == (roots is not None)
             if roots is not None:
-                assert abs(p.value - roots.plus) <= _CURVE_RTOL * abs(roots.plus)
-                assert abs(q.value - roots.minus) <= _CURVE_RTOL * abs(roots.minus)
+                assert abs(p - roots.plus) <= _CURVE_RTOL * abs(roots.plus)
+                assert abs(q - roots.minus) <= _CURVE_RTOL * abs(roots.minus)
+            else:
+                assert math.isnan(p) and math.isnan(q)
 
 
 def test_det_curve_matches_pointwise():
@@ -422,13 +438,14 @@ def test_det_curve_matches_pointwise():
     # every product summed into the determinant (worst seen 3e-14)
     for pot in _BINDING + [ShellPotential(((-1.0, 0.3), (2.0, 0.9), (-4.0, 2.2), (1.0, 5.0)))]:
         for j in ALL_VARIANTS:
-            for p in sample_det_curve(j, 1.3, pot, n=200):
-                be = BoundEnergy(1.3, p.w)
+            curve = sample_det_curve(j, 1.3, pot, n=200)
+            assert curve.finite.all()
+            for w, value in zip(curve.w.tolist(), curve.value.tolist()):
+                be = BoundEnergy(1.3, w)
                 g = np.array([[green_partial_bound(j, be, r, rp) for rp in pot.radii]
                               for r in pot.radii])
                 scale = np.prod(np.abs(np.eye(len(g)) - g * np.array(pot.strengths)).sum(axis=1))
-                assert p.finite
-                assert abs(p.value - det_bound(j, be, pot)) <= 1e-12 * scale
+                assert abs(value - det_bound(j, be, pot)) <= 1e-12 * scale
 
 
 def test_v1pm_algebra_on_constructed_kernels():
@@ -485,9 +502,9 @@ def test_v1pm_curve_flags_a_closed_discriminant(monkeypatch):
 
     monkeypatch.setattr(bs, "green_partial_bound_array", fake_kernel)
     plus, minus = bs.sample_v1pm_curve(1, 1.0, 1.0, 2.0, -1.0, n=20)
-    assert [p.finite for p in plus] == [p.w >= 0.5 for p in plus]
-    assert [p.finite for p in minus] == [p.w >= 0.5 for p in minus]
-    assert all(math.isnan(p.value) for p in plus + minus if not p.finite)
+    for curve in (plus, minus):
+        assert (curve.finite == (curve.w >= 0.5)).all()
+        assert (np.isnan(curve.value) == ~curve.finite).all()
 
 
 def test_v2_curve_pole_flags_follow_grid_order(monkeypatch):
@@ -501,9 +518,10 @@ def test_v2_curve_pole_flags_follow_grid_order(monkeypatch):
         return den if r == rp == 2.0 else np.zeros_like(w)
 
     monkeypatch.setattr(bs, "green_partial_bound_array", fake_kernel)
-    pts = bs.sample_v2_curve(1, 1.0, 1.0, 2.0, 0.0, n=6)
-    assert [not p.finite for p in pts] == [False, True, False, True, False, False]
-    assert [p.value for p in pts if p.finite] == [0.5, 2.0, 1.0, 1.0]
+    curve = bs.sample_v2_curve(1, 1.0, 1.0, 2.0, 0.0, n=6)
+    assert (~curve.finite).tolist() == [False, True, False, True, False, False]
+    assert curve.value[curve.finite].tolist() == [0.5, 2.0, 1.0, 1.0]
+    assert np.isnan(curve.value[~curve.finite]).all()
 
 
 def test_level_on_a_scan_grid_point_is_found():
@@ -517,3 +535,37 @@ def test_level_on_a_scan_grid_point_is_found():
         roots = level_roots(j, 1.0, pot)
         assert len(roots) == 1
         assert abs(roots[0] - w) < 1e-10
+
+
+def _strength(limit):
+    return st.floats(min_value=-limit, max_value=limit)
+
+
+@settings(deadline=None)
+@given(j=st.integers(1, 4), m=st.floats(min_value=1e-320, max_value=1e300),
+       a=st.lists(st.floats(min_value=0.0, max_value=1e300, exclude_min=True),
+                  min_size=2, max_size=2, unique=True).map(sorted),
+       v1=_strength(1e308), v2=_strength(1e308),
+       alpha=st.floats(min_value=1e-3, max_value=1e300), alpha_sign=st.sampled_from((-1, 1)),
+       n=st.integers(2, 50))
+def test_samplers_return_flagged_columns_or_refuse(j, m, a, v1, v2, alpha, alpha_sign, n):
+    # whatever the inputs, a sampler gives n samples on the open w grid with
+    # NaN exactly at its flags, or a typed refusal; never a warning
+    a1, a2 = a
+    samplers = (
+        lambda: [sample_v0_curve(j, m, a1, n=n)],
+        lambda: [sample_v2_curve(j, m, a1, a2, v1, n=n)],
+        lambda: [sample_det_curve(j, m, ShellPotential.double(v1, a1, v2, a2), n=n)],
+        lambda: sample_v1pm_curve(j, m, a1, a2, alpha_sign * alpha, n=n),
+    )
+    for sample in samplers:
+        try:
+            curves = sample()
+        except QpshellError:
+            continue
+        for curve in curves:
+            assert len(curve.w) == len(curve.value) == len(curve.finite) == n
+            assert (curve.finite == np.isfinite(curve.value)).all()
+            assert (np.isnan(curve.value) == ~curve.finite).all()
+            assert 0.0 < curve.w[0] and curve.w[-1] < math.pi / 2
+            assert (np.diff(curve.w) > 0).all()

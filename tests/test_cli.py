@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from qpshell import scattering, verification
+from qpshell import boundstates, scattering, verification
 from qpshell.cli import _parse_range, build_parser, main
 from qpshell.kinematics import Kinematics
 from qpshell.scattering import ShellPotential, amplitude_explicit, sweep
@@ -396,6 +396,7 @@ def test_bound_runs_write_nothing_to_stderr(capsys, argv):
     "bound --j all --m 1e200 --levels --v0 -2 --a 1e200",
     "bound --j all --m 1e-300 --curve v0 --a 1 --n 50",
     "bound --j all --m 1 --curve v0 --a 1e300 --n 50",
+    "bound --j 1 --m 1e-320 --v1 1 --a1 1 --a2 2 --curve v2 --n 4",
     "zeros --j 1 --m 1e200 --a1 1 --v1 2 --v2 -3 --a2 1.2:4:20 --chi 0.2:4:20",
 ])
 def test_edge_inputs_give_a_table_or_a_typed_refusal(capsys, argv):
@@ -405,6 +406,24 @@ def test_edge_inputs_give_a_table_or_a_typed_refusal(capsys, argv):
     assert "nan" not in out.lower()
     if code:
         assert out == ""
+
+
+@pytest.mark.parametrize("argv, code", [
+    # overflows in the curve algebra are flagged on the curve, or refused by
+    # the level scan, without a numpy warning (RuntimeWarning is an error in
+    # this suite, so a warning escapes main and fails the test)
+    ("bound --j 1 --m 1 --a1 1 --a2 2 --alpha 1e200 --curve v1pm --n 4", 0),
+    ("bound --j 3 --m 1 --v1 1e308 --a1 1 --a2 2 --curve v2 --n 10", 0),
+    ("bound --j 1 --m 1 --v1 1e308 --a1 1 --v2 1e308 --a2 2 --levels", 3),
+    ("bound --j 1 --m 1 --v1 1e308 --a1 1 --v2 1e308 --a2 2 --curve det --n 4", 0),
+])
+def test_curve_overflow_is_judged_without_warnings(capsys, argv, code):
+    got, out, err = run(capsys, *argv.split())
+    assert got == code
+    if code:
+        assert out == "" and err.startswith("accuracy failure: scanned function non-finite")
+    else:
+        assert err == "" and "nan" not in out.lower() and "inf" not in out.lower()
 
 
 @pytest.mark.parametrize("m, code, message", [
@@ -465,3 +484,38 @@ def test_every_field_reads_back_as_written(capsys, argv, kinds):
                 assert field.isidentifier()
     if "--curve v2" in argv:
         assert flagged == 1
+
+
+def _sampled_curves(ns):
+    """(j, curve_id, QuantCurve) in table order, from the samplers themselves."""
+    for j in ns.j:
+        if ns.curve == "v0":
+            yield j, "v0", boundstates.sample_v0_curve(j, ns.m, ns.a, n=ns.n)
+        elif ns.curve == "det":
+            pot = ShellPotential.double(ns.v1, ns.a1, ns.v2, ns.a2)
+            yield j, "det", boundstates.sample_det_curve(j, ns.m, pot, n=ns.n)
+        elif ns.curve == "v2":
+            yield j, "v2", boundstates.sample_v2_curve(j, ns.m, ns.a1, ns.a2, ns.v1, n=ns.n)
+        else:
+            plus, minus = boundstates.sample_v1pm_curve(j, ns.m, ns.a1, ns.a2, ns.alpha,
+                                                        n=ns.n)
+            yield j, "v1plus", plus
+            yield j, "v1minus", minus
+
+
+@pytest.mark.parametrize("argv", [argv for argv, _ in TABLE_KINDS if "--curve" in argv])
+def test_curve_table_holds_the_sampler_columns(capsys, argv):
+    code, out, _err = run(capsys, *argv.split())
+    assert code == 0
+    _meta, _header, rows = parse_csv(out)
+    expected = []
+    for j, curve_id, curve in _sampled_curves(build_parser().parse_args(argv.split())):
+        assert curve.w.tolist() == sorted(curve.w.tolist())
+        for w, value, finite in zip(curve.w.tolist(), curve.value.tolist(),
+                                    curve.finite.tolist()):
+            expected.append((str(j), w.hex(), curve_id, value.hex() if finite else "",
+                             str(int(finite))))
+    # float.hex() tells every float bit pattern apart, -0.0 from 0.0 too
+    got = [(j, float(w).hex(), curve_id, float(value).hex() if value else "", flag)
+           for j, w, curve_id, value, flag in rows]
+    assert got == expected
