@@ -13,12 +13,16 @@ the constraint V2 = alpha V1, which is a quadratic in V1 whose discriminant
 can close (no real strength reaches that w when it is negative).
 
 The curves and the level scan's grid of w are evaluated as numpy arrays:
-green_partial_bound_array fills the same shell system (`_shell_matrix`,
-`_det`, whose + - * work element-wise), and the V2 and V1(+-) algebra is
-written once for floats and arrays alike; a sampled curve is one
-`QuantCurve` of read-only columns, NaN wherever a sample is flagged.  Each
-level is then bisected, and its poles rejected, on the scalar det_bound, so
-the level positions are those of a point-by-point scan.
+the reduced array kernel fills the same shell system (`_shell_matrix`,
+`_det`, whose + - * work element-wise), and the V1(+-) algebra is written
+once for floats and arrays alike; a sampled curve is one `QuantCurve` of
+read-only columns, NaN wherever a sample is flagged.  Each level is then
+bisected, and its poles rejected, on the scalar det_bound, so the level
+positions are those of a point-by-point scan.
+
+Where m enters and leaves: det(1 - G V) and the levels w depend only on
+the reduced shells (V_k / m, m a_k); `_kernel` and `_det_array` take no m.
+V0, V2 and V1(+-) are m times their reduced values (V1 enters as V1 / m).
 
 Wave functions are superpositions of bound kernels anchored at the shells,
 psi(r) = N sum_k c_k V_k G(i w, r, a_k), with (c_k) the null vector of A
@@ -37,16 +41,16 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, SingularPointError
-from .greens import _partial_bound, _sech, green_partial_bound, green_partial_bound_array
+from .greens import _partial_bound, _partial_bound_array, _sech, green_partial_bound
 from .kinematics import (
     BOUND_W_HI,
     BOUND_W_LO,
     BoundEnergy,
     EquationVariant,
     _check_finite,
+    _dimensionless,
     _variant,
     _Variant,
-    k_factor_bound,
 )
 from .numerics import find_roots_scan, integrate_semi_infinite
 from .scattering import ShellPotential, _adj_apply, _det, _shell_matrix
@@ -171,19 +175,15 @@ def v0_of_w_explicit(j: int, be: BoundEnergy, a: float) -> float:
     return num / den
 
 
-def _kernel(v: _Variant, be: BoundEnergy) -> Callable[[float, float], float]:
-    """G(i w, r, r') with the variant's row and K_j(i w) resolved once."""
-    return partial(_partial_bound, v, be.m, be.w, k_factor_bound(v.j, be))
+def _kernel(v: _Variant, w: float) -> Callable[[float, float], float]:
+    """m G(i w, r, r') of (x, x') = (m r, m r'), with K_j(i w) / (i m) resolved once."""
+    kt = v.k_reduced_bound(w)
+    return lambda x, xp: _partial_bound(v, w, kt, x - xp, x + xp)
 
 
 def det_bound(j: int, be: BoundEnergy, pot: ShellPotential) -> float:
     """Quantization determinant det[1 - G V] at this w (real)."""
-    return _det(_shell_matrix(pot, _kernel(_variant(j), be)))
-
-
-def _check_pair(a1: float, a2: float) -> None:
-    if not 0 < a1 < a2:
-        raise DomainError(f"radii must satisfy 0 < a1 < a2, got {a1}, {a2}")
+    return _det(_shell_matrix(_dimensionless(be.m, pot.shells)[1], _kernel(_variant(j), be.w)))
 
 
 def _check_alpha(alpha: float) -> None:
@@ -192,35 +192,12 @@ def _check_alpha(alpha: float) -> None:
         raise DomainError("alpha must be non-zero (V2 = alpha V1 with two shells)")
 
 
-def _pair_values(kernel: Callable, a1: float, a2: float) -> tuple:
-    """(G11, G22, G12) of a shell pair from kernel(r, r'), scalar or array."""
-    return kernel(a1, a1), kernel(a2, a2), kernel(a1, a2)
-
-
-def _v2_parts(g11, g22, g12, v1: float) -> tuple:
-    """Numerator and denominator of the V2 curve.
-
-    Plain arithmetic on the kernel values, so floats and arrays both work.
-    """
-    return 1.0 - v1 * g11, g22 + v1 * (g12 * g12 - g11 * g22)
-
-
-def v2_of_w(j: int, be: BoundEnergy, a1: float, a2: float, v1: float) -> float:
-    """Outer strength placing a level at w for fixed inner shell (V1, a1).
-
-    Solves det = 0 for V2:  V2 = (1 - V1 G11) / (G22 + V1 (G12^2 - G11 G22)).
-    Pole abscissae of the curve raise SingularPointError; the pole test is
-    relative (12 cancelled digits), since a fixed absolute threshold says
-    nothing about O(1) kernel values.
-    """
-    _check_pair(a1, a2)
-    _check_finite("v1", v1)
-    g11, g22, g12 = _pair_values(partial(green_partial_bound, j, be), a1, a2)
-    num, den = _v2_parts(g11, g22, g12, v1)
-    scale = abs(g22) + abs(v1) * (g12 * g12 + abs(g11 * g22))
-    if den == 0.0 or abs(den) < 1e-12 * scale:
-        raise SingularPointError(f"V2 curve has a pole at w = {be.w!r}")
-    return num / den
+def _pair(kernel: Callable, m: float, a1: float, a2: float, v1: float = 0.0) -> tuple:
+    """(m, V1 / m, m G11, m G22, m G12) at a1 < a2 from the reduced kernel(x, x')."""
+    if not 0 < a1 < a2:
+        raise DomainError(f"radii must satisfy 0 < a1 < a2, got {a1}, {a2}")
+    m, ((g1, x1), (_, x2)) = _dimensionless(m, ((v1, a1), (0.0, a2)))
+    return m, g1, kernel(x1, x1), kernel(x2, x2), kernel(x1, x2)
 
 
 def _v1pm_parts(g11, g22, g12, alpha: float) -> tuple:
@@ -262,17 +239,18 @@ def v1_pm_of_w(j: int, be: BoundEnergy, a1: float, a2: float, alpha: float):
     manifestly non-negative for alpha >= 0.  Returns None when it is
     negative (possible only for alpha < 0): no real strength binds at w.
     Roots are evaluated in the cancellation-free form and labeled so that
-    `plus`/`minus` carry the +/- sign of the quadratic formula.
+    `plus`/`minus` carry the +/- sign of the quadratic formula.  They are
+    m times the roots in V1 / m with the reduced kernels m G.
     """
     _check_alpha(alpha)
-    _check_pair(a1, a2)
-    g = _pair_values(partial(green_partial_bound, j, be), a1, a2)
+    m, _, *g = _pair(_kernel(_variant(j), be.w), be.m, a1, a2)
     plus, minus, degenerate, closed = _v1pm_parts(*g, alpha)
     if closed:
         return None
+    plus, minus = m * float(plus), m * float(minus)
     if not (math.isfinite(plus) and math.isfinite(minus)):
         raise SingularPointError(f"quadratic degenerates entirely at w = {be.w!r}")
-    return V1Roots(plus=float(plus), minus=float(minus), degenerate=bool(degenerate))
+    return V1Roots(plus=plus, minus=minus, degenerate=bool(degenerate))
 
 
 def bound_wavefunction(j: int, m: float, w: float,
@@ -287,9 +265,9 @@ def bound_wavefunction(j: int, m: float, w: float,
     """
     v = _variant(j)
     be = BoundEnergy(m, w)
-    shells = pot.shells
-    kernel = _kernel(v, be)
-    mat = _shell_matrix(pot, kernel)
+    m, shells = _dimensionless(m, pot.shells)
+    kernel = _kernel(v, w)
+    mat = _shell_matrix(shells, kernel)
     residual = abs(_det(mat))
     if residual > _RESIDUAL_TOL:
         raise DomainError(
@@ -305,9 +283,10 @@ def bound_wavefunction(j: int, m: float, w: float,
         raise SingularPointError(f"quantization matrix vanishes identically at w = {w!r}")
 
     def psi_hat(r: float) -> float:
+        x = m * r  # sum_k c_k V_k G(r, a_k) = sum_k c_k g_k (m G)(x, x_k)
         total = 0.0
-        for c, (v, a) in zip(coeff, shells):
-            total += c * v * kernel(r, a)
+        for c, (g, xk) in zip(coeff, shells):
+            total += c * g * kernel(x, xk)
         return total
 
     # Fix the overall sign before normalizing: psi > 0 at the innermost
@@ -331,7 +310,7 @@ def bound_wavefunction(j: int, m: float, w: float,
         w=w,
         two_body_energy=be.two_body_energy,
         residual=residual,
-        psi_shell=tuple(psi(a) for _, a in shells),
+        psi_shell=tuple(psi(a) for a in pot.radii),
         norm_constant=abs(n_const),
     )
     return psi, level
@@ -344,15 +323,14 @@ def level_roots(j: int, m: float, pot: ShellPotential, n_scan: int = 2000) -> li
     The grid is evaluated as one array determinant; the scalar det_bound
     decides every bracket, bisects it and rejects poles (find_roots_scan).
     """
-    j = _variant(j).j
-    if not (math.isfinite(m) and m > 0):
-        raise DomainError(f"m must be finite and positive, got {m!r}")
+    v = _variant(j)
+    m, shells = _dimensionless(m, pot.shells)
 
     def det_of_w(w: float) -> float:
-        return det_bound(j, BoundEnergy(m, w), pot)
+        return det_bound(v.j, BoundEnergy(m, w), pot)
 
     roots = find_roots_scan(det_of_w, BOUND_W_LO, BOUND_W_HI, n_scan=n_scan,
-                            f_grid=partial(_det_array, j, m, pot))
+                            f_grid=partial(_det_array, v, shells))
     return [r.x for r in roots]
 
 
@@ -363,11 +341,15 @@ def solve_levels(
     return [bound_wavefunction(j, m, w, pot)[1] for w in level_roots(j, m, pot, n_scan)]
 
 
-def _det_array(j: int, m: float, pot: ShellPotential, ws: np.ndarray) -> np.ndarray:
-    """det_bound over an array of w, through the same shell system; the
-    callers test every value for finiteness, so overflows stay silent."""
+def _det_array(v: _Variant, shells, ws: np.ndarray) -> np.ndarray:
+    """det_bound over an array of w for the reduced shells; overflows stay silent."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return _det(_shell_matrix(pot, partial(green_partial_bound_array, j, m, ws)))
+        return _det(_shell_matrix(shells, _array_kernel(v, ws)))
+
+
+def _array_kernel(v: _Variant, ws: np.ndarray) -> Callable:
+    """_kernel over an array of w."""
+    return lambda x, xp: _partial_bound_array(v, ws, x - xp, x + xp)
 
 
 def _w_grid(n: int) -> np.ndarray:
@@ -377,13 +359,14 @@ def _w_grid(n: int) -> np.ndarray:
 
 
 def sample_v0_curve(j: int, m: float, a: float, n: int = 2000) -> QuantCurve:
-    """V0(w) on the open w grid of n samples; poles and non-finite values flagged."""
+    """V0(w) = m / (m G(i w, a, a)) on the open w grid; poles and non-finite values flagged."""
     if not 0 < a < math.inf:
         raise DomainError(f"shell radius must be finite and positive, got {a}")
     ws = _w_grid(n)
-    g = green_partial_bound_array(j, m, ws, a, a)
+    m, ((_, x),) = _dimensionless(m, ((0.0, a),))
+    g = _array_kernel(_variant(j), ws)(x, x)
     with np.errstate(divide="ignore", over="ignore"):
-        v0 = 1.0 / g
+        v0 = m * (1.0 / g)
     finite = np.isfinite(g) & np.isfinite(v0)
     return QuantCurve(ws, np.where(finite, v0, math.nan), finite)
 
@@ -398,15 +381,16 @@ def sample_v2_curve(
     point closer to the crossing (smaller |den|) is flagged instead of its
     near-pole value; exact denominator zeros, like every other non-finite
     num / den, are flagged directly.  No absolute threshold: the branches
-    next to an asymptote stay finite however large they grow.
+    next to an asymptote stay finite however large they grow.  V2 = (1 - V1
+    G11) / (G22 + V1 (G12^2 - G11 G22)) is m times that of m G and V1 / m.
     """
-    _check_pair(a1, a2)
     _check_finite("v1", v1)
     ws = _w_grid(n)
-    g = _pair_values(partial(green_partial_bound_array, j, m, ws), a1, a2)
+    m, g1, g11, g22, g12 = _pair(_array_kernel(_variant(j), ws), m, a1, a2, v1)
     with np.errstate(all="ignore"):
-        num, den = _v2_parts(*g, v1)
-        v2 = num / den
+        num = 1.0 - g1 * g11
+        den = g22 + g1 * (g12 * g12 - g11 * g22)
+        v2 = m * (num / den)
     flagged = ~np.isfinite(v2)
     pos = den > 0.0
     # in grid order, since a flagged point ends the test of its neighbours
@@ -420,7 +404,7 @@ def sample_v2_curve(
 def sample_det_curve(j: int, m: float, pot: ShellPotential, n: int = 2000) -> QuantCurve:
     """Quantization determinant over the w grid; non-finite values flagged."""
     ws = _w_grid(n)
-    det = _det_array(j, m, pot, ws)
+    det = _det_array(_variant(j), _dimensionless(m, pot.shells)[1], ws)
     finite = np.isfinite(det)
     return QuantCurve(ws, np.where(finite, det, math.nan), finite)
 
@@ -429,12 +413,14 @@ def sample_v1pm_curve(
     j: int, m: float, a1: float, a2: float, alpha: float, n: int = 2000
 ) -> tuple[QuantCurve, QuantCurve]:
     """Both V1 branches over the w grid, as a (plus, minus) pair sharing w
-    and finite; closed-discriminant gaps and non-finite roots flagged."""
+    and finite; closed-discriminant gaps and non-finite roots flagged.  The
+    roots are v1_pm_of_w's."""
     _check_alpha(alpha)
-    _check_pair(a1, a2)
     ws = _w_grid(n)
-    g = _pair_values(partial(green_partial_bound_array, j, m, ws), a1, a2)
+    m, _, *g = _pair(_array_kernel(_variant(j), ws), m, a1, a2)
     plus, minus, _, closed = _v1pm_parts(*g, alpha)
+    with np.errstate(over="ignore", invalid="ignore"):
+        plus, minus = m * plus, m * minus
     finite = ~closed & np.isfinite(plus) & np.isfinite(minus)
     return (QuantCurve(ws, np.where(finite, plus, math.nan), finite),
             QuantCurve(ws, np.where(finite, minus, math.nan), finite))

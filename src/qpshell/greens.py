@@ -27,17 +27,14 @@ ratios of hyperbolic functions, written with e^{-w m r} and expm1 so that
 they neither overflow nor cancel at any r.
 
 green_spectral_oracle recomputes the bound-branch line kernel from its
-rapidity-space spectral integral with adaptive quadrature.  It shares no
-code path with the closed forms above and exists purely as an independent
-cross-check.
+spectral integral by adaptive quadrature, sharing no code with the above.
 
-green_partial_real evaluates Re G_j(chi, r, r') on numpy arrays, and
-green_partial_bound_array evaluates G_j(i w, r, r') over an array of w (the
-bound curves and the level scan's grid).  The real shell system, at one
-rapidity or over a sweep, calls the unchecked core _partial_re_array, and the
-bound-branch scalar systems call _partial_bound, each with K_j resolved once
-per system.  The scalar kernels green_line and green_partial stay the
-reference the array kernels and the real system are tested against.
+Where m enters: K_j and the j = 2 sech denominator are m times functions of
+chi alone, so m G depends only on chi and x = m r.  The private cores, which
+the shell systems call, compute m G from the image arguments m (r -+ r') and
+K_j / m, with no m and no checks.  The public kernels, scalar (green_line,
+green_partial: the reference) or over numpy arrays (green_partial_real,
+green_partial_bound_array), check, form m (r -+ r') and divide by m once.
 """
 
 from __future__ import annotations
@@ -48,8 +45,8 @@ import sys
 import numpy as np
 
 from .errors import DomainError, ThresholdError, UnsupportedBranchError
-from .kinematics import (BoundEnergy, EquationVariant, Kinematics, _variant, _Variant,
-                         k_factor, k_factor_bound)
+from .kinematics import (BoundEnergy, EquationVariant, Kinematics, _dimensionless, _variant,
+                         _Variant, k_factor, k_factor_bound)
 from .numerics import QuadResult, integrate_adaptive
 
 # Below this, a kernel argument is subnormal or 0 and a ratio of two such
@@ -66,7 +63,7 @@ def _sech(x: float) -> float:
 def green_line(j: int, kin: Kinematics, r: float) -> complex:
     """Free line kernel G_j(chi, r) on the scattering branch (complex).
 
-    A chi m r beyond the float range raises DomainError."""
+    A K_j or a chi m r beyond the float range raises DomainError."""
     r = float(r)
     if not math.isfinite(r):
         raise DomainError(f"r must be finite, got {r}")
@@ -75,22 +72,21 @@ def green_line(j: int, kin: Kinematics, r: float) -> complex:
     m, chi = kin.m, kin.chi
     x = m * r
     kj = k_factor(j, kin)
-    _check_reach(chi, m, r)
-    return complex(_line_re(_variant(j), m, chi, kj, x), -math.cos(chi * x) / kj)
+    if not math.isfinite(chi * x):
+        raise _reach_error(chi, m, r)
+    return complex(_line_re(_variant(j), chi, kj / m, x) / m, -math.cos(chi * x) / kj)
 
 
-def _check_reach(chi: float, m: float, r: float, rp: float = 0.0) -> None:
-    """Refuse a rapidity at which chi m (r + r') leaves the float range, where
-    sin(chi m (r + r')) has no value; the message names r' when it is not 0."""
-    if not math.isfinite(chi * (m * (r + rp))):
-        at = f"r = {r!r}" if rp == 0.0 else f"r + r' = {r!r} + {rp!r}"
-        raise DomainError(f"chi m r is not finite at chi = {chi!r}, m = {m!r}, {at}")
+def _reach_error(chi: float, m: float, r: float, rp: float = 0.0) -> DomainError:
+    """A chi m (r + r') beyond the float range: sin has no value there."""
+    at = f"r = {r!r}" if rp == 0.0 else f"r + r' = {r!r} + {rp!r}"
+    return DomainError(f"chi m r is not finite at chi = {chi!r}, m = {m!r}, {at}")
 
 
-def _line_re(v: _Variant, m: float, chi: float, kj: float, x: float) -> float:
-    """Re G_j(chi, r) at x = m r, with the flux factor kj = K_j given.
+def _line_re(v: _Variant, chi: float, kt: float, x: float) -> float:
+    """m Re G_j(chi, r) at x = m r, with kt = K_j / m given.
 
-    c_j(x) sin(chi x) / K_j (plus the sech term for j = 2), where c_1 =
+    c_j(x) sin(chi x) / kt (plus the sech term for j = 2), where c_1 =
     coth(pi x / 2), c_2 = c_4 = coth(pi x) and c_3 = tanh(pi x / 2): with
     a = rate x and b = chi x, tanh(a) sin(b) for j = 3 and sin(b) / tanh(a)
     otherwise.  The quotient takes its x -> 0 limit chi / rate where a or b
@@ -104,21 +100,32 @@ def _line_re(v: _Variant, m: float, chi: float, kj: float, x: float) -> float:
         g = chi / v.rate
     else:
         g = math.sin(b) / math.tanh(a)
-    g /= kj
+    g /= kt
     if v.sech:
-        g += _sech(math.pi * x / 2) / (4.0 * m * math.cosh(chi))
+        g += _sech(math.pi * x / 2) / (4.0 * math.cosh(chi))
     return g
 
 
-def _real_factors(v: _Variant, m: float,
-                  chi: np.ndarray) -> tuple[np.ndarray, np.ndarray | float]:
-    """K_j as k_factor computes it and the j = 2 sech denominator
-    4 m cosh(chi) (1.0 for the other variants) over an array of rapidities;
-    inf where they overflow, for the caller to judge.  Call it where
-    overflow warnings are off."""
-    kj = v.k_scale * m * np.sinh(v.k_rate * chi)
-    sech_den = 4.0 * m * np.cosh(chi) if v.sech else 1.0
-    return kj, sech_den
+def _real_factors(v: _Variant, chi: np.ndarray) -> tuple[np.ndarray, np.ndarray | float]:
+    """K_j / m and the j = 2 sech denominator over m, 4 cosh(chi) (else 1.0),
+    over an array of rapidities; inf where they overflow."""
+    kt = v.k_scale * np.sinh(v.k_rate * chi)
+    sech_den = 4.0 * np.cosh(chi) if v.sech else 1.0
+    return kt, sech_den
+
+
+def _check_rapidity(v: _Variant, chi, m: float) -> tuple:
+    """_real_factors at chi, refusing chi = 0 and an overflowing K_j / m or
+    cosh(chi); m only names the point."""
+    chi = np.asarray(chi)
+    if (chi == 0.0).any():
+        raise ThresholdError("line kernel undefined at chi = 0 (elastic threshold)")
+    with np.errstate(over="ignore"):
+        kt, sech_den = _real_factors(v, chi)
+    if not (np.isfinite(kt).all() and np.isfinite(sech_den).all()):
+        raise DomainError(f"rapidity too large: K_{v.j} or cosh(chi) overflows "
+                          f"for chi up to {float(np.max(chi))!r} at m = {m!r}")
+    return kt, sech_den
 
 
 def green_partial_real(j: int, m: float, chi, r, rp) -> np.ndarray:
@@ -126,45 +133,32 @@ def green_partial_real(j: int, m: float, chi, r, rp) -> np.ndarray:
 
     chi, r and r' broadcast against each other; m is a scalar.  The values
     are those of green_partial(j, Kinematics(m, chi), r, rp).real up to
-    rounding (numpy's sin and tanh may differ from math's in the last
-    place).  r and r' must be finite and non-negative.  The variant
-    constants (hyperbolic rate, K_j and the j = 2 sech prefactor) are
-    computed once per call.  chi = 0 anywhere raises ThresholdError; a
-    negative radius raises DomainError, as in green_partial; a rapidity so
-    large that K_j or cosh(chi) overflows raises DomainError, and so does a
-    chi m (r + r') beyond the float range, as in green_line.
+    rounding; r and r' must be finite and non-negative.  chi = 0 anywhere
+    raises ThresholdError; a negative radius, an overflowing K_j / m or
+    cosh(chi), or a chi m (r + r') beyond the float range raises DomainError.
     """
     v = _variant(j)
     if (np.asarray(r) < 0).any() or (np.asarray(rp) < 0).any():
         raise DomainError(f"radial coordinates must be non-negative, got min r = "
                           f"{float(np.min(r))!r}, min r' = {float(np.min(rp))!r}")
     chi = np.asarray(chi, dtype=float)
-    if (chi == 0.0).any():
-        raise ThresholdError("line kernel undefined at chi = 0 (elastic threshold)")
+    kt, sech_den = _check_rapidity(v, chi, m)
     with np.errstate(all="ignore"):
-        kj, sech_den = _real_factors(v, m, chi)
-        if not (np.isfinite(kj).all() and np.isfinite(sech_den).all()):
-            raise DomainError(
-                f"rapidity too large: K_{v.j} or cosh(chi) overflows "
-                f"for chi up to {float(chi.max())!r} at m = {m!r}"
-            )
-        g = _partial_re_array(v, m, chi, kj, sech_den, r, rp)
-    # With K_j finite, a NaN can only be sin of a non-finite chi m (r + r')
+        g = _partial_re_array(v, chi, kt, sech_den, m * (r - rp), m * (r + rp)) / m
+    # With K_j / m finite, a NaN can only be sin of a non-finite chi m (r + r')
     bad = np.isnan(g)
     if bad.any():
         k = np.argmax(bad)
         chi_k, r_k, rp_k = np.broadcast_arrays(chi, r, rp)
-        _check_reach(float(chi_k.flat[k]), m, float(r_k.flat[k]), float(rp_k.flat[k]))
+        raise _reach_error(float(chi_k.flat[k]), m, float(r_k.flat[k]), float(rp_k.flat[k]))
     return g
 
 
-def _partial_re_array(v: _Variant, m: float, chi: np.ndarray, kj: np.ndarray,
-                      sech_den, r, rp) -> np.ndarray:
-    """Re G_j(chi, r, r') by images over arrays, with _real_factors given and
-    no checks; the kernel of the real shell system.  The line kernel is
-    _line_re's, element by element, and as there a j = 2 sech term whose
-    4 m cosh(chi) overflows is 0.  Call it where floating-point warnings are
-    off: the quotient is 0/0 where its limit replaces it."""
+def _partial_re_array(v: _Variant, chi: np.ndarray, kt: np.ndarray, sech_den,
+                      d, s) -> np.ndarray:
+    """m Re G_j(chi, r, r') over arrays from the image arguments d = m (r - r')
+    and s = m (r + r'), with _real_factors given: _line_re element by element
+    (a j = 2 sech term whose 4 cosh(chi) overflows is 0), warnings off."""
 
     def line(x):
         a = v.rate * x
@@ -174,12 +168,12 @@ def _partial_re_array(v: _Variant, m: float, chi: np.ndarray, kj: np.ndarray,
         else:
             g = np.where((np.abs(a) < _TINY) | (np.abs(b) < _TINY), chi / v.rate,
                          np.sin(b) / np.tanh(a))
-        g = g / kj
+        g = g / kt
         if v.sech:
             g = g + 1.0 / np.cosh(math.pi * x / 2) / sech_den
         return g
 
-    return line(m * (r - rp)) - line(m * (r + rp))
+    return line(d) - line(s)
 
 
 def green_line_bound(j: int, be: BoundEnergy, r: float) -> float:
@@ -191,16 +185,18 @@ def green_line_bound(j: int, be: BoundEnergy, r: float) -> float:
         j=3:  -cosh((pi/2 - w) m r) / (2 m sin(w) cosh(pi m r / 2))
         j=4:  -sinh((pi - w) m r) / (2 m sin(w) sinh(pi m r))
 
-    Even in r; the r = 0 limits are finite and negative.
+    Even in r; the r = 0 limits are finite and negative.  Nothing in the
+    package calls it; it stays as the bound line kernel the benchmark times.
     """
     r = float(r)
     if not math.isfinite(r):
         raise DomainError(f"r must be finite, got {r}")
-    return _line_bound(_variant(j), be.m, be.w, k_factor_bound(j, be), be.m * r)
+    v = _variant(j)
+    return _line_bound(v, be.w, v.k_reduced_bound(be.w), be.m * r) / be.m
 
 
-def _line_bound(v: _Variant, m: float, w: float, kb: float, x: float) -> float:
-    """G_j(i w, r) at x = m r, with kb = K_j(i w) / i given.
+def _line_bound(v: _Variant, w: float, kt: float, x: float) -> float:
+    """m G_j(i w, r) at x = m r, with kt = K_j(i w) / (i m) given.
 
     With beta = rate and alpha = beta - w, the ratio cosh(alpha x) /
     cosh(beta x) (j = 3) is e^{-w x} (1 + e^{-2 alpha x}) / (1 + e^{-2 beta
@@ -218,9 +214,9 @@ def _line_bound(v: _Variant, m: float, w: float, kb: float, x: float) -> float:
         ratio = alpha / beta
     else:
         ratio = math.exp(-w * x) * math.expm1(-2.0 * alpha * x) / math.expm1(-2.0 * beta * x)
-    g = -ratio / kb
+    g = -ratio / kt
     if v.sech:
-        g += _sech(math.pi * x / 2) / (4.0 * m * math.cos(w))
+        g += _sech(math.pi * x / 2) / (4.0 * math.cos(w))
     return g
 
 
@@ -233,9 +229,10 @@ def green_partial(j: int, kin: Kinematics, r: float, rp: float) -> complex:
     """
     if r < 0 or rp < 0:
         raise DomainError(f"radial coordinates must be non-negative, got {r}, {rp}")
-    _check_reach(kin.chi, kin.m, r, rp)
-    re = green_line(j, kin, r - rp).real - green_line(j, kin, r + rp).real
     chi, m = kin.chi, kin.m
+    if not math.isfinite(chi * (m * (r + rp))):
+        raise _reach_error(chi, m, r, rp)
+    re = green_line(j, kin, r - rp).real - green_line(j, kin, r + rp).real
     return complex(re, -2.0 * math.sin(chi * (m * r)) * math.sin(chi * (m * rp))
                    / k_factor(j, kin))
 
@@ -244,41 +241,21 @@ def green_partial_bound(j: int, be: BoundEnergy, r: float, rp: float) -> float:
     """Half-line s-wave kernel via the image construction (bound branch)."""
     if not (0 <= r < math.inf and 0 <= rp < math.inf):
         raise DomainError(f"radial coordinates must be finite and non-negative, got {r}, {rp}")
-    return _partial_bound(_variant(j), be.m, be.w, k_factor_bound(j, be), r, rp)
+    v, m, w = _variant(j), be.m, be.w
+    return _partial_bound(v, w, v.k_reduced_bound(w), m * (r - rp), m * (r + rp)) / m
 
 
-def _partial_bound(v: _Variant, m: float, w: float, kb: float,
-                   r: float, rp: float) -> float:
-    """G_j(i w, r, r') by images; the scalar kernel of the quantization system."""
-    return _line_bound(v, m, w, kb, m * (r - rp)) - _line_bound(v, m, w, kb, m * (r + rp))
+def _partial_bound(v: _Variant, w: float, kt: float, d: float, s: float) -> float:
+    """m G(i w, r, r') from the image arguments d = m (r - r'), s = m (r + r')."""
+    return _line_bound(v, w, kt, d) - _line_bound(v, w, kt, s)
 
 
-def green_partial_bound_array(j: int, m: float, w, r, rp) -> np.ndarray:
-    """G_j(i w, r, r') on the bound branch, evaluated on numpy arrays.
-
-    w, r and r' broadcast against each other; m is a scalar.  The values are
-    those of green_partial_bound(j, BoundEnergy(m, w), r, rp) up to rounding
-    (numpy's exp and expm1 may differ from math's in the last place): the
-    variant constants and K_j(i w) are computed once per call, and each
-    element takes _line_bound's form.  m must be finite and positive, every
-    w inside (0, pi/2), and r, r' finite and non-negative; otherwise
-    DomainError.
-    """
-    v = _variant(j)
-    m = float(m)
-    w = np.asarray(w, dtype=float)
-    r = np.asarray(r, dtype=float)
-    rp = np.asarray(rp, dtype=float)
-    if not (math.isfinite(m) and m > 0):
-        raise DomainError(f"mass must be finite and positive, got {m!r}")
-    if not ((w > 0.0) & (w < math.pi / 2)).all():
-        raise DomainError("w must lie in the open interval (0, pi/2)")
-    if not ((r >= 0.0) & (r < math.inf) & (rp >= 0.0) & (rp < math.inf)).all():
-        raise DomainError("radial coordinates must be finite and non-negative")
+def _partial_bound_array(v: _Variant, w: np.ndarray, d, s) -> np.ndarray:
+    """_partial_bound over arrays, with the reduced factors computed once."""
     beta = v.rate
     alpha = beta - w
-    kb = v.k_scale * m * np.sin(v.k_rate * w)
-    sech_den = 4.0 * m * np.cos(w) if v.sech else None
+    kt = v.k_scale * np.sin(v.k_rate * w)
+    sech_den = 4.0 * np.cos(w) if v.sech else None
 
     def line(x):
         x = np.abs(x)
@@ -290,14 +267,35 @@ def green_partial_bound_array(j: int, m: float, w, r, rp) -> np.ndarray:
             ratio = np.where(alpha * x < _TINY, alpha / beta,
                              np.exp(-w * x) * np.expm1(-2.0 * alpha * x)
                              / np.expm1(-2.0 * beta * x))
-        g = -ratio / kb
+        g = -ratio / kt
         if sech_den is not None:
             e = np.exp(-(math.pi * x / 2))
             g = g + 2.0 * e / (1.0 + e * e) / sech_den
         return g
 
     with np.errstate(all="ignore"):
-        return line(m * (r - rp)) - line(m * (r + rp))
+        return line(d) - line(s)
+
+
+def green_partial_bound_array(j: int, m: float, w, r, rp) -> np.ndarray:
+    """G_j(i w, r, r') on the bound branch, evaluated on numpy arrays.
+
+    w, r and r' broadcast against each other; m is a scalar.  The values are
+    those of green_partial_bound(j, BoundEnergy(m, w), r, rp) up to rounding.
+    m must be finite and positive, every w inside (0, pi/2), and r, r' finite
+    and non-negative; otherwise DomainError.
+    """
+    v = _variant(j)
+    m, _ = _dimensionless(m)
+    w = np.asarray(w, dtype=float)
+    r = np.asarray(r, dtype=float)
+    rp = np.asarray(rp, dtype=float)
+    if not ((w > 0.0) & (w < math.pi / 2)).all():
+        raise DomainError("w must lie in the open interval (0, pi/2)")
+    if not ((r >= 0.0) & (r < math.inf) & (rp >= 0.0) & (rp < math.inf)).all():
+        raise DomainError("radial coordinates must be finite and non-negative")
+    with np.errstate(over="ignore"):
+        return _partial_bound_array(v, w, m * (r - rp), m * (r + rp)) / m
 
 
 def green_spectral_oracle(j: int, state, r: float, rp: float, tol: float = 1e-8) -> QuadResult:

@@ -5,6 +5,11 @@ real and non-negative, q = m sinh(chi), E = m cosh(chi), so E^2 - q^2 = m^2
 holds identically.  Bound states live on the imaginary-rapidity branch
 chi = i w with 0 < w < pi/2, where the single-particle energy is m cos(w)
 and the two-particle energy 2m cos(w) stays below threshold.
+
+The mass is the only scale.  The kernels depend on r only through x = m r,
+and K_j is m times a reduced factor of chi (or w) alone, so m G depends only
+on (chi, m r, m r'), and the shell system only on chi (or w), x_k = m a_k
+and g_k = V_k / m.  `_dimensionless` is where a mass enters that core.
 """
 
 from __future__ import annotations
@@ -45,6 +50,10 @@ class _Variant:
     k_rate: float    # branch K_j(i w) / i = k_scale m sin(k_rate w)
     sech: bool       # the extra sech term of j = 2
 
+    def k_reduced_bound(self, w: float) -> float:
+        """K_j(i w) / (i m) = k_scale sin(k_rate w)."""
+        return self.k_scale * math.sin(self.k_rate * w)
+
 
 _VARIANTS = {
     1: _Variant(1, math.pi / 2, False, 1.0, 2.0, False),
@@ -60,6 +69,27 @@ def _variant(j) -> _Variant:
         return _VARIANTS[j]
     except (KeyError, TypeError):
         raise DomainError(f"equation variant must be 1, 2, 3 or 4, got {j!r}") from None
+
+
+def _dimensionless(m, shells=()) -> tuple[float, tuple[tuple[float, float], ...]]:
+    """The boundary of the dimensionless core: the mass as a float, and each
+    shell (V_k, a_k) as (g_k, x_k) = (V_k / m, m a_k), in the given order.
+
+    m must be finite and positive (DomainError).  The shells are never
+    merged, since m a_k can round to one value for distinct a_k.  A V_k / m
+    or an m a_k beyond the float range is a DomainError.
+    """
+    m = float(m)
+    if not (math.isfinite(m) and m > 0):
+        raise DomainError(f"mass must be finite and positive, got {m!r}")
+    scaled = tuple((v / m, m * a) for v, a in shells)
+    for (v, a), (g, x) in zip(shells, scaled):
+        if not math.isfinite(x):
+            # then chi m r overflows too, on either branch (|chi| = w there)
+            raise DomainError(f"chi m r is not finite: m r = {m!r} * {a!r} overflows")
+        if not math.isfinite(g):
+            raise DomainError(f"strength over mass V / m = {v!r} / {m!r} is not finite")
+    return m, scaled
 
 
 def _check_finite(name: str, value: float) -> float:

@@ -56,8 +56,9 @@ def nr_green_bound(kappa: float, r: float, rp: float) -> float:
 
 def _nr_system(q: float, pot: ShellPotential) -> DeltaSystem:
     """The Schroedinger shell system D = det A + i c, adj(A) s at momentum q."""
-    a = _shell_matrix(pot, lambda r, rp: nr_green(q, r, rp).real)
-    det, c, nums, scale = _k_parts(a, [math.sin(q * r) for _, r in pot.shells], 1.0 / q, pot)
+    a = _shell_matrix(pot.shells, lambda r, rp: nr_green(q, r, rp).real)
+    det, c, nums, scale = _k_parts(a, [math.sin(q * r) for r in pot.radii], 1.0 / q,
+                                   pot.shells)
     sys = DeltaSystem(complex(det, c), tuple(nums), scale)
     _check_pole(sys, "q", q)
     return sys
@@ -72,7 +73,9 @@ def nr_amplitude(q: float, pot: ShellPotential) -> complex:
 
 def nr_wavefunction(q: float, pot: ShellPotential, r: float) -> complex:
     """Schroedinger wave psi(r) = sin(q r) + sum_k V_k G0(r, a_k) psi(a_k);
-    normalized so psi -> sin(q r) + q f exp(i q r) far outside the shells."""
+    normalized so psi -> sin(q r) + q f exp(i q r) far outside the shells.
+    No caller in the package: it stays as the Schroedinger reference for
+    the relativistic wave functions."""
     _check_q(q)
     if not 0 <= r < math.inf:
         raise DomainError(f"r must be {'non-negative' if r < 0 else 'finite'}, got {r}")
@@ -95,7 +98,8 @@ def nr_amplitude_explicit(q: float, pot: ShellPotential) -> complex:
 
     The V1 numerator term carries sin^2(q a1): anything else breaks the
     V2 = 0 reduction to the single-shell form.  Three or more shells raise
-    UnsupportedFormError.
+    UnsupportedFormError.  No caller in the package: it stays as the
+    independent route the tests check nr_amplitude against.
     """
     _check_q(q)
     shells = pot.shells
@@ -132,10 +136,13 @@ def nr_v0_of_kappa(kappa: float, a: float) -> float:
 
 
 def nr_det_bound(kappa: float, pot: ShellPotential) -> float:
-    """Schroedinger quantization determinant det[1 - G V] at kappa."""
+    """Schroedinger quantization determinant det[1 - G V] at kappa.
+
+    No caller in the package: it stays as the Schroedinger reference for the
+    relativistic quantization determinant."""
     if kappa <= 0:
         raise DomainError(f"kappa must be positive, got {kappa}")
-    return _det(_shell_matrix(pot, partial(nr_green_bound, kappa)))
+    return _det(_shell_matrix(pot.shells, partial(nr_green_bound, kappa)))
 
 
 @dataclass(frozen=True)

@@ -22,8 +22,12 @@ determinant of 1 - G V with the scalar complex kernel green_partial.  The
 bound branch (`boundstates`) and the Schroedinger limit (`nonrel`) solve the
 same real system with their own kernels.  Determinants and adjugates are
 taken by cofactor expansion, whose cost grows as N!, so the system is meant
-for a few shells: one scatter_point takes about 0.5 ms at N = 4, 8 ms at
-N = 6 and 0.65 s at N = 8 on a 2-vCPU VM.
+for a few shells: one scatter_point takes about 0.3 ms at N = 4, 6 ms at
+N = 6 and 0.5 s at N = 8 on a 2-vCPU VM.
+
+Where m enters and leaves: G V = (m G)(V / m), so A, D and adj(A) s depend
+only on chi and the reduced shells (V_k / m, m a_k); m returns in q, so in
+f = -c / (q D), and as the factor m of the zero condition.
 
 Transparency (Ramsauer-Townsend) points are zeros of f.  For a single shell
 they sit exactly at chi = pi n / (m a); for two shells they trace curves in
@@ -46,9 +50,9 @@ from .errors import (
     ThresholdError,
     UnsupportedFormError,
 )
-from .greens import (_check_reach, _partial_re_array, _real_factors, _sech,
-                     green_partial, green_partial_real)
-from .kinematics import EquationVariant, Kinematics, _Variant, _variant, k_factor
+from .greens import (_TINY, _check_rapidity, _partial_re_array, _reach_error, _real_factors,
+                     _sech, green_partial)
+from .kinematics import EquationVariant, Kinematics, _dimensionless, _Variant, _variant, k_factor
 
 # Relative threshold below which a closed-form denominator counts as a pole.
 _POLE_EPS = 1e-14
@@ -68,7 +72,7 @@ class ShellPotential:
     """One or more delta shells, stored as (strength, radius) pairs.
 
     Shells are kept sorted by radius; shells at exactly equal radii merge
-    into one by adding strengths.  Radii must be positive.
+    into one by adding strengths.  Radii must be positive, merged shells finite.
     """
 
     shells: tuple[tuple[float, float], ...]
@@ -77,8 +81,6 @@ class ShellPotential:
         merged = []
         for v, a in sorted(((float(v), float(a)) for v, a in self.shells),
                            key=lambda s: s[1]):
-            if not (math.isfinite(v) and math.isfinite(a)):
-                raise DomainError(f"shell ({v}, {a}) must be finite")
             if a <= 0:
                 raise DomainError(f"shell radius must be positive, got {a}")
             if merged and merged[-1][1] == a:
@@ -87,6 +89,9 @@ class ShellPotential:
                 merged.append((v, a))
         if not merged:
             raise DomainError("expected at least one shell")
+        for v, a in merged:
+            if not (math.isfinite(v) and math.isfinite(a)):
+                raise DomainError(f"shell ({v}, {a}) must be finite")
         object.__setattr__(self, "shells", tuple(merged))
 
     @classmethod
@@ -152,9 +157,9 @@ class ScatterSweep:
         return (self.chi, self.q, self.f, self.s_matrix, self.sigma0, self.phase)
 
 
-def _shell_matrix(pot: ShellPotential, kernel) -> list[list[float]]:
-    """A = 1 - G V; kernel(r, r') is a real symmetric G, called once per pair."""
-    shells = pot.shells
+def _shell_matrix(shells, kernel) -> list[list[float]]:
+    """A = 1 - G V for shells (V_k, r_k); kernel(r, r') is a real symmetric
+    G, called once per pair."""
     mat = [[0.0 for _ in shells] for _ in shells]
     for i, (vi, ri) in enumerate(shells):
         mat[i][i] = 1.0 - kernel(ri, ri) * vi
@@ -185,53 +190,52 @@ def _adj_apply(a: list[list[float]], b: list[float]) -> list[float]:
             for k in range(len(a))]
 
 
-def _k_parts(a, s, kappa, pot: ShellPotential):
+def _k_parts(a, s, kappa, shells):
     """det A, c = kappa (V s)^T adj(A) s, adj(A) s and the pole scale of
-    D = det A + i c, for Im G = -kappa s s^T.  Only + - * and abs, so the
-    entries may be floats or numpy arrays alike."""
+    D = det A + i c, for Im G = -kappa s s^T and shells (V_k, r_k).  Only
+    + - * and abs, so the entries may be floats or numpy arrays alike."""
     nums = _adj_apply(a, s)
     c = 0.0
-    for (v, _), sk, nk in zip(pot.shells, s, nums):
+    for (v, _), sk, nk in zip(shells, s, nums):
         c += v * sk * nk
     c *= kappa
     scale = 1.0 + math.prod(sum(map(abs, row)) for row in a) + abs(c)
     return _det(a), c, nums, scale
 
 
-def _real_system(v: _Variant, m: float, chi: np.ndarray, pot: ShellPotential):
-    """The real K-matrix system over a 0-d or 1-d array of rapidities.
-
-    The array kernel (_partial_re_array, the core of green_partial_real)
-    fills A, and _k_parts gives det A, c, adj(A) s and the pole scale.
-    Returns those with the index n of the first rapidity whose chi, K_j,
-    kappa = 2 / K_j or chi m 2a_N (the widest kernel argument, a_N the
-    outermost radius) is not finite, and a function that raises its
-    DomainError (ThresholdError for kappa); n = chi.size and None when there
-    is none.  The values from n on must not be read.
+def _real_system(v: _Variant, chi: np.ndarray, shells):
+    """The real K-matrix system over a 0-d or 1-d array of rapidities, for
+    the reduced shells (g_k, x_k): det A, c, adj(A) s and the pole scale,
+    with s_k = sin(chi x_k) and kappa = 2 m / K_j.  Also the index n of the
+    first rapidity whose chi, K_j / m, kappa or chi 2x_N is not finite, and
+    refuse(m, a_N), which raises its DomainError (ThresholdError for kappa);
+    n = chi.size and None when there is none.  Values from n on are unread.
     """
-    a_n = pot.shells[-1][1]
+    x_n = shells[-1][1]
     with np.errstate(all="ignore"):
-        kj, sech_den = _real_factors(v, m, chi)
-        kappa = 2.0 / kj
-        stop = ~(np.isfinite(chi) & np.isfinite(kj) & np.isfinite(kappa)
-                 & np.isfinite(chi * (m * (a_n + a_n))))
-        a = _shell_matrix(pot, partial(_partial_re_array, v, m, chi, kj, sech_den))
-        s = [np.sin(chi * m * r) for r in pot.radii]
-        parts = _k_parts(a, s, kappa, pot)
+        kt, sech_den = _real_factors(v, chi)
+        kappa = 2.0 / kt
+        stop = ~(np.isfinite(chi) & np.isfinite(kt) & np.isfinite(kappa)
+                 & np.isfinite(chi * (x_n + x_n)))
+        a = _shell_matrix(shells, lambda x, xp: _partial_re_array(v, chi, kt, sech_den,
+                                                                  x - xp, x + xp))
+        s = [np.sin(chi * x) for _, x in shells]
+        parts = _k_parts(a, s, kappa, shells)
     if not stop.any():
         return *parts, chi.size, None
     n = int(np.argmax(stop))
-    chi_n, kj_n = float(chi.flat[n]), float(kj.flat[n])
+    chi_n, kt_n = float(chi.flat[n]), float(kt.flat[n])
 
-    def refuse():
+    def refuse(m, a_n):
         if not math.isfinite(chi_n):
             raise DomainError(f"chi must be finite, got {chi_n!r}")
-        if not math.isfinite(kj_n):
+        if not math.isfinite(kt_n):
             raise DomainError(
                 f"rapidity too large: K_{v.j} overflows at chi = {chi_n!r}, m = {m!r}")
-        _check_reach(chi_n, m, a_n, a_n)
+        if not math.isfinite(chi_n * (x_n + x_n)):
+            raise _reach_error(chi_n, m, a_n, a_n)
         raise ThresholdError(f"2 / K_{v.j} overflows at chi = {chi_n!r}, m = {m!r}: "
-                             f"K_{v.j} = {kj_n!r} is too close to the elastic threshold")
+                             f"K_{v.j} / m = {kt_n!r} is too close to the elastic threshold")
 
     return *parts, n, refuse
 
@@ -239,15 +243,16 @@ def _real_system(v: _Variant, m: float, chi: np.ndarray, pot: ShellPotential):
 def delta_system(j: int, kin: Kinematics, pot: ShellPotential) -> DeltaSystem:
     """The real K-matrix system at this energy (see the module docstring).
 
-    chi = 0, or a K_j so small that 2 / K_j overflows, raises ThresholdError;
-    an overflowing K_j, or a chi m 2a_N beyond the float range, raises
-    DomainError, as k_factor and green_line do."""
+    chi = 0, or a K_j / m so small that 2 m / K_j overflows, raises
+    ThresholdError; an overflowing K_j / m, V_k / m or chi m 2a_N raises
+    DomainError."""
     v = _variant(j)
     if kin.chi == 0.0:
         raise ThresholdError("k_factor vanishes at chi = 0 (elastic threshold)")
-    det, c, nums, scale, _, refuse = _real_system(v, kin.m, np.asarray(kin.chi), pot)
+    m, shells = _dimensionless(kin.m, pot.shells)
+    det, c, nums, scale, _, refuse = _real_system(v, np.asarray(kin.chi), shells)
     if refuse is not None:
-        refuse()
+        refuse(m, pot.radii[-1])
     return DeltaSystem(complex(det, c), tuple(map(float, nums)), float(scale))
 
 
@@ -260,6 +265,12 @@ def _pole_error(name: str, value: float, abs_delta: float) -> PoleError:
     return PoleError(
         f"shell determinant vanishes at {name} = {value!r} (|Delta| = {abs_delta:.3e})"
     )
+
+
+def _q_refusal(chi: float, q: float, m: float, _a_n: float) -> None:
+    """Refuse a q = m sinh(chi) that overflows or is not normal: f = -c / (q D)."""
+    error, what = (DomainError, "overflows") if q == math.inf else (ThresholdError, "underflows")
+    raise error(f"q = m sinh(chi) {what} at chi = {chi!r}, m = {m!r}")
 
 
 def _s_route_error(chi: float, err: float) -> AccuracyError:
@@ -278,9 +289,9 @@ def amplitude_explicit(j: int, kin: Kinematics, pot: ShellPotential) -> complex:
 
     These spell out every hyperbolic factor instead of going through the
     kernel values, and exist as an independent route for cross-checking
-    `amplitude`.  Single shell: all variants.  Two shells: only variant 3
-    has a workable expanded form; other variants, and three or more shells,
-    raise UnsupportedFormError.
+    `amplitude` (both take x_k = m a_k).  Single shell: all variants.  Two
+    shells: only variant 3 has a workable expanded form; other variants, and
+    three or more shells, raise UnsupportedFormError.
     """
     j = EquationVariant(_variant(j).j)
     if kin.chi == 0.0:
@@ -290,27 +301,28 @@ def amplitude_explicit(j: int, kin: Kinematics, pot: ShellPotential) -> complex:
     kj = k_factor(j, kin)
 
     def s(x: float) -> float:
-        return math.sin(chi * m * x)
+        return math.sin(chi * x)
 
     def th(x: float) -> float:
-        return math.tanh(math.pi * m * x)
+        return math.tanh(math.pi * x)
 
     if len(pot.shells) == 1:
         v0, a = pot.shells[0]
-        s_a = s(a)
+        x = m * a
+        s_a = s(x)
         if j == EquationVariant.LT:
-            bracket = complex(s(2 * a) / th(a) - 2 * chi / math.pi, 2 * s_a * s_a)
+            bracket = complex(s(2 * x) / th(x) - 2 * chi / math.pi, 2 * s_a * s_a)
         elif j == EquationVariant.K:
-            # th(a/2)^2 / (1 + th(a/2)^2) rewritten as (1 - sech(pi m a)) / 2.
+            # th(x/2)^2 / (1 + th(x/2)^2) rewritten as (1 - sech(pi x)) / 2.
             bracket = complex(
-                s(2 * a) / th(2 * a) - chi / math.pi
-                - 0.5 * (1.0 - _sech(math.pi * m * a)) * math.sinh(chi),
+                s(2 * x) / th(2 * x) - chi / math.pi
+                - 0.5 * (1.0 - _sech(math.pi * x)) * math.sinh(chi),
                 2 * s_a * s_a,
             )
         elif j == EquationVariant.MLT:
-            bracket = complex(th(a) * s(2 * a), 2 * s_a * s_a)
+            bracket = complex(th(x) * s(2 * x), 2 * s_a * s_a)
         else:
-            bracket = complex(s(2 * a) / th(2 * a) - chi / math.pi, 2 * s_a * s_a)
+            bracket = complex(s(2 * x) / th(2 * x) - chi / math.pi, 2 * s_a * s_a)
         den = kj + v0 * bracket
         if abs(den) < _POLE_EPS * (abs(kj) + abs(v0 * bracket) + 1.0):
             raise PoleError(f"expanded-form denominator vanishes at chi = {chi!r}")
@@ -324,11 +336,11 @@ def amplitude_explicit(j: int, kin: Kinematics, pot: ShellPotential) -> complex:
         raise UnsupportedFormError(
             f"no expanded two-shell form for variant {int(j)}; use amplitude()"
         )
-    (v1, a1), (v2, a2) = pot.shells
-    s1, s2 = s(a1), s(a2)
-    t1 = th(a1) * s(2 * a1)
-    t2 = th(a2) * s(2 * a2)
-    p = th((a2 - a1) / 2) * s(a2 - a1) - th((a2 + a1) / 2) * s(a2 + a1)
+    (v1, x1), (v2, x2) = ((v, m * a) for v, a in pot.shells)
+    s1, s2 = s(x1), s(x2)
+    t1 = th(x1) * s(2 * x1)
+    t2 = th(x2) * s(2 * x2)
+    p = th((x2 - x1) / 2) * s(x2 - x1) - th((x2 + x1) / 2) * s(x2 + x1)
     f1 = v1 * s1 * s1 * (1 + v2 * t2 / kj) + v2 * s2 * s2 * (1 + v1 * t1 / kj)
     f2 = 2 * v1 * v2 * s1 * s2 * p / kj
     f3 = (1 + v1 * t1 / kj) * (1 + v2 * t2 / kj) - v1 * v2 * p * p / (kj * kj)
@@ -346,7 +358,8 @@ def amplitude_explicit(j: int, kin: Kinematics, pot: ShellPotential) -> complex:
 def wavefunction(j: int, kin: Kinematics, pot: ShellPotential, r: float) -> complex:
     """Scattering wave psi(r) = sin(chi m r) + sum_k V_k G(r, a_k) psi(a_k).
 
-    Normalized so psi -> sin(chi m r) + q f exp(i chi m r) for large r.
+    Normalized so psi -> sin(chi m r) + q f exp(i chi m r) for large r.  No
+    caller in the package yet: it stays for a wave-function table.
     """
     if not 0 <= r < math.inf:
         raise DomainError(f"r must be {'non-negative' if r < 0 else 'finite'}, got {r}")
@@ -373,22 +386,16 @@ def sweep(j: int, m: float, pot: ShellPotential, chi_grid) -> ScatterSweep:
     """Amplitude, S matrix, cross section and phase over a strictly
     increasing grid of positive rapidities.
 
-    The grid is evaluated at once: _real_system fills the shell system with
-    arrays over chi, and every observable is a numpy column.  The first
-    failing rapidity decides the outcome as a point-by-point loop would: a
-    non-finite chi, an overflowing K_j or a non-finite chi m 2a_N
-    (DomainError), an overflowing 2 / K_j (ThresholdError), a pole
-    (PoleError), a non-finite S (AccuracyError) or an overflowing cross
-    section 4 pi |f|^2 (DomainError).
-    S is formed as 1 + 2 i q f and compared with conj(D)/D.  Both come from
-    the same D = det A + i c, so they agree by construction and the
-    comparison only rejects non-finite values.  It does not guard accuracy:
-    digits the kernel loses before D is formed, e.g. to cancellation at
-    small m a, are lost from both routes alike.
-
+    The grid is evaluated at once, as numpy columns.  The first failing
+    rapidity decides the outcome as a point-by-point loop would: a
+    non-finite chi, K_j / m, chi m 2a_N or q = m sinh(chi) (DomainError), an
+    overflowing 2 m / K_j or a q below the normal range (ThresholdError), a
+    pole (PoleError), a non-finite S (AccuracyError) or an overflowing cross
+    section 4 pi |f|^2 (DomainError).  S = 1 + 2 i q f and conj(D)/D come
+    from one D, so their comparison only rejects non-finite values: digits
+    lost before D is formed, e.g. at small m a, are lost from both alike.
     Phases are unwrapped along the grid: each principal value is shifted by
-    the multiple of pi that brings it nearest its predecessor, so the
-    reported phase is continuous wherever the grid resolves it.
+    the multiple of pi that brings it nearest its predecessor.
     """
     v = _variant(j)
     grid = [float(c) for c in chi_grid]
@@ -398,12 +405,10 @@ def sweep(j: int, m: float, pot: ShellPotential, chi_grid) -> ScatterSweep:
         raise ThresholdError("chi grid values must be positive")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise DomainError("chi grid must be strictly increasing")
-    m = float(m)
-    if not (math.isfinite(m) and m > 0):
-        raise DomainError(f"mass must be finite and positive, got {m!r}")
+    m, shells = _dimensionless(m, pot.shells)
     chi = np.array(grid)
     # squeezed, a one-point grid runs on numpy scalars, which cost less
-    det, c, _, scale, n, refuse = _real_system(v, m, chi.squeeze(), pot)
+    det, c, _, scale, n, refuse = _real_system(v, chi.squeeze(), shells)
     with np.errstate(all="ignore"):
         delta = np.empty(len(grid), dtype=complex)
         delta.real, delta.imag = det, c
@@ -413,6 +418,11 @@ def sweep(j: int, m: float, pot: ShellPotential, chi_grid) -> ScatterSweep:
         err = np.abs(s_mat - delta.conj() / delta)
         pole = np.hypot(delta.real, delta.imag) < _POLE_EPS * scale
         sigma0 = 4.0 * math.pi * np.hypot(f.real, f.imag) ** 2
+    # f needs a finite, normal q: a failure there refuses as the core's do
+    q_bad = ~((q >= _TINY) & (q < math.inf))[:n]
+    if q_bad.any():
+        n = int(np.argmax(q_bad))
+        refuse = partial(_q_refusal, float(chi[n]), float(q[n]))
     # a pole, S or sigma0 failure before the first refused rapidity n decides first
     s_bad = ~(err <= 1e-12)
     bad = (pole | s_bad | ~np.isfinite(sigma0))[:n]
@@ -425,7 +435,7 @@ def sweep(j: int, m: float, pot: ShellPotential, chi_grid) -> ScatterSweep:
         raise DomainError(f"cross section 4 pi |f|^2 overflows at chi = {float(chi[k])!r}: "
                           f"|f| = {abs(complex(f[k])):.3e}")
     if refuse is not None:
-        refuse()
+        refuse(m, pot.radii[-1])
     phase = (np.angle(s_mat) / 2.0).tolist()
     for i in range(1, n):
         phase[i] += math.pi * round((phase[i - 1] - phase[i]) / math.pi)
@@ -442,29 +452,26 @@ def single_shell_zero_rapidities(m: float, a: float, chi_max: float) -> list[flo
     return [n * step for n in range(1, int(chi_max / step) + 1)]
 
 
-def _zero_condition_raw(
-    j: int, m: float, chi, v1: float, a1: float, v2: float, a2
-) -> np.ndarray:
-    """Two-shell transparency condition; chi and a2 are broadcast arrays.
-
-    Continuous in a2 across a2 = a1 (the bracket cancels there and the value
-    coalesces to the single-shell numerator (V1+V2) s^2), which matters for
-    plane scans whose windows may touch a2 = a1 exactly.  Overflowing
-    strengths give a non-finite value, not a warning.
+def _zero_condition_raw(v: _Variant, chi, g1: float, x1: float, g2: float, x2) -> np.ndarray:
+    """The two-shell transparency condition over m, for the reduced shells;
+    chi and x2 are broadcast arrays, and the callers do the checks.
+    Continuous in x2 across x2 = x1, where it coalesces to the single-shell
+    (g1 + g2) s^2, as window edges at a2 = a1 need.  Overflowing strengths
+    give a non-finite value, not a warning.
     """
-    chi, a2 = np.broadcast_arrays(chi, a2)
-    a1s = np.full(a2.shape, a1)
-    # one kernel call over (r, r') = (a1, a1), (a2, a2), (a1, a2): in this
-    # order a reach refusal names the first pair out of reach
-    g11, g22, g12 = green_partial_real(j, m, chi, np.stack([a1s, a2, a1s]),
-                                       np.stack([a1s, a2, a2]))
+    chi, x2 = np.broadcast_arrays(chi, x2)
+    x1s = np.full(x2.shape, x1)
+    # one kernel call over (x, x') = (x1, x1), (x2, x2), (x1, x2)
+    x, xp = np.stack([x1s, x2, x1s]), np.stack([x1s, x2, x2])
     with np.errstate(all="ignore"):
-        s1 = np.sin(chi * m * a1)
-        s2 = np.sin(chi * m * a2)
+        kt, sech_den = _real_factors(v, chi)
+        g11, g22, g12 = _partial_re_array(v, chi, kt, sech_den, x - xp, x + xp)
+        s1 = np.sin(chi * x1)
+        s2 = np.sin(chi * x2)
         return (
-            v1 * s1 * s1
-            + v2 * s2 * s2
-            + v1 * v2 * (2 * s1 * s2 * g12 - s1 * s1 * g22 - s2 * s2 * g11)
+            g1 * s1 * s1
+            + g2 * s2 * s2
+            + g1 * g2 * (2 * s1 * s2 * g12 - s1 * s1 * g22 - s2 * s2 * g11)
         )
 
 
@@ -482,8 +489,13 @@ def zero_condition(j: int, kin: Kinematics, pot: ShellPotential) -> float:
             "zero_condition needs two shells; single-shell zeros sit at "
             "chi = pi n / (m a), see single_shell_zero_rapidities"
         )
-    (v1, a1), (v2, a2) = pot.shells
-    return float(_zero_condition_raw(j, kin.m, kin.chi, v1, a1, v2, a2))
+    v, m, chi = _variant(j), kin.m, kin.chi
+    for a in pot.radii:
+        if not math.isfinite(chi * (m * (a + a))):
+            raise _reach_error(chi, m, a, a)
+    _check_rapidity(v, chi, m)
+    m, ((g1, x1), (g2, x2)) = _dimensionless(m, pot.shells)
+    return m * float(_zero_condition_raw(v, chi, g1, x1, g2, x2))
 
 
 def zero_condition_explicit(kin: Kinematics, pot: ShellPotential) -> float:
@@ -492,28 +504,28 @@ def zero_condition_explicit(kin: Kinematics, pot: ShellPotential) -> float:
     Spells out the hyperbolic factors of zero_condition for variant 3:
 
         V1 s1^2 + V2 s2^2 + (V1 V2 / K3) [
-            2 s1 s2 (th((a2-a1)/2) s(a2-a1) - th((a2+a1)/2) s(a2+a1))
-            + th(a1) s(2 a1) s2^2 + th(a2) s(2 a2) s1^2 ]
+            2 s1 s2 (th((x2-x1)/2) s(x2-x1) - th((x2+x1)/2) s(x2+x1))
+            + th(x1) s(2 x1) s2^2 + th(x2) s(2 x2) s1^2 ]
 
-    with s(x) = sin(chi m x), th(x) = tanh(pi m x).  Cross-check route only.
+    with x_k = m a_k, s(x) = sin(chi x), th(x) = tanh(pi x).
     """
     if len(pot.shells) != 2:
         raise DomainError("zero_condition_explicit needs two shells")
     m, chi = kin.m, kin.chi
     if kin.chi == 0.0:
         raise ThresholdError("undefined at chi = 0")
-    (v1, a1), (v2, a2) = pot.shells
+    (v1, x1), (v2, x2) = ((v, m * a) for v, a in pot.shells)
     kj = k_factor(EquationVariant.MLT, kin)
 
     def s(x: float) -> float:
-        return math.sin(chi * m * x)
+        return math.sin(chi * x)
 
     def th(x: float) -> float:
-        return math.tanh(math.pi * m * x)
+        return math.tanh(math.pi * x)
 
-    s1, s2 = s(a1), s(a2)
-    p = th((a2 - a1) / 2) * s(a2 - a1) - th((a2 + a1) / 2) * s(a2 + a1)
-    bracket = 2 * s1 * s2 * p + th(a1) * s(2 * a1) * s2 * s2 + th(a2) * s(2 * a2) * s1 * s1
+    s1, s2 = s(x1), s(x2)
+    p = th((x2 - x1) / 2) * s(x2 - x1) - th((x2 + x1) / 2) * s(x2 + x1)
+    bracket = 2 * s1 * s2 * p + th(x1) * s(2 * x1) * s2 * s2 + th(x2) * s(2 * x2) * s1 * s1
     return v1 * s1 * s1 + v2 * s2 * s2 + v1 * v2 * bracket / kj
 
 
@@ -529,17 +541,17 @@ class ZeroLocus:
     curves: tuple[tuple[tuple[float, float, float], ...], ...]
 
 
-def _condition_at(j, m, v1, a1, v2, n, points) -> np.ndarray:
-    """Zero condition at n points, _FIELD_BLOCK points at a time.
+def _condition_at(v: _Variant, g1, x1, g2, n, points) -> np.ndarray:
+    """The reduced zero condition at n points, _FIELD_BLOCK points at a time.
 
-    points(k) gives the (a2, chi) coordinates of the point indices k, so a
+    points(k) gives the (x2, chi) coordinates of the point indices k, so a
     grid is never expanded into whole coordinate arrays.
     """
     out = np.empty(n)
     for lo in range(0, n, _FIELD_BLOCK):
         k = np.arange(lo, min(lo + _FIELD_BLOCK, n))
         x, y = points(k)
-        out[lo:lo + len(k)] = _zero_condition_raw(j, m, y, v1, a1, v2, x)
+        out[lo:lo + len(k)] = _zero_condition_raw(v, y, g1, x1, g2, x)
     return out
 
 
@@ -624,44 +636,44 @@ def scan_zero_locus(
 ) -> ZeroLocus:
     """Trace the two-shell transparency curves over an (a2, chi) window.
 
-    Evaluates the zero condition on the grid as numpy arrays, _FIELD_BLOCK
-    points at a time, and contours its sign.  Every edge whose ends differ
-    in sign gets its vertex from one batched Illinois regula falsi over all
-    such edges (_refine_edge_zero), which starts from the field values at
-    the edge ends and stops each edge at residual below _VERTEX_RESIDUAL
-    (1e-10).  A window whose largest sine argument, chi m (a + a) at the
-    top rapidity and the larger radius, exceeds 2^53 is refused with
-    DomainError: sin keeps no significant digit there.  A cell with
-    two crossing edges joins them; a saddle (four) pairs them by the sign of
-    its corner mean.  The segments are walked into open paths, then closed
-    loops (see _chain_segments), so the curve order is deterministic.
+    Evaluates zero_condition (m times the reduced condition) on the grid as
+    numpy arrays, _FIELD_BLOCK points at a time, and contours its sign.
+    Every edge whose ends differ in sign gets its vertex from one batched
+    Illinois regula falsi over all such edges (_refine_edge_zero), started
+    from the field values at the edge ends and stopped at residual below
+    _VERTEX_RESIDUAL (1e-10).  A window whose largest sine argument, chi m
+    (a + a), exceeds 2^53 is refused with DomainError: sin keeps no
+    significant digit there.  A cell with two crossing edges joins them; a
+    saddle (four) pairs them by the sign of its corner mean.  The segments
+    are walked into open paths, then closed loops (see _chain_segments).
 
     With V2 = 0 (or V1 = 0) the condition is one-signed and sign-based
     scanning is blind, so the known degenerate zeros are emitted directly:
     lines chi = pi n / (m a1) for V2 = 0, curves chi = pi n / (m a2) for
     V1 = 0.  Both strengths zero is rejected.
     """
-    j = _variant(j).j
+    v = _variant(j)
     nx, ny = grid
     if nx < 16 or ny < 16:
         raise DomainError(f"grid must be at least 16 x 16, got {nx} x {ny}")
     x_lo, x_hi = map(float, a2_range)
     y_lo, y_hi = map(float, chi_range)
-    if not all(map(math.isfinite, (m, a1, x_hi, y_hi))):
-        raise DomainError(f"m, a1 and the window must be finite, got {m}, {a1}, "
-                          f"{a2_range}, {chi_range}")
+    if not (0 < a1 < math.inf and math.isfinite(x_hi) and math.isfinite(y_hi)):
+        raise DomainError(f"a1 must be finite and positive and the window finite, got "
+                          f"{a1}, {a2_range}, {chi_range}")
     if not (0 < x_lo < x_hi):
         raise DomainError(f"a2 range must satisfy 0 < lo < hi, got {a2_range}")
     if not (0 < y_lo < y_hi):
         raise DomainError(f"chi range must satisfy 0 < lo < hi, got {chi_range}")
-    if m <= 0 or a1 <= 0:
-        raise DomainError(f"m and a1 must be positive, got {m}, {a1}")
     if v1 == 0.0 and v2 == 0.0:
         raise DomainError("at least one shell strength must be non-zero")
+    m, ((g1, x1), (g2, _)) = _dimensionless(m, ((v1, a1), (v2, a1)))
     # the largest sine argument of the field is chi m (r + r') at r = r' = a
     a_max = max(a1, x_hi)
-    _check_reach(y_hi, m, a_max, a_max)
     reach = y_hi * (m * (a_max + a_max))
+    if not math.isfinite(reach):
+        raise _reach_error(y_hi, m, a_max, a_max)
+    _check_rapidity(v, y_hi, m)
     if reach > _MAX_SINE_ARG:
         raise DomainError(
             f"chi m (r + r') reaches {reach:.3e} at chi = {y_hi!r}, m = {m!r}, "
@@ -672,7 +684,10 @@ def scan_zero_locus(
     ys = y_lo + (y_hi - y_lo) * np.arange(ny) / (ny - 1)
 
     def cond(n, points):
-        return _condition_at(j, m, v1, a1, v2, n, points)
+        def scaled(k):  # the points (a2, chi) as (x2, chi)
+            x, y = points(k)
+            return m * x, y
+        return m * _condition_at(v, g1, x1, g2, n, scaled)
 
     if v2 == 0.0 or v1 == 0.0:
         curves = []
@@ -699,7 +714,7 @@ def scan_zero_locus(
                     res = np.abs(cond(len(px), lambda k: (px[k], py[k])))
                     curves.append(tuple(zip(px.tolist(), py.tolist(), res.tolist())))
                 n += 1
-        return ZeroLocus(j, tuple(curves))
+        return ZeroLocus(v.j, tuple(curves))
 
     field = cond(nx * ny, lambda k: (xs[k // ny], ys[k % ny])).reshape(nx, ny)
     bad = np.argwhere(~np.isfinite(field))
@@ -755,7 +770,7 @@ def scan_zero_locus(
     ids[split, 1], ids[split, 2] = ids[split, 2], ids[split, 1]
 
     curves = _chain_segments(ids[crossing].reshape(-1, 2).tolist(), vertices)
-    return ZeroLocus(j, curves)
+    return ZeroLocus(v.j, curves)
 
 
 def _chain_segments(segments, vertices):

@@ -6,6 +6,11 @@ integral oracles, algebraic inverses vs root solvers) and reports the worst
 deviation seen.  All draws are seeded, all grids fixed: repeated runs give
 identical results.
 
+The scaling group checks the one symmetry of the package's natural units:
+m -> lam m, r -> r / lam, V -> lam V leaves every reduced quantity (m f,
+the level positions, V / m on the curves, the determinant, the locus in
+(m a2, chi)) unchanged.
+
 `run_verification` executes the selected groups in registry order.  The
 unitarity, smatrix and phase groups read the same reference sweeps, built
 once per process.  The test suite shows that a group can fail by patching
@@ -24,6 +29,10 @@ import numpy as np
 from .boundstates import (
     bound_wavefunction,
     det_bound,
+    level_roots,
+    sample_det_curve,
+    sample_v0_curve,
+    sample_v1pm_curve,
     sample_v2_curve,
     solve_levels,
     v0_of_w,
@@ -33,7 +42,7 @@ from .errors import DomainError
 from .greens import green_line, green_partial, green_partial_bound, green_spectral_oracle
 from .kinematics import ALL_VARIANTS, BoundEnergy, EquationVariant, Kinematics
 from .nonrel import limit_convergence
-from .numerics import integrate_semi_infinite
+from .numerics import _TOL_X, integrate_semi_infinite
 from .scattering import (
     ScatterSweep,
     ShellPotential,
@@ -41,6 +50,7 @@ from .scattering import (
     amplitude_explicit,
     scan_zero_locus,
     sweep,
+    zero_condition,
 )
 
 _SEED = 734001
@@ -56,6 +66,11 @@ _QUADRATIC_TOL = 1e-10
 _NORM_TOL = 1e-8
 _NR_FINAL_TOL = 1e-2
 _LOCUS_TOL = 1e-8
+# the scaling group: lam = 2^k is exact in floating point, the others are not
+_EXACT_SCALES = (2.0, 2.0 ** -10)
+_INEXACT_SCALES = (0.37, 1e3)
+_UNIT_ROUNDOFF = 2.0 ** -53
+_FD_STEP = 2.0 ** -20
 
 
 @dataclass(frozen=True)
@@ -441,6 +456,145 @@ def check_determinism() -> GroupResult:
                    "bit-identical repeated sweeps, curves and loci", violations)
 
 
+def _scaled_pot(pot: ShellPotential, lam: float) -> ShellPotential:
+    return ShellPotential(tuple((lam * v, a / lam) for v, a in pot.shells))
+
+
+def _nudged_pot(pot: ShellPotential, k: int, field: int, factor: float) -> ShellPotential:
+    """pot with the strength (field 0) or radius (field 1) of shell k times factor."""
+    shells = [list(s) for s in pot.shells]
+    shells[k][field] *= factor
+    return ShellPotential(tuple(map(tuple, shells)))
+
+
+def _scaling_bound(observe, m: float, pot: ShellPotential, base: np.ndarray,
+                   floor: float) -> np.ndarray:
+    """Bound on |observe(lam m, pot_lam) - observe(m, pot)| at a lam that is
+    not a power of 2.
+
+    The scaled run reaches the reduced inputs V_k / m and m a_k through
+    lam V_k / (lam m) and (lam m)(a_k / lam), each within 4u relative of the
+    unscaled ones (u = 2^-53: three roundings and one spare), and returns
+    its output F within 4u of lam times the unscaled one.  To first order
+    that moves F by at most 4u (|F| + sum_p |p dF/dp|) over the inputs p;
+    p dF/dp is taken by central differences of relative step _FD_STEP
+    (scaling a_k or V_k at fixed m scales m a_k or V_k / m alike).  On top
+    come the rounding errors of the two evaluations, which differ once the
+    inputs do.  Their size is measured, not modelled, as the largest change
+    of F when one input moves up or down by about one ulp (a change that
+    also holds that input's 2u share of the first term), and counted twice.
+    floor adds what a stopping rule leaves (the bisection width of a level
+    position).
+    """
+    slope = np.abs(base)
+    noise = np.zeros_like(base)
+    for k in range(len(pot.shells)):
+        for field in (0, 1):
+            up = observe(m, _nudged_pot(pot, k, field, 1.0 + _FD_STEP))
+            down = observe(m, _nudged_pot(pot, k, field, 1.0 - _FD_STEP))
+            slope = slope + np.abs(up - down) / (2.0 * _FD_STEP)
+            for ulp in (1.0 + 2.0 * _UNIT_ROUNDOFF, 1.0 - 2.0 * _UNIT_ROUNDOFF):
+                noise = np.maximum(noise, np.abs(observe(m, _nudged_pot(pot, k, field, ulp))
+                                                 - base))
+    return 4.0 * _UNIT_ROUNDOFF * slope + 2.0 * noise + floor
+
+
+def _scaling_cases():
+    """(observe(m, pot) -> reduced values, pot, floor) for sweep, the level
+    scan and the four curves."""
+    chis = _chi_grid(100)
+    pair = ShellPotential.double(1.3, 0.7, -2.1, 2.9)
+    bound_pair = ShellPotential.double(-2.0, 1.0, -1.0, 3.0)
+    for j in ALL_VARIANTS:
+        yield lambda m, pot, j=j: (m * sweep(j, m, pot, chis).f).view(float), pair, 0.0
+        yield (lambda m, pot, j=j: np.array(level_roots(j, m, pot, n_scan=100)),
+               bound_pair, _TOL_X)
+        yield (lambda m, pot, j=j: sample_v0_curve(j, m, pot.radii[0], n=50).value / m,
+               ShellPotential.single(1.0, 1.0), 0.0)
+        yield lambda m, pot, j=j: sample_det_curve(j, m, pot, n=50).value, bound_pair, 0.0
+        yield (lambda m, pot, j=j: sample_v2_curve(j, m, *pot.radii, pot.strengths[0],
+                                                   n=50).value / m,
+               ShellPotential.double(-3.5, 1.0, 1.0, 4.0), 0.0)
+        yield (lambda m, pot, j=j: np.concatenate(
+                   [c.value for c in sample_v1pm_curve(j, m, *pot.radii, -1.0, n=50)]) / m,
+               ShellPotential.double(1.0, 1.0, 1.0, 2.0), 0.0)
+
+
+def _locus(m: float, pot: ShellPotential):
+    """The curves of a 32 x 32 scan over a2 in [a1, a2]."""
+    (v1, a1), (v2, a2) = pot.shells
+    return scan_zero_locus(1, m, a1, v1, v2, (a1, a2), (0.5, 2.5), grid=(32, 32)).curves
+
+
+def _locus_scaling(m: float) -> tuple[float, int, int]:
+    """(worst, violations, checks) of the scaling law on the zero locus.
+
+    The field is the condition C = m (C / m) with C / m reduced, so at
+    lam = 2^k its signs, and with them the segments and curve lengths, are
+    the same: a difference is a violation.  The vertices are not compared
+    directly, since the 1e-10 refinement target is on C, which scales as
+    lam: a vertex may stop a round earlier or later.  Instead, at every 32nd
+    vertex of each scaled scan, mapped back, the unscaled C / m must equal
+    the scaled scan's residual over lam m within _scaling_bound.
+    """
+    pot = ShellPotential.double(1.0, 3.0, -1.0, 8.0)
+    (v1, a1), (v2, _) = pot.shells
+    lengths = [len(curve) for curve in _locus(m, pot)]
+    worst, violations, n = 0.0, 0, 0
+    for lam in _EXACT_SCALES + _INEXACT_SCALES:
+        curves = _locus(lam * m, _scaled_pot(pot, lam))
+        if lam in _EXACT_SCALES:
+            violations += [len(curve) for curve in curves] != lengths
+            n += 1
+        for x, y, residual in [vertex for curve in curves for vertex in curve][::32]:
+            at = ShellPotential.double(v1, a1, v2, lam * x)
+            kin = Kinematics(m, y)
+
+            def reduced(_m, p, kin=kin):
+                return np.array([zero_condition(1, kin, p) / m])
+
+            value = reduced(m, at)
+            bound = _scaling_bound(reduced, m, at, value, 0.0)
+            worst = max(worst, abs(abs(value[0]) - residual / (lam * m)) / bound[0])
+            n += 1
+    return worst, violations, n
+
+
+def check_scaling() -> GroupResult:
+    """The scaling law m -> lam m, r -> r / lam, V -> lam V on the solvers.
+
+    Each case maps its output to reduced values (m f, the level positions
+    of level_roots, which solve_levels returns, curve strengths over m, the
+    determinant); the zero locus is checked by _locus_scaling.  At lam = 2^k
+    every operation scales exactly, so they must be bit-identical: a
+    difference is a violation.  At other lam they must agree within
+    _scaling_bound, and worst is the largest deviation over its bound.  The
+    level normalization is not compared: its quadrature tolerance is
+    absolute, and the norm integral over r scales as 1 / lam.
+    """
+    m = 1.1
+    worst, violations, n = _locus_scaling(m)
+    for observe, pot, floor in _scaling_cases():
+        base = observe(m, pot)
+        for lam in _EXACT_SCALES:
+            got = observe(lam * m, _scaled_pot(pot, lam))
+            n += 1
+            violations += not (got.shape == base.shape and got.tobytes() == base.tobytes())
+        bound = _scaling_bound(observe, m, pot, base, floor)
+        flagged = np.isnan(base)
+        for lam in _INEXACT_SCALES:
+            got = observe(lam * m, _scaled_pot(pot, lam))
+            n += 1
+            if got.shape != base.shape or (np.isnan(got) != flagged).any():
+                violations += 1
+                continue
+            ratio = np.abs(got - base)[~flagged] / bound[~flagged]
+            worst = max(worst, float(ratio.max(initial=0.0)))
+    return _result("scaling", worst, 1.0, n,
+                   "m -> lam m, r -> r/lam, V -> lam V: bit-identical at lam = 2^k, "
+                   "else deviation over its rounding bound", violations)
+
+
 _GROUPS: dict[str, Callable[[], GroupResult]] = {
     "two_path": check_two_path,
     "unitarity": check_unitarity,
@@ -455,6 +609,7 @@ _GROUPS: dict[str, Callable[[], GroupResult]] = {
     "nrlimit": check_nrlimit,
     "zero_locus": check_zero_locus,
     "determinism": check_determinism,
+    "scaling": check_scaling,
 }
 
 GROUP_NAMES: tuple[str, ...] = tuple(_GROUPS)

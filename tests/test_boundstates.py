@@ -21,7 +21,6 @@ from qpshell.boundstates import (
     v0_of_w,
     v0_of_w_explicit,
     v1_pm_of_w,
-    v2_of_w,
 )
 from qpshell.errors import DomainError, QpshellError, SingularPointError
 from qpshell.greens import green_partial_bound
@@ -163,26 +162,33 @@ def test_level_count_narrow_pair():
         assert lv.residual < 1e-10
 
 
+def _v2_near(j, a1, a2, v1, w):
+    """(w_k, V2(w_k)) at the grid point of the sampled V2 curve nearest w."""
+    curve = sample_v2_curve(j, 1.0, a1, a2, v1)
+    k = int(np.argmin(np.abs(curve.w - w)))
+    assert curve.finite[k]
+    return float(curve.w[k]), float(curve.value[k])
+
+
 def test_v2_back_substitution():
-    be = BoundEnergy(1.0, 0.4)
-    v2 = v2_of_w(4, be, 1.0, 2.0, 1.5)
-    det = det_bound(4, be, ShellPotential.double(1.5, 1.0, v2, 2.0))
+    w, v2 = _v2_near(4, 1.0, 2.0, 1.5, 0.4)
+    det = det_bound(4, BoundEnergy(1.0, w), ShellPotential.double(1.5, 1.0, v2, 2.0))
     assert abs(det) < 1e-11
 
 
 def test_v2_with_inner_off_matches_single():
-    be = BoundEnergy(1.0, 0.8)
-    assert math.isclose(
-        v2_of_w(1, be, 1.0, 2.5, 0.0), v0_of_w(1, BoundEnergy(1.0, 0.8), 2.5),
-        rel_tol=1e-14,
-    )
+    # at V1 = 0 every grid point of the V2 curve is the single-shell V0(w)
+    curve = sample_v2_curve(1, 1.0, 1.0, 2.5, 0.0, n=50)
+    assert curve.finite.all()
+    for w, v2 in zip(curve.w.tolist(), curve.value.tolist()):
+        assert math.isclose(v2, v0_of_w(1, BoundEnergy(1.0, w), 2.5), rel_tol=1e-14)
 
 
 def test_v2_closed_loop():
-    v2 = v2_of_w(2, BoundEnergy(1.0, 0.8), 1.0, 2.5, -1.0)
+    w, v2 = _v2_near(2, 1.0, 2.5, -1.0, 0.8)
     levels = solve_levels(2, 1.0, ShellPotential.double(-1.0, 1.0, v2, 2.5))
     assert levels
-    assert min(abs(lv.w - 0.8) for lv in levels) < 1e-9
+    assert min(abs(lv.w - w) for lv in levels) < 1e-9
 
 
 def test_v2_curve_flags_only_true_poles():
@@ -493,14 +499,15 @@ def test_v1pm_curve_flags_a_closed_discriminant(monkeypatch):
     # (G11, G22, G12) = (1 or 3, -1, 0.5) at alpha = -1: disc = (G11 - 1)^2 - 1
     import qpshell.boundstates as bs
 
-    def fake_kernel(j, m, w, r, rp):
-        if r != rp:
+    def fake_kernel(v, w, d, s):
+        # image arguments d = r - r', s = r + r' at m = 1
+        if d != 0.0:
             return np.full_like(w, 0.5)
-        if r == 2.0:
+        if s == 4.0:
             return np.full_like(w, -1.0)
         return np.where(w < 0.5, 1.0, 3.0)
 
-    monkeypatch.setattr(bs, "green_partial_bound_array", fake_kernel)
+    monkeypatch.setattr(bs, "_partial_bound_array", fake_kernel)
     plus, minus = bs.sample_v1pm_curve(1, 1.0, 1.0, 2.0, -1.0, n=20)
     for curve in (plus, minus):
         assert (curve.finite == (curve.w >= 0.5)).all()
@@ -514,10 +521,11 @@ def test_v2_curve_pole_flags_follow_grid_order(monkeypatch):
     import qpshell.boundstates as bs
     den = np.array([2.0, -1.0, 0.5, 0.0, 1.0, 1.0])
 
-    def fake_kernel(j, m, w, r, rp):
-        return den if r == rp == 2.0 else np.zeros_like(w)
+    def fake_kernel(v, w, d, s):
+        # image arguments d = r - r', s = r + r' at m = 1
+        return den if (d, s) == (0.0, 4.0) else np.zeros_like(w)
 
-    monkeypatch.setattr(bs, "green_partial_bound_array", fake_kernel)
+    monkeypatch.setattr(bs, "_partial_bound_array", fake_kernel)
     curve = bs.sample_v2_curve(1, 1.0, 1.0, 2.0, 0.0, n=6)
     assert (~curve.finite).tolist() == [False, True, False, True, False, False]
     assert curve.value[curve.finite].tolist() == [0.5, 2.0, 1.0, 1.0]

@@ -85,8 +85,8 @@ def test_scatter_failure_before_an_overflow_decides(capsys, monkeypatch):
     # chi = 356 (exit 2) on the grid 1, 2, ..., 400
     array = scattering._partial_re_array
 
-    def forced(j, m, chi, kj, sech_den, r, rp):
-        return np.where(chi == 2.0, math.nan, array(j, m, chi, kj, sech_den, r, rp))
+    def forced(v, chi, kt, sech_den, d, s):
+        return np.where(chi == 2.0, math.nan, array(v, chi, kt, sech_den, d, s))
 
     monkeypatch.setattr(scattering, "_partial_re_array", forced)
     argv = ("scatter", "--j", "1", "--m", "1", "--a", "5", "--v0", "2", "--chi", "1:400:400")
@@ -241,13 +241,32 @@ def test_non_finite_chi_m_r_is_a_parameter_error(capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    "scatter --j 1 --m 1 --v1 1e308 --a1 1 --v2 1e308 --a2 1 --chi 0.5:0.5:1",
+    "bound --j 1 --m 1 --v1 1e308 --a1 1 --v2 1e308 --a2 1 --curve det --n 3",
+])
+def test_merged_shells_beyond_the_float_range_are_a_parameter_error(capsys, argv):
+    # two finite strengths at one radius merge into 2e308, which overflows
+    code, out, err = run(capsys, *argv.split())
+    assert code == 2
+    assert out == ""
+    assert err == "parameter error: shell (inf, 1.0) must be finite\n"
+
+
 def test_scatter_cross_section_overflow_is_a_parameter_error(capsys):
-    # f = 1e26 + 1e163 i is finite, 4 pi |f|^2 is not
-    code, out, err = run(capsys, *"scatter --j 1 --m 1e-160 --v0=-1e300 --a 1 "
+    # f = 1e154 is finite, 4 pi |f|^2 is not
+    code, out, err = run(capsys, *"scatter --j 1 --m 1e-160 --v0=-1e146 --a 1e4 "
                                   "--chi 0.001:1:2".split())
     assert code == 2
     assert out == ""
     assert err.startswith("parameter error: cross section 4 pi |f|^2 overflows at chi = 0.001")
+    # V / m = -1e460 is beyond the float range: refused before the system
+    code, out, err = run(capsys, *"scatter --j 1 --m 1e-160 --v0=-1e300 --a 1 "
+                                  "--chi 0.001:1:2".split())
+    assert code == 2
+    assert out == ""
+    assert err == ("parameter error: strength over mass V / m = -1e+300 / 1e-160 "
+                   "is not finite\n")
 
 
 def test_scatter_large_rapidity_is_finite(capsys):

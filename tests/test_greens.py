@@ -118,8 +118,9 @@ def test_zero_separation_limits():
 
 
 def test_series_branch_consistent_with_direct():
-    # just below and above m r = 1e-4 the closed form agrees with the
-    # undecomposed reference
+    # the one closed form has no switch near m r = 0: at m r = 0.99e-4 and
+    # 1.01e-4, where an earlier version changed to a Taylor series, it is
+    # smooth and agrees with the undecomposed reference
     kin = Kinematics(1.0, 1.3)
     for j in ALL_VARIANTS:
         lo = green_line(j, kin, 0.99e-4)

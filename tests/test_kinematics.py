@@ -131,7 +131,6 @@ _TAKES_J = {
     "v0_of_w": lambda j: boundstates.v0_of_w(j, _BE, 1.0),
     "v0_of_w_explicit": lambda j: boundstates.v0_of_w_explicit(j, _BE, 1.0),
     "det_bound": lambda j: boundstates.det_bound(j, _BE, _TWO),
-    "v2_of_w": lambda j: boundstates.v2_of_w(j, _BE, 1.0, 2.0, -1.0),
     "v1_pm_of_w": lambda j: boundstates.v1_pm_of_w(j, _BE, 1.0, 2.0, 0.5),
     "bound_wavefunction": lambda j: boundstates.bound_wavefunction(j, 1.0, 0.7, _ONE),
     "level_roots": lambda j: boundstates.level_roots(j, 1.0, _ONE, n_scan=50),

@@ -289,16 +289,34 @@ def test_sweep_refuses_a_non_finite_chi_m_r_as_scatter_point_does(j, m, a, grid,
 
 
 @pytest.mark.parametrize("j, m, chi", [
-    (4, 1e-300, 1e-300),   # K_4 = 2 m sinh(chi) underflows to 0
-    (3, 1e-300, 1e-10),    # K_3 = 2e-310 is subnormal, and 2 / K_3 overflows
+    (4, 1.0, 1e-310),      # K_4 / m = 2 sinh(chi) = 2e-310 is subnormal, 2 / K_4 overflows
+    (3, 0.5, 5e-324),      # K_3 / m = 1e-323, at any m
 ])
-def test_flux_factor_underflow_is_a_threshold_refusal(j, m, chi):
+def test_reduced_flux_factor_underflow_is_a_threshold_refusal(j, m, chi):
     pot = ShellPotential.single(2.0, 5.0)
     kin = Kinematics(m, chi)
     for call in (lambda: sweep(j, m, pot, [chi, 1.0]), lambda: scatter_point(j, kin, pot),
                  lambda: amplitude(j, kin, pot), lambda: delta_system(j, kin, pot)):
         with pytest.raises(ThresholdError, match=rf"^2 / K_{j} overflows at chi = {chi!r}, "):
             call()
+
+
+@pytest.mark.parametrize("j, m, chi", [
+    (4, 1e-300, 1e-300),   # q = m sinh(chi) underflows to 0
+    (3, 1e-300, 1e-10),    # q = 1e-310 is subnormal
+])
+def test_flux_factor_underflow_is_a_threshold_refusal(j, m, chi):
+    # K_j = m (K_j / m) underflows, but the reduced system needs only K_j / m,
+    # which is normal here: D exists; f = -c / (q D) cannot be formed, since
+    # q = m sinh(chi) is below the normal range
+    pot = ShellPotential.single(2.0, 5.0)
+    kin = Kinematics(m, chi)
+    for call in (lambda: sweep(j, m, pot, [chi, 1.0]), lambda: scatter_point(j, kin, pot),
+                 lambda: amplitude(j, kin, pot)):
+        with pytest.raises(ThresholdError,
+                           match=rf"^q = m sinh\(chi\) underflows at chi = {chi!r}, m = {m!r}$"):
+            call()
+    assert math.isfinite(abs(delta_system(j, kin, pot).delta))
 
 
 @pytest.mark.parametrize("m, grid, error", [
@@ -330,8 +348,8 @@ def _force_kernel(monkeypatch, forced):
     forced."""
     array = scattering._partial_re_array
 
-    def forced_array(j, m, chi, kj, sech_den, r, rp):
-        g = array(j, m, chi, kj, sech_den, r, rp)
+    def forced_array(v, chi, kt, sech_den, d, s):
+        g = array(v, chi, kt, sech_den, d, s)
         for chi_at, value in forced.items():
             g = np.where(chi == chi_at, value, g)
         return g
@@ -364,8 +382,8 @@ def test_sweep_forced_failure_comes_before_a_later_overflow(monkeypatch, forced,
     assert _sweep_outcome(1, 1.0, pot, [0.3, 1.2, 399.0])[0] is DomainError
 
 
-# f is finite but 4 pi |f|^2 overflows: |f| = 1e163 at chi = 0.001
-_HUGE_F = (1, 1e-160, ShellPotential.single(-1e300, 1.0))
+# f is finite but 4 pi |f|^2 overflows: |f| = 1e154 at chi = 0.001
+_HUGE_F = (1, 1e-160, ShellPotential.single(-1e146, 1e4))
 
 
 def test_sweep_refuses_an_overflowing_cross_section(monkeypatch):
@@ -645,7 +663,7 @@ def test_scan_saddle_segments_follow_the_centre(monkeypatch, c, expected):
     ix = 7
     mid = 0.5 * (xs[ix] + xs[ix + 1])
     monkeypatch.setattr(scattering, "_zero_condition_raw",
-                        lambda j, m, chi, v1, a1, v2, a2: (a2 - mid) * (chi - mid) + c)
+                        lambda v, chi, g1, x1, g2, x2: (x2 - mid) * (chi - mid) + c)
     seen = _spy_chain(monkeypatch)
     scan_zero_locus(1, 1.0, 1.0, 1.0, 1.0, (1.0, 2.0), (1.0, 2.0), grid=(n, n))
     (segments, vertices), = seen
