@@ -202,12 +202,12 @@ def _scanned(f: Callable[[float], float], x: float) -> float:
 
 
 def _screened_grid(f: Callable[[float], float], f_grid: Callable,
-                   xs: list[float]) -> list[float]:
+                   xs: np.ndarray) -> np.ndarray:
     """Grid values from f_grid, with f's value wherever a test is made."""
-    vals = np.asarray(f_grid(np.array(xs)), dtype=float)
+    vals = np.asarray(f_grid(xs), dtype=float)
     bad = ~np.isfinite(vals)
     if bad.any():
-        x = xs[int(np.argmax(bad))]
+        x = xs[np.argmax(bad)].item()
         raise EvaluationError(f"scanned function non-finite at x = {x!r}", x)
     exact = np.zeros(len(xs), dtype=bool)
     while True:
@@ -218,9 +218,9 @@ def _screened_grid(f: Callable[[float], float], f_grid: Callable,
         todo[1:] |= tested
         todo &= ~exact
         if not todo.any():
-            return vals.tolist()
-        for k in np.flatnonzero(todo):
-            vals[k] = _scanned(f, xs[k])
+            return vals
+        k = np.flatnonzero(todo)
+        vals[k] = [_scanned(f, x) for x in xs[k].tolist()]
         exact |= todo
 
 
@@ -244,6 +244,12 @@ def find_roots_scan(
     Returns roots sorted in increasing x.  Roots closer together than the
     grid pitch (hi - lo) / n_scan may be missed; callers choose n_scan.
 
+    The grid is lo + i (hi - lo) / n_scan for i < n_scan, then hi, as one
+    array; its exact zeros and sign-change brackets are found with numpy,
+    and only the bisection of each bracket is a Python loop.  f is always
+    called with Python floats: on every grid point in order when f_grid is
+    None, then on the bisection points of each bracket in increasing x.
+
     f_grid, if given, is f vectorized: it maps the array of the n_scan + 1
     grid points to their values in one call.  Its values only screen the
     grid.  Every grid point that takes part in a zero or sign-change test is
@@ -260,24 +266,20 @@ def find_roots_scan(
         raise DomainError(f"n_scan must be at least 2, got {n_scan}")
 
     step = (hi - lo) / n_scan
-    xs = [lo + i * step for i in range(n_scan)] + [hi]
+    xs = np.append(lo + np.arange(n_scan) * step, hi)
     if f_grid is None:
-        fs = [_scanned(f, x) for x in xs]
+        fs = np.array([_scanned(f, x) for x in xs.tolist()], dtype=float)
     else:
         fs = _screened_grid(f, f_grid, xs)
 
-    roots: list[BracketRoot] = []
-    for i, (x, v) in enumerate(zip(xs, fs)):
-        if v == 0.0:
-            roots.append(BracketRoot(x, 0.0, (x, x)))
-    for i in range(n_scan):
-        fa, fb = fs[i], fs[i + 1]
-        if fa == 0.0 or fb == 0.0 or (fa > 0) == (fb > 0):
-            continue
+    roots = [BracketRoot(x, 0.0, (x, x)) for x in xs[fs == 0.0].tolist()]
+    pos, nonzero = fs > 0, fs != 0.0
+    i = np.flatnonzero(nonzero[:-1] & nonzero[1:] & (pos[:-1] != pos[1:]))
+    for a, b, fa, fb in zip(xs[i].tolist(), xs[i + 1].tolist(),
+                            fs[i].tolist(), fs[i + 1].tolist()):
         # a simple root leaves a residual up to its slope times half the
         # final bracket; the grid value next to it may be far smaller
         floor_mag = max(min(abs(fa), abs(fb)), abs(fb - fa) * _TOL_X / step)
-        a, b = xs[i], xs[i + 1]
         va = fa
         for _ in range(_MAX_BISECT):
             if (b - a) <= _TOL_X:
@@ -287,7 +289,6 @@ def find_roots_scan(
             if not math.isfinite(vm):
                 # Non-finite inside the bracket: a pole, not a root.
                 a = b = mid
-                vm = math.inf
                 break
             if vm == 0.0:
                 a = b = mid

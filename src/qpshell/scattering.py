@@ -475,6 +475,15 @@ def _zero_condition_raw(v: _Variant, chi, g1: float, x1: float, g2: float, x2) -
         )
 
 
+def _check_pair(m: float, v1: float, v2: float, g1: float, g2: float) -> None:
+    """Refuse the zero condition where its g1 g2 = V1 V2 / m^2 overflows
+    because m is small.  Where V1 V2 itself overflows the field is
+    non-finite, as for any m."""
+    if math.isfinite(v1 * v2) and not math.isfinite(g1 * g2):
+        raise DomainError(f"V1 V2 / m^2 = {v1!r} * {v2!r} / {m!r}^2 is not finite: "
+                          f"m = {m!r} is too small for these strengths")
+
+
 def zero_condition(j: int, kin: Kinematics, pot: ShellPotential) -> float:
     """Real function whose zeros are the transparency points of two shells.
 
@@ -495,6 +504,7 @@ def zero_condition(j: int, kin: Kinematics, pot: ShellPotential) -> float:
             raise _reach_error(chi, m, a, a)
     _check_rapidity(v, chi, m)
     m, ((g1, x1), (g2, x2)) = _dimensionless(m, pot.shells)
+    _check_pair(m, *pot.strengths, g1, g2)
     return m * float(_zero_condition_raw(v, chi, g1, x1, g2, x2))
 
 
@@ -668,6 +678,7 @@ def scan_zero_locus(
     if v1 == 0.0 and v2 == 0.0:
         raise DomainError("at least one shell strength must be non-zero")
     m, ((g1, x1), (g2, _)) = _dimensionless(m, ((v1, a1), (v2, a1)))
+    _check_pair(m, v1, v2, g1, g2)
     # the largest sine argument of the field is chi m (r + r') at r = r' = a
     a_max = max(a1, x_hi)
     reach = y_hi * (m * (a_max + a_max))
@@ -769,7 +780,7 @@ def scan_zero_locus(
     split = saddle[(center < 0) != neg[sx, sy]]
     ids[split, 1], ids[split, 2] = ids[split, 2], ids[split, 1]
 
-    curves = _chain_segments(ids[crossing].reshape(-1, 2).tolist(), vertices)
+    curves = _chain_segments(ids[crossing].reshape(-1, 2), vertices)
     return ZeroLocus(v.j, curves)
 
 
@@ -780,22 +791,36 @@ def _chain_segments(segments, vertices):
     open paths and closed loops.  Open paths come first, in the order of their
     smaller end id and each walked from it; then closed loops, in the order of
     their smallest id, each walked from it towards its smaller neighbour and
-    ending on it again.
+    ending on it again.  segments is an (n, 2) array-like of edge ids and
+    vertices maps each id to its vertex.
+
+    The ids are ranked in numpy, and each rank gets its smaller and its
+    larger neighbour; an end's larger neighbour reads as the rank count.
+    No two segments join the same two ids, as no two cells share two edges.
     """
-    links: dict[int, list[int]] = {}
-    for a, b in segments:
-        links.setdefault(a, []).append(b)
-        links.setdefault(b, []).append(a)
-    ends = sorted(e for e, nbrs in links.items() if len(nbrs) == 1)
+    ids, rank = np.unique(np.asarray(segments), return_inverse=True)
+    rank = rank.reshape(-1, 2)
+    n = len(ids)
+    low, high = np.full(n, n), np.full(n, -1)
+    np.minimum.at(low, rank.ravel(), rank[:, ::-1].ravel())
+    np.maximum.at(high, rank.ravel(), rank[:, ::-1].ravel())
+    high[high == low] = n
+    ends = np.flatnonzero(high == n).tolist()
+    low, high = low.tolist(), high.tolist()
+    table = [vertices[e] for e in ids.tolist()]
+    seen = bytearray(n)
     curves = []
-    for start in ends + sorted(links):
+    for start in ends + list(range(n)):
+        if seen[start]:
+            continue
         path = [start]
-        while links[path[-1]]:
-            a = path[-1]
-            b = min(links[a])
-            links[a].remove(b)
-            links[b].remove(a)
-            path.append(b)
-        if len(path) > 1:
-            curves.append(tuple(vertices[e] for e in path))
+        prev, at = start, low[start]
+        while at != n:
+            path.append(at)
+            seen[at] = 1
+            if at == start:
+                break
+            prev, at = at, high[at] if low[at] == prev else low[at]
+        seen[start] = 1
+        curves.append(tuple(map(table.__getitem__, path)))
     return tuple(curves)

@@ -18,7 +18,13 @@ correctly rounded formatting (Gay 1990), one value at a time:
   into the next decade;
 - non-finite, subnormal and extreme values.
 
-`write_table` formats every float column of a table in one `e16` call.
+`write_table` formats every float column of a table in one `e16` call.  An
+int column reads its digits from the same four-digit words, after a sign
+word that is NUL or "-": with k words for the largest |x| in the column,
+word w holds digits 4w .. 4w + 3 of |x| zero-padded to 4k digits, and its
+leading zeros are set to NUL, all but the last digit of a zero.  A str
+column is its UCS-4 code points cast to bytes, once every one of them is
+ASCII.  The NUL bytes of every field are dropped when the rows are joined.
 """
 
 from __future__ import annotations
@@ -41,6 +47,17 @@ _N_LO, _N_SPAN = np.int64(10 ** 16), np.uint64(9 * 10 ** 16 - 1)
 _PLACES = np.array([[10 ** 15], [10 ** 11], [10 ** 7], [10 ** 3], [1]], dtype=np.int64)
 _RADIX = np.array([[10 ** 4], [10 ** 4], [10 ** 4], [10 ** 3]], dtype=np.int64)
 _GROUP_ROW = np.array([[0], [0], [0], [10 ** 4]], dtype=np.int64)
+# int columns: a word keeps its last d characters, _KEEP[d], where d is the
+# number of digits, at most 4, of the prefix of |x| that ends with the word:
+# d = _STEPS.searchsorted(prefix, "right"), and _LAST_STEPS for the last
+# word, where a zero prefix has its one digit.  _KEEP and _MINUS are built
+# from bytes, so that they hold for either byte order.
+_TEN4 = np.uint64(10 ** 4)
+_STEPS = np.array([1, 10, 100, 1000], np.uint64)
+_LAST_STEPS = np.array([0, 10, 100, 1000], np.uint64)
+_KEEP = np.frombuffer(b"\0\0\0\0" b"\0\0\0\xff" b"\0\0\xff\xff" b"\0\xff\xff\xff"
+                      b"\xff\xff\xff\xff", np.uint32)
+_MINUS = np.frombuffer(b"\0\0\0-", np.uint32)[0]
 
 # rows h1, h2, lo, hi of 10^(16 - e) in column e + _E_OFF: hi is the double
 # nearest the power, lo the double nearest the rest, and h1 + h2 = hi is
@@ -169,6 +186,34 @@ def e16(values) -> np.ndarray:
     return fields
 
 
+def _int_field(c: np.ndarray) -> np.ndarray:
+    """The NUL-padded str() of every int in c, as uint8 rows: a sign word,
+    then the fewest four-digit words that hold the largest |x|."""
+    c = c.astype(np.int64, casting="safe", copy=False)
+    mag = np.abs(c).view(np.uint64)     # -2^63 keeps its bits: 2^63
+    k = (len(str(mag.max(initial=0))) + 3) // 4
+    digits = _glyphs()[1]
+    words = np.empty((len(c), k + 1), np.uint32)
+    words[:, 0] = (c < 0) * _MINUS
+    for w in range(k - 1):
+        prefix = mag // np.uint64(10 ** (4 * (k - 1 - w)))
+        keep = _KEEP.take(_STEPS.searchsorted(prefix, "right"))
+        np.bitwise_and(digits.take(prefix % _TEN4 if w else prefix), keep,
+                       out=words[:, w + 1])
+    keep = _KEEP.take(_LAST_STEPS.searchsorted(mag, "right"))
+    np.bitwise_and(digits.take(mag % _TEN4 if k > 1 else mag), keep, out=words[:, k])
+    return words.view(np.uint8)
+
+
+def _str_field(c: np.ndarray) -> np.ndarray:
+    """The NUL-padded bytes of every ASCII str in c, as uint8 rows; a
+    non-ASCII str raises UnicodeEncodeError."""
+    codes = c.view(np.uint32).reshape(len(c), c.itemsize // 4)
+    if codes.max(initial=0) > 127:
+        c[(codes > 127).any(axis=1)][0].encode("ascii")     # raises
+    return codes.astype(np.uint8)
+
+
 def write_table(out: str | None, invocation: str, header: Sequence[str],
                 columns: Sequence, empty: dict[int, np.ndarray] | None = None) -> None:
     """Write one CSV table to the file out, or to stdout when out is None.
@@ -176,9 +221,10 @@ def write_table(out: str | None, invocation: str, header: Sequence[str],
     The first line is '# qpshell ' and the invocation, the second the
     header, then one row per entry of the columns, one column per header
     name, or no columns for a table without rows.  Float columns are
-    written by `e16`, all in one call; integer and string columns as their
-    str().  empty maps a column index to a boolean mask of the rows whose
-    field in that column stays empty.
+    written by `e16`, all in one call; int and ASCII str columns as their
+    str(), from numpy passes over each column (see the module docstring).
+    empty maps a column index to a boolean mask of the rows whose field in
+    that column stays empty.
     """
     columns = [np.asarray(c) for c in columns or [()] * len(header)]
     rows = len(columns[0])
@@ -190,8 +236,7 @@ def write_table(out: str | None, invocation: str, header: Sequence[str],
             fields[i] = field
     for i, c in enumerate(columns):
         if fields[i] is None:
-            text = c.astype(np.bytes_)
-            fields[i] = text.view(np.uint8).reshape(rows, text.itemsize)
+            fields[i] = _str_field(c) if c.dtype.kind == "U" else _int_field(c)
     for i, blank in (empty or {}).items():
         fields[i][blank] = 0
     # NUL-padded fields, each followed by its "," or "\n"

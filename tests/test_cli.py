@@ -253,6 +253,16 @@ def test_merged_shells_beyond_the_float_range_are_a_parameter_error(capsys, argv
     assert err == "parameter error: shell (inf, 1.0) must be finite\n"
 
 
+def test_zero_condition_product_overflow_is_a_parameter_error(capsys):
+    # g1 g2 = V1 V2 / m^2 = -1e600 overflows: refused before the field
+    code, out, err = run(capsys, *"zeros --j 1 --m 1e-300 --a1 1 --v1 1 --v2 -1 "
+                                  "--a2 1:3:16 --chi 0.1:1:16".split())
+    assert code == 2
+    assert out == ""
+    assert err == ("parameter error: V1 V2 / m^2 = 1.0 * -1.0 / 1e-300^2 is not finite: "
+                   "m = 1e-300 is too small for these strengths\n")
+
+
 def test_scatter_cross_section_overflow_is_a_parameter_error(capsys):
     # f = 1e154 is finite, 4 pi |f|^2 is not
     code, out, err = run(capsys, *"scatter --j 1 --m 1e-160 --v0=-1e146 --a 1e4 "

@@ -4,9 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+from qpshell import numerics
 from qpshell.errors import AccuracyError, DomainError, EvaluationError
 from qpshell.numerics import (
+    BracketRoot,
     find_roots_scan,
     integrate_adaptive,
     integrate_semi_infinite,
@@ -183,3 +187,126 @@ def test_find_roots_grid_screen_non_finite():
     with pytest.raises(EvaluationError):
         find_roots_scan(math.sin, 0.0, 1.0, n_scan=10,
                         f_grid=lambda xs: np.where(xs > 0.5, np.nan, xs))
+
+
+def _list_screened_grid(f, f_grid, xs):
+    """The grid screen of find_roots_scan as it was written on Python lists."""
+    vals = np.asarray(f_grid(np.array(xs)), dtype=float)
+    bad = ~np.isfinite(vals)
+    if bad.any():
+        x = xs[int(np.argmax(bad))]
+        raise EvaluationError(f"scanned function non-finite at x = {x!r}", x)
+    exact = np.zeros(len(xs), dtype=bool)
+    while True:
+        pos = vals > 0
+        tested = (vals[:-1] == 0.0) | (vals[1:] == 0.0) | (pos[:-1] != pos[1:])
+        todo = np.zeros_like(exact)
+        todo[:-1] = tested
+        todo[1:] |= tested
+        todo &= ~exact
+        if not todo.any():
+            return vals.tolist()
+        for k in np.flatnonzero(todo):
+            vals[k] = numerics._scanned(f, xs[k])
+        exact |= todo
+
+
+def _list_scan(f, lo, hi, n_scan, f_grid=None):
+    """find_roots_scan as it was written on Python lists: the reference."""
+    step = (hi - lo) / n_scan
+    xs = [lo + i * step for i in range(n_scan)] + [hi]
+    if f_grid is None:
+        fs = [numerics._scanned(f, x) for x in xs]
+    else:
+        fs = _list_screened_grid(f, f_grid, xs)
+    roots = []
+    for x, v in zip(xs, fs):
+        if v == 0.0:
+            roots.append(BracketRoot(x, 0.0, (x, x)))
+    for i in range(n_scan):
+        fa, fb = fs[i], fs[i + 1]
+        if fa == 0.0 or fb == 0.0 or (fa > 0) == (fb > 0):
+            continue
+        floor_mag = max(min(abs(fa), abs(fb)), abs(fb - fa) * numerics._TOL_X / step)
+        a, b = xs[i], xs[i + 1]
+        va = fa
+        for _ in range(numerics._MAX_BISECT):
+            if (b - a) <= numerics._TOL_X:
+                break
+            mid = 0.5 * (a + b)
+            vm = f(mid)
+            if not math.isfinite(vm):
+                a = b = mid
+                break
+            if vm == 0.0:
+                a = b = mid
+                break
+            if (vm > 0) == (va > 0):
+                a, va = mid, vm
+            else:
+                b = mid
+        x_root = 0.5 * (a + b)
+        residual = abs(f(x_root))
+        if not math.isfinite(residual) or residual > 10.0 * floor_mag:
+            continue
+        roots.append(BracketRoot(x_root, residual, (a, b)))
+    roots.sort(key=lambda r: r.x)
+    return roots
+
+
+def _scan_record(scan, f, lo, hi, n_scan, f_grid):
+    """The roots (or the error) of one scan, and every argument f was called with."""
+    calls = []
+
+    def recorded(x):
+        assert type(x) is float
+        calls.append(x)
+        return f(x)
+
+    try:
+        return scan(recorded, lo, hi, n_scan, f_grid), calls
+    except EvaluationError as exc:
+        return ("EvaluationError", str(exc)), calls
+
+
+@given(
+    n_scan=st.integers(2, 40),
+    roots=st.lists(st.sampled_from([k / 8 for k in range(9)]) | st.floats(0.0, 1.0), max_size=4),
+    poles=st.lists(st.sampled_from([0.3, 0.55, 0.625]) | st.floats(0.0, 1.0), max_size=2),
+    flips=st.lists(st.integers(0, 40), max_size=3),
+    false_zeros=st.lists(st.integers(0, 40), max_size=2),
+)
+# exact zeros on grid points (0.25, 0.75 with step 1/8) beside a plain root
+@example(n_scan=8, roots=[0.25, 0.75, 0.6], poles=[], flips=[], false_zeros=[])
+# a sign-change pole between grid points, and one on a grid point
+@example(n_scan=20, roots=[0.3], poles=[0.55], flips=[], false_zeros=[])
+@example(n_scan=8, roots=[0.3], poles=[0.625], flips=[], false_zeros=[])
+# a screen wrong in sign next to a root and away from one, and a false zero
+@example(n_scan=20, roots=[0.33], poles=[], flips=[6, 12], false_zeros=[3])
+def test_find_roots_scan_is_the_list_scan(n_scan, roots, poles, flips, false_zeros):
+    # the array scan returns the list scan's roots, brackets and errors, and
+    # calls f with the same Python floats in the same order, with or without
+    # a screen (off by a relative 1e-3, with wrong signs and false zeros)
+    def f(x):
+        value = 1.0
+        for r in roots:
+            value *= x - r
+        for p in poles:
+            value = value / (x - p) if x != p else math.inf
+        return value
+
+    def screen(xs):
+        vals = np.array([f(x) for x in xs.tolist()]) * (1.0 + 1e-3)
+        for k in flips:
+            if k < len(vals):
+                vals[k] = -vals[k]
+        for k in false_zeros:
+            if k < len(vals):
+                vals[k] = 0.0
+        return vals
+
+    for f_grid in (None, screen):
+        got = _scan_record(find_roots_scan, f, 0.0, 1.0, n_scan, f_grid)
+        assert got == _scan_record(_list_scan, f, 0.0, 1.0, n_scan, f_grid)
+        if isinstance(got[0], list):
+            assert all(type(r.x) is float and type(r.residual) is float for r in got[0])

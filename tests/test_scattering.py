@@ -707,6 +707,76 @@ def test_chain_segments_walks_paths_then_loops(monkeypatch):
         assert scattering._chain_segments(shuffled, vertices) == locus.curves
 
 
+def _dict_chain(segments, vertices):
+    """The walker of _chain_segments as it was written on a dict of lists:
+    the reference for its ordering."""
+    links = {}
+    for a, b in segments:
+        links.setdefault(a, []).append(b)
+        links.setdefault(b, []).append(a)
+    ends = sorted(e for e, nbrs in links.items() if len(nbrs) == 1)
+    curves = []
+    for start in ends + sorted(links):
+        path = [start]
+        while links[path[-1]]:
+            a = path[-1]
+            b = min(links[a])
+            links[a].remove(b)
+            links[b].remove(a)
+            path.append(b)
+        if len(path) > 1:
+            curves.append(tuple(vertices[e] for e in path))
+    return tuple(curves)
+
+
+def _shuffled(rng, segments):
+    return [tuple(s[::-1]) if rng.random() < 0.5 else tuple(s)
+            for s in rng.permutation(np.asarray(segments)).tolist()]
+
+
+def test_chain_segments_is_the_dict_walker():
+    # random disjoint paths and loops of sparse edge ids, in random order
+    rng = np.random.default_rng(23)
+    for _ in range(200):
+        ids = rng.choice(10 ** 6, size=int(rng.integers(2, 120)), replace=False).tolist()
+        segments, k = [], 0
+        while k < len(ids):
+            part = ids[k:k + int(rng.integers(2, 12))]
+            k += len(part)
+            segments += zip(part, part[1:])
+            if len(part) >= 3 and rng.random() < 0.5:
+                segments.append((part[-1], part[0]))
+        if not segments:
+            continue
+        vertices = {e: (float(e), -float(e), 0.5) for e in ids}
+        segments = _shuffled(rng, segments)
+        assert scattering._chain_segments(segments, vertices) == _dict_chain(segments, vertices)
+
+
+@pytest.mark.parametrize("c", [0.02, -0.02])
+def test_chain_segments_through_saddles_is_the_dict_walker(monkeypatch, c):
+    # sin(9 x) sin(9 y) + c on a 40 x 40 grid of the window: closed loops
+    # round the extrema, open paths cut by the window, and saddle cells (all
+    # four edges crossing) where two loops nearly touch.  The scan's own
+    # segments, and shuffles of them, chain as the dict walker chains them.
+    monkeypatch.setattr(scattering, "_zero_condition_raw",
+                        lambda v, chi, g1, x1, g2, x2: np.sin(9 * x2) * np.sin(9 * chi) + c)
+    s = np.sin(9 * (0.1 + 1.9 * np.arange(40) / 39))
+    neg = np.outer(s, s) + c < 0
+    h, v = neg[:-1] != neg[1:], neg[:, :-1] != neg[:, 1:]
+    assert (h[:, :-1] & h[:, 1:] & v[:-1] & v[1:]).any()
+    seen = _spy_chain(monkeypatch)
+    locus = scan_zero_locus(1, 1.0, 1.0, 1.0, 1.0, (0.1, 2.0), (0.1, 2.0), grid=(40, 40))
+    (segments, vertices), = seen
+    assert locus.curves == _dict_chain(segments, vertices)
+    loops = [curve for curve in locus.curves if curve[0] == curve[-1]]
+    assert loops and len(loops) < len(locus.curves)
+    rng = np.random.default_rng(29)
+    for _ in range(3):
+        shuffled = _shuffled(rng, segments)
+        assert scattering._chain_segments(shuffled, vertices) == locus.curves
+
+
 def test_scan_refinement_stall_raises(monkeypatch):
     monkeypatch.setattr(scattering, "_VERTEX_RESIDUAL", 0.0)
     with pytest.raises(AccuracyError, match="stalled"):

@@ -1,10 +1,13 @@
 """The table writer: e16 against Python's "%.16e", and write_table's layout."""
 
+import contextlib
+import io
 import math
 import sys
 
 import numpy as np
-from hypothesis import given
+import pytest
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from qpshell import tables
@@ -102,3 +105,42 @@ def test_write_table_layout(tmp_path, capsys):
         b"22,real,,0.0000000000000000e+00\n")
     write_table(None, "demo", ["a", "b"], [])
     assert capsys.readouterr().out == "# qpshell demo\na,b\n"
+
+
+INT64 = st.integers(-2 ** 63, 2 ** 63 - 1)
+NAME = st.text(st.characters(min_codepoint=1, max_codepoint=127), max_size=9)
+
+
+def stdout_table(header, columns) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        write_table(None, "demo", header, columns)
+    return out.getvalue()
+
+
+@given(st.lists(st.tuples(INT64, NAME), max_size=12))
+@example([])
+@example([(0, "")])
+@example([(-2 ** 63, "v1minus"), (2 ** 63 - 1, "v1plus"), (0, "real"), (-1, "b"), (9999, "")])
+@example([(10 ** 4, "x"), (-10 ** 8, "yy"), (10 ** 18, "zzz"), (7, "")])
+def test_int_and_name_columns_are_their_str(rows):
+    # zero rows too: a header and nothing else
+    ints = np.array([i for i, _ in rows], dtype=np.int64)
+    names = np.array([n for _, n in rows], dtype=str)
+    expected = "".join(f"{i},{n}\n" for i, n in rows)
+    assert stdout_table(["i", "name"], [ints, names]) == "# qpshell demo\ni,name\n" + expected
+
+
+@given(st.lists(INT64, max_size=12))
+def test_narrow_int_columns_are_their_str(values):
+    for dtype in (np.int8, np.int16, np.int32, np.uint8, np.uint16, np.uint32):
+        info = np.iinfo(dtype)
+        column = np.clip(np.array(values, dtype=np.int64), info.min, info.max).astype(dtype)
+        expected = "".join(f"{v}\n" for v in column.tolist())
+        assert stdout_table(["i"], [column]) == "# qpshell demo\ni\n" + expected
+
+
+def test_non_ascii_name_fails_as_on_encoding():
+    # as "caf\u00e9".encode("ascii") fails
+    with pytest.raises(UnicodeEncodeError, match="position 3: ordinal not in range"):
+        stdout_table(["name"], [["real", "caf\u00e9"]])
