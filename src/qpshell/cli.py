@@ -44,8 +44,8 @@ from .errors import (
     UnsupportedBranchError,
     UnsupportedFormError,
 )
-from .greens import green_partial, green_partial_bound
-from .kinematics import ALL_VARIANTS, BoundEnergy, Kinematics
+from .greens import green_partial_array, green_partial_bound_array
+from .kinematics import ALL_VARIANTS
 from .nonrel import limit_convergence
 from .numerics import integrate_semi_infinite
 from .scattering import ShellPotential, scan_zero_locus, sweep
@@ -145,23 +145,23 @@ def _cmd_scatter(ns: argparse.Namespace, invocation: str) -> int:
 
 def _cmd_greens(ns: argparse.Namespace, invocation: str) -> int:
     rp = ns.r if ns.rp is None else ns.rp
-    rows = []
     if ns.branch == "real":
         if ns.chi is None:
             raise DomainError("--branch real needs a --chi range")
-        for j in ns.j:
-            for chi in ns.chi:
-                g = green_partial(j, Kinematics(ns.m, chi), ns.r, rp)
-                rows.append((j, "real", chi, ns.r, rp, g.real, g.imag))
+        grid, kernel = np.array(ns.chi), green_partial_array
     else:
         if ns.w is None:
             raise DomainError("--branch bound needs a --w range")
-        for j in ns.j:
-            for w in ns.w:
-                g = green_partial_bound(j, BoundEnergy(ns.m, w), ns.r, rp)
-                rows.append((j, "bound", w, ns.r, rp, g, 0.0))
+        grid, kernel = np.array(ns.w), green_partial_bound_array
+    n = len(grid)
+    blocks = []
+    for j in ns.j:
+        g = kernel(j, ns.m, grid, ns.r, rp)
+        blocks.append((np.full(n, j), np.full(n, ns.branch), grid, np.full(n, ns.r),
+                       np.full(n, rp), g.real, g.imag))
     write_table(ns.out, invocation,
-                ["j", "branch", "chi_or_w", "r", "rp", "re_G", "im_G"], list(zip(*rows)))
+                ["j", "branch", "chi_or_w", "r", "rp", "re_G", "im_G"],
+                [np.concatenate(column) for column in zip(*blocks)])
     return 0
 
 

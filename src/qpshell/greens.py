@@ -10,8 +10,8 @@ the scattering branch:
     j=4:  [coth(pi m r)     sin(chi m r) - i cos(chi m r)] / K_4
 
 with K_1 = K_2 = m sinh(2 chi) and K_3 = K_4 = 2 m sinh(chi).  All kernels
-are even in r, and each is evaluated in one closed form (see _line_re and
-_line_bound); a quotient that is 0/0 or subnormal takes its r = 0 limit.
+are even in r, and each is evaluated in one closed form (see _line_re_array
+and _line_bound); a quotient that is 0/0 or subnormal takes its r = 0 limit.
 What tells the variants apart (the hyperbolic rate, the ratio form, K_j and
 the j = 2 sech term) is one row of the variant table in `kinematics`, which
 every kernel here reads; the spectral oracle keeps its own per-variant
@@ -20,7 +20,7 @@ weights.
 The half-line (partial-wave) kernel follows by the method of images,
 G(chi, r, r') = G(chi, r - r') - G(chi, r + r'), which vanishes at r = 0 and
 obeys the unitarity identity Im G_j(chi, a, b) = -2 sin(chi m a) sin(chi m b)
-/ K_j; green_partial takes its imaginary part in that product form.
+/ K_j; green_partial_array takes its imaginary part in that product form.
 
 On the bound branch chi = i w (0 < w < pi/2) the kernels are real, negative
 ratios of hyperbolic functions, written with e^{-w m r} and expm1 so that
@@ -32,9 +32,15 @@ spectral integral by adaptive quadrature, sharing no code with the above.
 Where m enters: K_j and the j = 2 sech denominator are m times functions of
 chi alone, so m G depends only on chi and x = m r.  The private cores, which
 the shell systems call, compute m G from the image arguments m (r -+ r') and
-K_j / m, with no m and no checks.  The public kernels, scalar (green_line,
-green_partial: the reference) or over numpy arrays (green_partial_real,
-green_partial_bound_array), check, form m (r -+ r') and divide by m once.
+K_j / m, with no m and no checks.  The public kernels check, form
+m (r -+ r') and divide by m once.
+
+On the real branch there is one kernel body, _line_re_array, over numpy
+arrays: sweep, the zero condition and green_partial_array run it on grids,
+and the scalar green_line and green_partial are its 0-d calls, so a scalar
+and an array evaluation at one point agree bit for bit.  The bound branch
+keeps a scalar body (_line_bound) beside its array one, since the level
+bisection and the normalization integrals call it point by point.
 """
 
 from __future__ import annotations
@@ -45,6 +51,7 @@ import sys
 import numpy as np
 
 from .errors import DomainError, ThresholdError, UnsupportedBranchError
+# k_factor and k_factor_bound are re-exported; nothing here calls them
 from .kinematics import (BoundEnergy, EquationVariant, Kinematics, _dimensionless, _variant,
                          _Variant, k_factor, k_factor_bound)
 from .numerics import QuadResult, integrate_adaptive
@@ -63,47 +70,26 @@ def _sech(x: float) -> float:
 def green_line(j: int, kin: Kinematics, r: float) -> complex:
     """Free line kernel G_j(chi, r) on the scattering branch (complex).
 
-    A K_j or a chi m r beyond the float range raises DomainError."""
+    A 0-d call of the array body _line_re_array, with Im G = -cos(chi m r) /
+    K_j.  It refuses as green_partial_array does; a non-finite r raises
+    DomainError too."""
     r = float(r)
     if not math.isfinite(r):
         raise DomainError(f"r must be finite, got {r}")
-    if kin.chi == 0.0:
-        raise ThresholdError("line kernel undefined at chi = 0 (elastic threshold)")
-    m, chi = kin.m, kin.chi
+    v, m, chi = _variant(j), kin.m, np.asarray(kin.chi)
+    kt, sech_den = _check_rapidity(v, chi, m)
     x = m * r
-    kj = k_factor(j, kin)
-    if not math.isfinite(chi * x):
-        raise _reach_error(chi, m, r)
-    return complex(_line_re(_variant(j), chi, kj / m, x) / m, -math.cos(chi * x) / kj)
+    if not math.isfinite(kin.chi * x):
+        raise _reach_error(kin.chi, m, r)
+    with np.errstate(all="ignore"):
+        return complex(float(_line_re_array(v, chi, kt, sech_den, x) / m),
+                       float(-np.cos(chi * x) / kt / m))
 
 
 def _reach_error(chi: float, m: float, r: float, rp: float = 0.0) -> DomainError:
     """A chi m (r + r') beyond the float range: sin has no value there."""
     at = f"r = {r!r}" if rp == 0.0 else f"r + r' = {r!r} + {rp!r}"
     return DomainError(f"chi m r is not finite at chi = {chi!r}, m = {m!r}, {at}")
-
-
-def _line_re(v: _Variant, chi: float, kt: float, x: float) -> float:
-    """m Re G_j(chi, r) at x = m r, with kt = K_j / m given.
-
-    c_j(x) sin(chi x) / kt (plus the sech term for j = 2), where c_1 =
-    coth(pi x / 2), c_2 = c_4 = coth(pi x) and c_3 = tanh(pi x / 2): with
-    a = rate x and b = chi x, tanh(a) sin(b) for j = 3 and sin(b) / tanh(a)
-    otherwise.  The quotient takes its x -> 0 limit chi / rate where a or b
-    is below _TINY, where it is 0/0 or subnormal.
-    """
-    a = v.rate * x
-    b = chi * x
-    if v.tanh:
-        g = math.tanh(a) * math.sin(b)
-    elif abs(a) < _TINY or abs(b) < _TINY:
-        g = chi / v.rate
-    else:
-        g = math.sin(b) / math.tanh(a)
-    g /= kt
-    if v.sech:
-        g += _sech(math.pi * x / 2) / (4.0 * math.cosh(chi))
-    return g
 
 
 def _real_factors(v: _Variant, chi: np.ndarray) -> tuple[np.ndarray, np.ndarray | float]:
@@ -128,52 +114,70 @@ def _check_rapidity(v: _Variant, chi, m: float) -> tuple:
     return kt, sech_den
 
 
-def green_partial_real(j: int, m: float, chi, r, rp) -> np.ndarray:
-    """Re G_j(chi, r, r') on the scattering branch, evaluated on numpy arrays.
+def green_partial_array(j: int, m: float, chi, r, rp) -> np.ndarray:
+    """G_j(chi, r, r') on the scattering branch, evaluated on numpy arrays.
 
-    chi, r and r' broadcast against each other; m is a scalar.  The values
-    are those of green_partial(j, Kinematics(m, chi), r, rp).real up to
-    rounding; r and r' must be finite and non-negative.  chi = 0 anywhere
-    raises ThresholdError; a negative radius, an overflowing K_j / m or
-    cosh(chi), or a chi m (r + r') beyond the float range raises DomainError.
+    chi, r and r' broadcast against each other; m is a scalar.  Re G is the
+    image difference of _line_re_array; Im G is the product -2 sin(chi m r)
+    sin(chi m r') / K_j, since the difference of the two cosine images
+    cancels as chi -> 0.  Both are formed as m G in real arithmetic and
+    divided by m once.  m must be finite and positive and r, r' non-negative
+    (DomainError).  chi = 0 anywhere raises ThresholdError; an overflowing
+    K_j / m or cosh(chi), or a chi m (r + r') beyond the float range, raises
+    DomainError.
     """
     v = _variant(j)
-    if (np.asarray(r) < 0).any() or (np.asarray(rp) < 0).any():
+    m, _ = _dimensionless(m)
+    chi = np.asarray(chi, dtype=float)
+    r = np.asarray(r, dtype=float)
+    rp = np.asarray(rp, dtype=float)
+    if (r < 0).any() or (rp < 0).any():
         raise DomainError(f"radial coordinates must be non-negative, got min r = "
                           f"{float(np.min(r))!r}, min r' = {float(np.min(rp))!r}")
-    chi = np.asarray(chi, dtype=float)
     kt, sech_den = _check_rapidity(v, chi, m)
     with np.errstate(all="ignore"):
-        g = _partial_re_array(v, chi, kt, sech_den, m * (r - rp), m * (r + rp)) / m
+        re = _partial_re_array(v, chi, kt, sech_den, m * (r - rp), m * (r + rp)) / m
+        im = -2.0 * np.sin(chi * (m * r)) * np.sin(chi * (m * rp)) / kt / m
     # With K_j / m finite, a NaN can only be sin of a non-finite chi m (r + r')
-    bad = np.isnan(g)
+    bad = np.isnan(re)
     if bad.any():
         k = np.argmax(bad)
         chi_k, r_k, rp_k = np.broadcast_arrays(chi, r, rp)
         raise _reach_error(float(chi_k.flat[k]), m, float(r_k.flat[k]), float(rp_k.flat[k]))
+    g = np.empty(re.shape, dtype=complex)
+    g.real, g.imag = re, im
+    return g
+
+
+def _line_re_array(v: _Variant, chi, kt, sech_den, x):
+    """m Re G_j(chi, r) at x = m r over arrays, with _real_factors given and
+    warnings off.
+
+    c_j(x) sin(chi x) / kt (plus the sech term for j = 2), where c_1 =
+    coth(pi x / 2), c_2 = c_4 = coth(pi x) and c_3 = tanh(pi x / 2): with
+    a = rate x and b = chi x, tanh(a) sin(b) for j = 3 and sin(b) / tanh(a)
+    otherwise.  The quotient takes its x -> 0 limit chi / rate where a or b
+    is below _TINY, where it is 0/0 or subnormal; a j = 2 sech term whose
+    4 cosh(chi) overflows is 0.
+    """
+    a = v.rate * x
+    b = chi * x
+    if v.tanh:
+        g = np.tanh(a) * np.sin(b)
+    else:
+        g = np.where((np.abs(a) < _TINY) | (np.abs(b) < _TINY), chi / v.rate,
+                     np.sin(b) / np.tanh(a))
+    g = g / kt
+    if v.sech:
+        g = g + 1.0 / np.cosh(math.pi * x / 2) / sech_den
     return g
 
 
 def _partial_re_array(v: _Variant, chi: np.ndarray, kt: np.ndarray, sech_den,
                       d, s) -> np.ndarray:
     """m Re G_j(chi, r, r') over arrays from the image arguments d = m (r - r')
-    and s = m (r + r'), with _real_factors given: _line_re element by element
-    (a j = 2 sech term whose 4 cosh(chi) overflows is 0), warnings off."""
-
-    def line(x):
-        a = v.rate * x
-        b = chi * x
-        if v.tanh:
-            g = np.tanh(a) * np.sin(b)
-        else:
-            g = np.where((np.abs(a) < _TINY) | (np.abs(b) < _TINY), chi / v.rate,
-                         np.sin(b) / np.tanh(a))
-        g = g / kt
-        if v.sech:
-            g = g + 1.0 / np.cosh(math.pi * x / 2) / sech_den
-        return g
-
-    return line(d) - line(s)
+    and s = m (r + r'), with _real_factors given, warnings off."""
+    return _line_re_array(v, chi, kt, sech_den, d) - _line_re_array(v, chi, kt, sech_den, s)
 
 
 def green_line_bound(j: int, be: BoundEnergy, r: float) -> float:
@@ -186,7 +190,9 @@ def green_line_bound(j: int, be: BoundEnergy, r: float) -> float:
         j=4:  -sinh((pi - w) m r) / (2 m sin(w) sinh(pi m r))
 
     Even in r; the r = 0 limits are finite and negative.  Nothing in the
-    package calls it; it stays as the bound line kernel the benchmark times.
+    package or its benchmark jobs calls it: it is the public line kernel of
+    the bound branch, which the tests check against the analytic
+    continuation of the real-branch kernel and against mpmath.
     """
     r = float(r)
     if not math.isfinite(r):
@@ -221,20 +227,9 @@ def _line_bound(v: _Variant, w: float, kt: float, x: float) -> float:
 
 
 def green_partial(j: int, kin: Kinematics, r: float, rp: float) -> complex:
-    """Half-line s-wave kernel via the image construction (scattering branch).
-
-    The real part is the image difference of the line kernels.  The
-    imaginary part is its product form -2 sin(chi m r) sin(chi m r') / K_j:
-    the difference of the two cosine images cancels as chi -> 0.
-    """
-    if r < 0 or rp < 0:
-        raise DomainError(f"radial coordinates must be non-negative, got {r}, {rp}")
-    chi, m = kin.chi, kin.m
-    if not math.isfinite(chi * (m * (r + rp))):
-        raise _reach_error(chi, m, r, rp)
-    re = green_line(j, kin, r - rp).real - green_line(j, kin, r + rp).real
-    return complex(re, -2.0 * math.sin(chi * (m * r)) * math.sin(chi * (m * rp))
-                   / k_factor(j, kin))
+    """Half-line s-wave kernel via the image construction (scattering branch):
+    a 0-d call of green_partial_array, with its refusals."""
+    return complex(green_partial_array(j, kin.m, kin.chi, r, rp))
 
 
 def green_partial_bound(j: int, be: BoundEnergy, r: float, rp: float) -> float:
@@ -322,8 +317,8 @@ def green_spectral_oracle(j: int, state, r: float, rp: float, tol: float = 1e-8)
         )
     if not isinstance(state, BoundEnergy):
         raise DomainError(f"state must be a BoundEnergy, got {type(state).__name__}")
-    if r < 0 or rp < 0:
-        raise DomainError(f"radial coordinates must be non-negative, got {r}, {rp}")
+    if not (0 <= r < math.inf and 0 <= rp < math.inf):
+        raise DomainError(f"radial coordinates must be finite and non-negative, got {r}, {rp}")
     if not math.isfinite(tol) or tol < 1e-10:
         raise DomainError(f"tol must be at least 1e-10, got {tol}")
     m, w = state.m, state.w

@@ -18,7 +18,7 @@ the comparison only rejects non-finite values.  The system uses only + - *
 (_k_parts), so it is assembled once, in _real_system, with numpy arrays over
 a rapidity grid (sweep) or a single rapidity (delta_system); scatter_point
 and amplitude read a one-point sweep.  The tests check it against numpy's
-determinant of 1 - G V with the scalar complex kernel green_partial.  The
+determinant of 1 - G V with the complex kernel green_partial_array.  The
 bound branch (`boundstates`) and the Schroedinger limit (`nonrel`) solve the
 same real system with their own kernels.  Determinants and adjugates are
 taken by cofactor expansion, whose cost grows as N!, so the system is meant
@@ -50,8 +50,9 @@ from .errors import (
     ThresholdError,
     UnsupportedFormError,
 )
+# green_partial is re-exported; nothing here calls it
 from .greens import (_TINY, _check_rapidity, _partial_re_array, _reach_error, _real_factors,
-                     _sech, green_partial)
+                     _sech, green_partial, green_partial_array)
 from .kinematics import EquationVariant, Kinematics, _dimensionless, _Variant, _variant, k_factor
 
 # Relative threshold below which a closed-form denominator counts as a pole.
@@ -366,9 +367,10 @@ def wavefunction(j: int, kin: Kinematics, pot: ShellPotential, r: float) -> comp
     sys = delta_system(j, kin, pot)
     _check_pole(sys, "chi", kin.chi)
     m, chi = kin.m, kin.chi
+    g = green_partial_array(j, m, chi, r, np.array(pot.radii))
     psi = complex(math.sin(chi * m * r))
-    for (v, a), dk in zip(pot.shells, sys.numerators):
-        psi += v * green_partial(j, kin, r, a) * dk / sys.delta
+    for v, g_k, dk in zip(pot.strengths, g.tolist(), sys.numerators):
+        psi += v * g_k * dk / sys.delta
     return psi
 
 
@@ -443,11 +445,16 @@ def sweep(j: int, m: float, pot: ShellPotential, chi_grid) -> ScatterSweep:
 
 
 def single_shell_zero_rapidities(m: float, a: float, chi_max: float) -> list[float]:
-    """Transparency rapidities chi = pi n / (m a), n >= 1, up to chi_max."""
-    if m <= 0 or a <= 0:
-        raise DomainError(f"m and a must be positive, got {m}, {a}")
-    if chi_max <= 0:
-        raise DomainError(f"chi_max must be positive, got {chi_max}")
+    """Transparency rapidities chi = pi n / (m a), n >= 1, up to chi_max.
+
+    m, a and chi_max must be finite and positive, and m a a positive float
+    (DomainError)."""
+    if not (0 < m < math.inf and 0 < a < math.inf):
+        raise DomainError(f"m and a must be finite and positive, got {m}, {a}")
+    if not 0 < chi_max < math.inf:
+        raise DomainError(f"chi_max must be finite and positive, got {chi_max}")
+    if not 0 < m * a < math.inf:
+        raise DomainError(f"m a = {m!r} * {a!r} is not a finite positive float")
     step = math.pi / (m * a)
     return [n * step for n in range(1, int(chi_max / step) + 1)]
 

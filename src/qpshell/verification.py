@@ -39,7 +39,8 @@ from .boundstates import (
     v1_pm_of_w,
 )
 from .errors import DomainError
-from .greens import green_line, green_partial, green_partial_bound, green_spectral_oracle
+from .greens import (green_line, green_partial, green_partial_array, green_partial_bound,
+                     green_spectral_oracle)
 from .kinematics import ALL_VARIANTS, BoundEnergy, EquationVariant, Kinematics
 from .nonrel import limit_convergence
 from .numerics import _TOL_X, integrate_semi_infinite
@@ -211,18 +212,12 @@ def check_spectral() -> GroupResult:
 
 
 def _reference_deltas(j: int, pot: ShellPotential, chis: list[float]) -> np.ndarray:
-    """det(1 - G V) at m = 1 over a rapidity grid from the complex kernels and
+    """det(1 - G V) at m = 1 over a rapidity grid from the complex kernel and
     numpy's LU determinant: neither the real K-matrix split nor the cofactor
     expansion behind sweep, so S and the phase are not self-checked."""
-    radii = pot.radii
-    n = len(radii)
-    g = np.empty((len(chis), n, n), dtype=complex)
-    for c, chi in enumerate(chis):
-        kin = Kinematics(1.0, chi)
-        for i in range(n):
-            for k in range(i, n):
-                g[c, i, k] = g[c, k, i] = green_partial(j, kin, radii[i], radii[k])
-    return np.linalg.det(np.eye(n) - g * np.array(pot.strengths))
+    radii = np.array(pot.radii)
+    g = green_partial_array(j, 1.0, np.array(chis)[:, None, None], radii[:, None], radii)
+    return np.linalg.det(np.eye(len(radii)) - g * np.array(pot.strengths))
 
 
 @functools.cache

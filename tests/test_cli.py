@@ -226,6 +226,33 @@ def test_flux_factor_overflow_is_a_parameter_error(capsys, argv):
     assert err.startswith("parameter error") and "Traceback" not in err
 
 
+def test_greens_refuses_where_the_reduced_kernel_does(capsys):
+    # K_1 = m sinh(2 chi) overflows at m = 1e300, chi = 10, but K_1 / m and
+    # m G are finite there: a table, as scatter gives at that point.  At
+    # chi = 400 K_1 / m overflows too
+    code, out, err = run(capsys, *"greens --j 1 --m 1e300 --branch real --chi 10:10:1 "
+                                  "--r 1e-300".split())
+    assert code == 0 and err == ""
+    _meta, _header, rows = parse_csv(out)
+    assert len(rows) == 1 and all(math.isfinite(float(cell)) for cell in rows[0][2:])
+    code, out, err = run(capsys, *"scatter --j 1 --m 1e300 --a 1e-300 --v0 2 "
+                                  "--chi 10:10:1".split())
+    assert code == 0 and err == ""
+    code, out, err = run(capsys, *"greens --j 1 --m 1e300 --branch real --chi 400:400:1 "
+                                  "--r 1e-300".split())
+    assert code == 2 and out == ""
+    assert err.startswith("parameter error: rapidity too large: K_1")
+
+
+@pytest.mark.parametrize("m", ["-1", "0", "nan", "inf"])
+@pytest.mark.parametrize("branch", ["real --chi 0.5:1:3", "bound --w 0.5:1:3"])
+def test_greens_refuses_a_bad_mass(capsys, m, branch):
+    code, out, err = run(capsys, "greens", "--j", "1", "--m", m, "--branch", *branch.split(),
+                         "--r", "1", "--rp", "2")
+    assert code == 2 and out == ""
+    assert err.startswith("parameter error: mass must be finite and positive")
+
+
 @pytest.mark.parametrize("argv", [
     "greens --j all --m 1e200 --branch real --chi 0.1:1:3 --r 1e200",
     "nrlimit --masses 1,2,1e308",

@@ -19,13 +19,16 @@ import pytest
 from qpshell.boundstates import _EXP_SWITCH, _hyperbolic_ratio
 from qpshell.errors import DomainError, ThresholdError, UnsupportedBranchError
 from qpshell.greens import (
+    _TINY,
+    _line_re_array,
+    _real_factors,
     _sech,
     green_line,
     green_line_bound,
     green_partial,
+    green_partial_array,
     green_partial_bound,
     green_partial_bound_array,
-    green_partial_real,
     green_spectral_oracle,
 )
 from qpshell.kinematics import (
@@ -34,6 +37,8 @@ from qpshell.kinematics import (
     BOUND_W_LO,
     BoundEnergy,
     Kinematics,
+    _variant,
+    _Variant,
     k_factor,
     k_factor_bound,
 )
@@ -228,12 +233,38 @@ def test_negative_separation_even():
         assert green_line(j, kin, -0.7) == green_line(j, kin, 0.7)
 
 
+def _line_re(v: _Variant, chi: float, kt: float, x: float) -> float:
+    """m Re G_j(chi, r) at x = m r, with kt = K_j / m given.
+
+    c_j(x) sin(chi x) / kt (plus the sech term for j = 2), where c_1 =
+    coth(pi x / 2), c_2 = c_4 = coth(pi x) and c_3 = tanh(pi x / 2): with
+    a = rate x and b = chi x, tanh(a) sin(b) for j = 3 and sin(b) / tanh(a)
+    otherwise.  The quotient takes its x -> 0 limit chi / rate where a or b
+    is below _TINY, where it is 0/0 or subnormal.
+    """
+    a = v.rate * x
+    b = chi * x
+    if v.tanh:
+        g = math.tanh(a) * math.sin(b)
+    elif abs(a) < _TINY or abs(b) < _TINY:
+        g = chi / v.rate
+    else:
+        g = math.sin(b) / math.tanh(a)
+    g /= kt
+    if v.sech:
+        g += _sech(math.pi * x / 2) / (4.0 * math.cosh(chi))
+    return g
+
+
 def test_array_kernel_matches_scalar():
-    # r = r' (the x = 0 limit), |m (r - r')| = 3.9e-5, moderate and large r;
-    # chi is broadcast against r.  Tolerance: a few ulp of the magnitudes of
-    # the terms summed.  For j = 2 each line kernel adds a sech term of at
-    # most 1/(4 m cosh chi) that may cancel the ratio term, so twice that
-    # bound per kernel covers both
+    # against the scalar math-module body the library had before its real
+    # branch kept one array body (_line_re above, as it was), so the array
+    # body is not checked against itself.  r = r' (the x = 0 limit),
+    # |m (r - r')| = 3.9e-5, moderate and large r; chi is broadcast against
+    # r.  Tolerance: a few ulp of the magnitudes of the terms summed.  For
+    # j = 2 each line kernel adds a sech term of at most 1/(4 m cosh chi)
+    # that may cancel the ratio term, so twice that bound per kernel covers
+    # both
     m = 1.3
     chi = np.array([0.05, 0.7, 2.5, 9.0])
     pairs = [(1.0, 1.0), (2.0, 2.0 + 3e-5), (0.5, 2.3), (40.0, 41.5), (300.0, 0.2), (1e4, 1e4)]
@@ -241,15 +272,18 @@ def test_array_kernel_matches_scalar():
     rp = np.array([p[1] for p in pairs])[:, None]
     eps = np.finfo(float).eps
     for j in ALL_VARIANTS:
-        got = green_partial_real(j, m, chi, r, rp)
+        v = _variant(j)
+        got = green_partial_array(j, m, chi, r, rp).real
         assert got.shape == (len(pairs), len(chi))
         for (a, b), row in zip(pairs, got):
             for c, value in zip(chi.tolist(), row.tolist()):
-                kin = Kinematics(m, c)
-                scale = abs(green_line(j, kin, a - b).real) + abs(green_line(j, kin, a + b).real)
+                kt = k_factor(j, Kinematics(m, c)) / m
+                near = _line_re(v, c, kt, m * (a - b)) / m
+                far = _line_re(v, c, kt, m * (a + b)) / m
+                scale = abs(near) + abs(far)
                 if j == 2:
                     scale += 1.0 / (m * math.cosh(c))
-                assert abs(value - green_partial(j, kin, a, b).real) <= 4 * eps * scale
+                assert abs(value - (near - far)) <= 4 * eps * scale
 
 
 def _mp_line(j: int, m: float, chi: float, x: float, bound: bool):
@@ -303,7 +337,7 @@ def test_real_kernels_match_mpmath_near_the_origin():
             ref0, scale0 = _mp_line(j, 1.0, chi, 0.0, bound=False)
             assert abs(green_line(j, kin, 0.0).real - ref0) <= 4 * eps * scale0 + floor
             # the array body at r = r' = x / 2 is line(0) - line(x)
-            got = green_partial_real(j, 1.0, chi, xs / 2, xs / 2)
+            got = green_partial_array(j, 1.0, chi, xs / 2, xs / 2).real
             for x, g in zip(xs.tolist(), got.tolist()):
                 ref, scale = _mp_line(j, 1.0, chi, x, bound=False)
                 for sign in (1.0, -1.0):
@@ -337,13 +371,58 @@ def test_bound_kernels_match_mpmath():
 
 def test_array_kernel_guards():
     with pytest.raises(ThresholdError):
-        green_partial_real(1, 1.0, np.array([0.5, 0.0]), 1.0, 2.0)
+        green_partial_array(1, 1.0, np.array([0.5, 0.0]), 1.0, 2.0)
     # K_1 = m sinh(2 chi) overflows near chi = 355 at m = 1, K_3 near 710
     with pytest.raises(DomainError):
-        green_partial_real(1, 1.0, np.array([1.0, 400.0]), 1.0, 2.0)
+        green_partial_array(1, 1.0, np.array([1.0, 400.0]), 1.0, 2.0)
     with pytest.raises(DomainError):
-        green_partial_real(3, 1.0, 800.0, 1.0, 2.0)
-    assert np.isfinite(green_partial_real(3, 1.0, 400.0, 1.0, 2.0))
+        green_partial_array(3, 1.0, 800.0, 1.0, 2.0)
+    assert np.isfinite(green_partial_array(3, 1.0, 400.0, 1.0, 2.0))
+
+
+def test_array_kernel_validates_the_mass():
+    # a negative mass once gave a value (0.404 at j = 1, chi = 0.5, r = 1,
+    # r' = 2), and m = 0 or NaN a misleading "chi m r is not finite"
+    for m in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(DomainError, match="mass must be finite and positive"):
+            green_partial_array(1, m, 0.5, 1.0, 2.0)
+
+
+def test_scalar_kernels_are_0d_calls_of_the_array_body():
+    # green_partial and green_line give the vector results bit for bit, at
+    # random points, at r = r' (the x = 0 limit) and where m r and
+    # m (r -+ r') are below _TINY
+    rng = np.random.default_rng(24)
+    n = 250
+    for j in ALL_VARIANTS:
+        v = _variant(j)
+        m = float(rng.uniform(0.3, 2.0))
+        chi = rng.uniform(0.01, 20.0, n)
+        r = rng.uniform(0.0, 30.0, n)
+        rp = rng.uniform(0.0, 30.0, n)
+        rp[:40] = r[:40]
+        r[40:80] = rng.uniform(0.0, _TINY, 40)
+        rp[40:80] = r[40:80] / 2
+        g = green_partial_array(j, m, chi, r, rp)
+        x = m * (r - rp)
+        kt, sech_den = _real_factors(v, chi)
+        with np.errstate(all="ignore"):
+            line_re = _line_re_array(v, chi, kt, sech_den, x) / m
+            line_im = -np.cos(chi * x) / kt / m
+        for k in range(n):
+            kin = Kinematics(m, float(chi[k]))
+            for got, re, im in ((green_partial(j, kin, float(r[k]), float(rp[k])),
+                                 g.real[k], g.imag[k]),
+                                (green_line(j, kin, float(r[k] - rp[k])),
+                                 line_re[k], line_im[k])):
+                assert (got.real.hex(), got.imag.hex()) == (float(re).hex(), float(im).hex())
+
+
+def test_spectral_oracle_refuses_non_finite_radii():
+    # r = inf once raised ZeroDivisionError, and NaN ValueError
+    for r, rp in ((math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0), (1.0, math.nan)):
+        with pytest.raises(DomainError, match="radial coordinates must be finite"):
+            green_spectral_oracle(1, BoundEnergy(1.0, 0.5), r, rp)
 
 
 @pytest.mark.parametrize("r, rp", [(-1.0, 0.5), (0.5, -1.0), (np.array([1.0, -0.5]), 2.0),
@@ -351,7 +430,7 @@ def test_array_kernel_guards():
 def test_array_kernel_refuses_negative_radii(r, rp):
     # as the scalar green_partial does
     with pytest.raises(DomainError, match="radial coordinates must be non-negative"):
-        green_partial_real(1, 1.0, 0.5, r, rp)
+        green_partial_array(1, 1.0, 0.5, r, rp)
     if np.ndim(r) == np.ndim(rp) == 0:
         with pytest.raises(DomainError, match="radial coordinates must be non-negative"):
             green_partial(1, Kinematics(1.0, 0.5), r, rp)
@@ -448,21 +527,21 @@ def test_non_finite_chi_m_r_is_refused():
         with pytest.raises(DomainError, match="chi m r is not finite"):
             green_partial(j, kin, 1e200, 1e200)
         with pytest.raises(DomainError, match="chi m r is not finite"):
-            green_partial_real(j, 1e200, 0.1, 1e200, 1e200)
+            green_partial_array(j, 1e200, 0.1, 1e200, 1e200)
         assert green_partial(j, kin, 1e-200, 1e-200).imag != 0.0
     # on arrays the refusal names the first point out of reach
     with pytest.raises(DomainError, match=r"chi = 2\.0, m = 1\.0, r = 1e\+308"):
-        green_partial_real(1, 1.0, np.array([[0.1], [2.0]]), np.array([1.0, 1e308]), 0.0)
+        green_partial_array(1, 1.0, np.array([[0.1], [2.0]]), np.array([1.0, 1e308]), 0.0)
     # r + r' itself overflows: refused, with no RuntimeWarning on the way
     with pytest.raises(DomainError, match="chi m r is not finite"):
-        green_partial_real(1, 1.0, 0.1, 1e308, 1e308)
+        green_partial_array(1, 1.0, 0.1, 1e308, 1e308)
     # with r' != 0 the message names r and r', not their sum
     for call, at in (
         (lambda: green_partial(1, Kinematics(1.0, 0.1), 1e308, 1e308),
          "chi = 0.1, m = 1.0, r + r' = 1e+308 + 1e+308"),
-        (lambda: green_partial_real(1, 1.0, 0.1, 1e308, 1e308),
+        (lambda: green_partial_array(1, 1.0, 0.1, 1e308, 1e308),
          "chi = 0.1, m = 1.0, r + r' = 1e+308 + 1e+308"),
-        (lambda: green_partial_real(1, 1.0, np.array([0.1, 2.0]), 1.0, np.array([2.0, 1e308])),
+        (lambda: green_partial_array(1, 1.0, np.array([0.1, 2.0]), 1.0, np.array([2.0, 1e308])),
          "chi = 2.0, m = 1.0, r + r' = 1.0 + 1e+308"),
     ):
         with pytest.raises(DomainError) as exc:

@@ -113,7 +113,7 @@ _TAKES_J = {
     "k_factor_bound": lambda j: k_factor_bound(j, _BE),
     "green_line": lambda j: greens.green_line(j, _KIN, 0.5),
     "green_partial": lambda j: greens.green_partial(j, _KIN, 1.0, 0.5),
-    "green_partial_real": lambda j: greens.green_partial_real(j, 1.0, 0.7, 1.0, 0.5),
+    "green_partial_array": lambda j: greens.green_partial_array(j, 1.0, 0.7, 1.0, 0.5),
     "green_line_bound": lambda j: greens.green_line_bound(j, _BE, 0.5),
     "green_partial_bound": lambda j: greens.green_partial_bound(j, _BE, 1.0, 0.5),
     "green_partial_bound_array":

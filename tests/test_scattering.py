@@ -17,7 +17,7 @@ from qpshell.errors import (
 )
 from qpshell import scattering
 from qpshell.boundstates import bound_wavefunction, v0_of_w
-from qpshell.greens import green_partial
+from qpshell.greens import green_partial, green_partial_array
 from qpshell.kinematics import ALL_VARIANTS, BoundEnergy, Kinematics, k_factor
 from qpshell.nonrel import nr_wavefunction
 from qpshell.scattering import (
@@ -152,8 +152,8 @@ def test_system_determinant_is_the_complex_det():
     for _ in range(200):
         j, kin = _random_point(rng)
         pot = _random_shells(rng, int(rng.integers(1, 5)))
-        radii = pot.radii
-        g = np.array([[green_partial(j, kin, r, rp) for rp in radii] for r in radii])
+        radii = np.array(pot.radii)
+        g = green_partial_array(j, kin.m, kin.chi, radii[:, None], radii)
         ref = np.linalg.det(np.eye(len(radii)) - g * np.array(pot.strengths))
         assert abs(delta_system(j, kin, pot).delta - ref) <= 1e-12 * abs(ref)
 
@@ -205,20 +205,20 @@ SWEEP_POTENTIALS = (
 
 @pytest.mark.parametrize("pot", SWEEP_POTENTIALS)
 def test_sweep_matches_scatter_point(pot):
-    # the array sweep against numpy's LU det D of 1 - G V with the scalar
-    # complex kernels, point by point: q f = -Im D / D and S = conj(D) / D.
+    # the array sweep against numpy's LU det D of 1 - G V with the complex
+    # kernel, point by point: q f = -Im D / D and S = conj(D) / D.
     # scatter_point is a one-point sweep and must give its row.  Every
     # diagonal kernel entry (r = r') takes the series branch
     chis = [0.05 + 3.95 * i / 199 for i in range(200)]
-    radii, strengths = pot.radii, np.array(pot.strengths)
+    radii, strengths = np.array(pot.radii), np.array(pot.strengths)
     for m in (0.7, 1.6):
         for j in ALL_VARIANTS:
             sw = sweep(j, m, pot, chis)
             assert sw.j == j and sw.chi.tolist() == chis
-            for k, chi in enumerate(chis):
+            g = green_partial_array(j, m, np.array(chis)[:, None, None], radii[:, None], radii)
+            d_refs = np.linalg.det(np.eye(len(radii)) - g * strengths).tolist()
+            for k, (chi, d_ref) in enumerate(zip(chis, d_refs)):
                 kin = Kinematics(m, chi)
-                g = np.array([[green_partial(j, kin, r, rp) for rp in radii] for r in radii])
-                d_ref = np.linalg.det(np.eye(len(radii)) - g * strengths)
                 s_ref = d_ref.conjugate() / d_ref
                 assert abs(sw.q[k] - kin.q) <= 1e-15 * kin.q
                 assert abs(sw.q[k] * sw.f[k] + d_ref.imag / d_ref) <= 1e-12
@@ -407,6 +407,17 @@ def test_transparency_zeros_shared_by_variants():
     for j in ALL_VARIANTS:
         for chi in zeros:
             assert abs(amplitude(j, Kinematics(1.0, chi), pot)) < 1e-12
+
+
+def test_single_shell_zero_rapidities_refuses_non_finite_inputs():
+    # each once raised ZeroDivisionError, ValueError or OverflowError; an
+    # m a that overflows or underflows to 0 is refused too
+    inf, nan = math.inf, math.nan
+    for m, a, chi_max in ((inf, 1.0, 1.0), (nan, 1.0, 1.0), (1.0, inf, 1.0), (1.0, nan, 1.0),
+                          (1.0, 1.0, inf), (1.0, 1.0, nan), (1e200, 1e200, 1.0),
+                          (1e-200, 1e-200, 1.0)):
+        with pytest.raises(DomainError):
+            single_shell_zero_rapidities(m, a, chi_max)
 
 
 def test_pole_at_critical_strength():
