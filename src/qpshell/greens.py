@@ -101,9 +101,11 @@ def _real_factors(v: _Variant, chi: np.ndarray) -> tuple[np.ndarray, np.ndarray 
 
 
 def _check_rapidity(v: _Variant, chi, m: float) -> tuple:
-    """_real_factors at chi, refusing chi = 0 and an overflowing K_j / m or
-    cosh(chi); m only names the point."""
+    """_real_factors at chi, refusing a negative chi (DomainError), chi = 0
+    and an overflowing K_j / m or cosh(chi); m only names the point."""
     chi = np.asarray(chi)
+    if (chi < 0.0).any():
+        raise DomainError(f"rapidity must be non-negative, got {float(np.min(chi))!r}")
     if (chi == 0.0).any():
         raise ThresholdError("line kernel undefined at chi = 0 (elastic threshold)")
     with np.errstate(over="ignore"):
@@ -120,24 +122,27 @@ def green_partial_array(j: int, m: float, chi, r, rp) -> np.ndarray:
     chi, r and r' broadcast against each other; m is a scalar.  Re G is the
     image difference of _line_re_array; Im G is the product -2 sin(chi m r)
     sin(chi m r') / K_j, since the difference of the two cosine images
-    cancels as chi -> 0.  Both are formed as m G in real arithmetic and
-    divided by m once.  m must be finite and positive and r, r' non-negative
+    cancels as chi -> 0.  Both are formed as m G and divided by m once;
+    where the sine product is subnormal, each sine is divided by sqrt(K_j)
+    instead.  m must be finite and positive and chi, r, r' non-negative
     (DomainError).  chi = 0 anywhere raises ThresholdError; an overflowing
     K_j / m or cosh(chi), or a chi m (r + r') beyond the float range, raises
     DomainError.
     """
     v = _variant(j)
     m, _ = _dimensionless(m)
-    chi = np.asarray(chi, dtype=float)
-    r = np.asarray(r, dtype=float)
-    rp = np.asarray(rp, dtype=float)
+    chi, r, rp = (np.asarray(a, dtype=float) for a in (chi, r, rp))
     if (r < 0).any() or (rp < 0).any():
         raise DomainError(f"radial coordinates must be non-negative, got min r = "
                           f"{float(np.min(r))!r}, min r' = {float(np.min(rp))!r}")
     kt, sech_den = _check_rapidity(v, chi, m)
     with np.errstate(all="ignore"):
         re = _partial_re_array(v, chi, kt, sech_den, m * (r - rp), m * (r + rp)) / m
-        im = -2.0 * np.sin(chi * (m * r)) * np.sin(chi * (m * rp)) / kt / m
+        s, sp = np.sin(chi * (m * r)), np.sin(chi * (m * rp))
+        # sqrt(K_j) as the two factors sqrt(K_j / m) and sqrt(m), whose product may underflow
+        rk, rm = np.sqrt(kt), math.sqrt(m)
+        im = np.where(np.abs(s * sp) < _TINY, -2.0 * (s / rk / rm) * (sp / rk / rm),
+                      -2.0 * s * sp / kt / m)
     # With K_j / m finite, a NaN can only be sin of a non-finite chi m (r + r')
     bad = np.isnan(re)
     if bad.any():
@@ -173,8 +178,7 @@ def _line_re_array(v: _Variant, chi, kt, sech_den, x):
     return g
 
 
-def _partial_re_array(v: _Variant, chi: np.ndarray, kt: np.ndarray, sech_den,
-                      d, s) -> np.ndarray:
+def _partial_re_array(v: _Variant, chi, kt, sech_den, d, s) -> np.ndarray:
     """m Re G_j(chi, r, r') over arrays from the image arguments d = m (r - r')
     and s = m (r + r'), with _real_factors given, warnings off."""
     return _line_re_array(v, chi, kt, sech_den, d) - _line_re_array(v, chi, kt, sech_den, s)
@@ -282,9 +286,7 @@ def green_partial_bound_array(j: int, m: float, w, r, rp) -> np.ndarray:
     """
     v = _variant(j)
     m, _ = _dimensionless(m)
-    w = np.asarray(w, dtype=float)
-    r = np.asarray(r, dtype=float)
-    rp = np.asarray(rp, dtype=float)
+    w, r, rp = (np.asarray(a, dtype=float) for a in (w, r, rp))
     if not ((w > 0.0) & (w < math.pi / 2)).all():
         raise DomainError("w must lie in the open interval (0, pi/2)")
     if not ((r >= 0.0) & (r < math.inf) & (rp >= 0.0) & (rp < math.inf)).all():

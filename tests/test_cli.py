@@ -244,6 +244,14 @@ def test_greens_refuses_where_the_reduced_kernel_does(capsys):
     assert err.startswith("parameter error: rapidity too large: K_1")
 
 
+@pytest.mark.parametrize("chi", ["-1:-0.5:3", "-1:1:3", "-1e-300:-1e-300:1"])
+def test_greens_refuses_a_negative_rapidity(capsys, chi):
+    # Im G is odd in chi, so a negative row would be the conjugate kernel
+    code, out, err = run(capsys, *f"greens --j 1 --m 1 --branch real --chi={chi} --r 1".split())
+    assert code == 2 and out == ""
+    assert err.startswith("parameter error: rapidity must be non-negative")
+
+
 @pytest.mark.parametrize("m", ["-1", "0", "nan", "inf"])
 @pytest.mark.parametrize("branch", ["real --chi 0.5:1:3", "bound --w 0.5:1:3"])
 def test_greens_refuses_a_bad_mass(capsys, m, branch):
@@ -448,6 +456,7 @@ def test_bound_runs_write_nothing_to_stderr(capsys, argv):
     "nrlimit --masses 1,2,1e308",
     "greens --j all --m 1e200 --branch bound --w 0.1:1:3 --r 1e200",
     "greens --j all --m 1 --branch real --chi 0:1:3 --r 1",
+    "greens --j 1 --m 1 --branch real --chi=-1:-0.5:3 --r 1",
     "scatter --j all --m 1 --a 5 --v0 2 --chi 700:800:3",
     "bound --j all --m 1e200 --levels --v0 -2 --a 1e200",
     "bound --j all --m 1e-300 --curve v0 --a 1 --n 50",

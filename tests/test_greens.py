@@ -264,26 +264,43 @@ def test_array_kernel_matches_scalar():
     # r.  Tolerance: a few ulp of the magnitudes of the terms summed.  For
     # j = 2 each line kernel adds a sech term of at most 1/(4 m cosh chi)
     # that may cancel the ratio term, so twice that bound per kernel covers
-    # both
+    # both.  Then the same at 250 random points per j, drawn as in
+    # test_scalar_kernels_are_0d_calls_of_the_array_body
+    eps = np.finfo(float).eps
+
+    def check(j, m, chi, r, rp, got):
+        v = _variant(j)
+        for c, a, b, value in zip(chi, r, rp, got):
+            kt = k_factor(j, Kinematics(m, c)) / m
+            near = _line_re(v, c, kt, m * (a - b)) / m
+            far = _line_re(v, c, kt, m * (a + b)) / m
+            scale = abs(near) + abs(far)
+            if j == 2:
+                scale += 1.0 / (m * math.cosh(c))
+            assert abs(value - (near - far)) <= 4 * eps * scale
+
     m = 1.3
     chi = np.array([0.05, 0.7, 2.5, 9.0])
     pairs = [(1.0, 1.0), (2.0, 2.0 + 3e-5), (0.5, 2.3), (40.0, 41.5), (300.0, 0.2), (1e4, 1e4)]
     r = np.array([p[0] for p in pairs])[:, None]
     rp = np.array([p[1] for p in pairs])[:, None]
-    eps = np.finfo(float).eps
     for j in ALL_VARIANTS:
-        v = _variant(j)
         got = green_partial_array(j, m, chi, r, rp).real
         assert got.shape == (len(pairs), len(chi))
-        for (a, b), row in zip(pairs, got):
-            for c, value in zip(chi.tolist(), row.tolist()):
-                kt = k_factor(j, Kinematics(m, c)) / m
-                near = _line_re(v, c, kt, m * (a - b)) / m
-                far = _line_re(v, c, kt, m * (a + b)) / m
-                scale = abs(near) + abs(far)
-                if j == 2:
-                    scale += 1.0 / (m * math.cosh(c))
-                assert abs(value - (near - far)) <= 4 * eps * scale
+        grid = np.broadcast_arrays(chi, r, rp, got)
+        check(j, m, *(column.ravel().tolist() for column in grid))
+    rng = np.random.default_rng(259)
+    n = 250
+    for j in ALL_VARIANTS:
+        m = float(rng.uniform(0.3, 2.0))
+        chi = rng.uniform(0.01, 20.0, n)
+        r = rng.uniform(0.0, 30.0, n)
+        rp = rng.uniform(0.0, 30.0, n)
+        rp[:40] = r[:40]
+        r[40:80] = rng.uniform(0.0, _TINY, 40)
+        rp[40:80] = r[40:80] / 2
+        got = green_partial_array(j, m, chi, r, rp).real
+        check(j, m, chi.tolist(), r.tolist(), rp.tolist(), got.tolist())
 
 
 def _mp_line(j: int, m: float, chi: float, x: float, bound: bool):
@@ -423,6 +440,34 @@ def test_spectral_oracle_refuses_non_finite_radii():
     for r, rp in ((math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0), (1.0, math.nan)):
         with pytest.raises(DomainError, match="radial coordinates must be finite"):
             green_spectral_oracle(1, BoundEnergy(1.0, 0.5), r, rp)
+
+
+def test_array_kernel_refuses_a_negative_rapidity():
+    # Im G is odd in chi: a negative rapidity would give the conjugate kernel
+    for chi in (-0.5, np.array([0.5, -1e-300]), np.array([-1.0, 0.0])):
+        with pytest.raises(DomainError, match="rapidity must be non-negative"):
+            green_partial_array(1, 1.0, chi, 1.0, 2.0)
+
+
+def test_array_kernel_keeps_the_digits_of_a_subnormal_sine_product():
+    # at m = 1e-310 the product sin(chi m r) sin(chi m r') is subnormal
+    # while Im G is not; dividing it by K_j / m and m kept about three
+    # digits.  The reference takes the exact doubles m, chi, r, r' to 40
+    # digits; the sine sin(chi m r') = chi m is itself a subnormal, whose
+    # rounding costs up to 1e-13
+    mp = pytest.importorskip("mpmath")
+    m, chi = 1e-310, 0.5
+    for j in ALL_VARIANTS:
+        v = _variant(j)
+        for r, rp in ((1e300, 1.0), (1.0, 1e300), (3e299, 2.5)):
+            got = float(green_partial_array(j, m, chi, r, rp).imag)
+            with mp.workdps(40):
+                x = mp.mpf(chi) * mp.mpf(m)
+                k = mp.mpf(v.k_scale) * mp.mpf(m) * mp.sinh(mp.mpf(v.k_rate) * mp.mpf(chi))
+                ref = float(-2 * mp.sin(x * mp.mpf(r)) * mp.sin(x * mp.mpf(rp)) / k)
+            assert abs(got - ref) <= 1e-12 * abs(ref)
+            mirror = float(green_partial_array(j, m, chi, rp, r).imag)
+            assert got.hex() == mirror.hex()
 
 
 @pytest.mark.parametrize("r, rp", [(-1.0, 0.5), (0.5, -1.0), (np.array([1.0, -0.5]), 2.0),
