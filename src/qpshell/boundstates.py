@@ -12,16 +12,16 @@ useful inversions: V2(w) at fixed V1, and the two branches V1(+-)(w) under
 the constraint V2 = alpha V1, which is a quadratic in V1 whose discriminant
 can close (no real strength reaches that w when it is negative).
 
-The curves and the level scan's grid of w are evaluated as numpy arrays:
-the reduced array kernel fills the same shell system (`_shell_matrix`,
-`_det`, whose + - * work element-wise), and the V1(+-) algebra is written
-once for floats and arrays alike; a sampled curve is one `QuantCurve` of
-read-only columns, NaN wherever a sample is flagged.  Each level is then
-bisected, and its poles rejected, on the scalar det_bound, so the level
-positions are those of a point-by-point scan.
+The curves and the level scan's grid run one reduced kernel over a numpy
+array of w, and det_bound, v0_of_w, v1_pm_of_w and the wave functions run
+it at a 0-d w, through the same shell system (`_shell_matrix`, `_det`,
+whose + - * work element-wise), so a grid and a point agree bit for bit.
+The V1(+-) algebra is written once for floats and arrays alike; a sampled
+curve is one `QuantCurve` of read-only columns, NaN wherever a sample is
+flagged.
 
-Where m enters and leaves: det(1 - G V) and the levels w depend only on
-the reduced shells (V_k / m, m a_k); `_kernel` and `_det_array` take no m.
+Where m enters and leaves: det(1 - G V) and the levels w depend only on the
+reduced shells (V_k / m, m a_k); `_array_kernel` and `_det_array` take no m.
 V0, V2 and V1(+-) are m times their reduced values (V1 enters as V1 / m).
 
 Wave functions are superpositions of bound kernels anchored at the shells,
@@ -41,7 +41,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, SingularPointError
-from .greens import _partial_bound, _partial_bound_array, _sech, green_partial_bound
+# green_partial_bound is re-exported for perfbench's tracer hooks; nothing here calls it
+from .greens import _bound_factors, _partial_bound_array, _sech, green_partial_bound
 from .kinematics import (
     BOUND_W_HI,
     BOUND_W_LO,
@@ -104,13 +105,15 @@ class V1Roots:
 
 
 def v0_of_w(j: int, be: BoundEnergy, a: float) -> float:
-    """Single-shell strength placing a level at w: V0 = 1 / G(i w, a, a)."""
+    """Single-shell strength placing a level at w: V0 = m / (m G(i w, a, a))."""
     if a <= 0:
         raise DomainError(f"shell radius must be positive, got {a}")
-    g = green_partial_bound(j, be, a, a)
-    if g == 0.0 or not math.isfinite(g):
+    m, ((_, x),) = _dimensionless(be.m, ((0.0, a),))
+    with np.errstate(divide="ignore", over="ignore"):
+        v0 = float(m * (1.0 / _array_kernel(_variant(j), np.float64(be.w))(x, x)))
+    if not math.isfinite(v0):
         raise SingularPointError(f"kernel diagonal vanishes at w = {be.w!r}")
-    return 1.0 / g
+    return v0
 
 
 # Above this exponent _hyperbolic_ratio switches to exponential form.
@@ -175,15 +178,10 @@ def v0_of_w_explicit(j: int, be: BoundEnergy, a: float) -> float:
     return num / den
 
 
-def _kernel(v: _Variant, w: float) -> Callable[[float, float], float]:
-    """m G(i w, r, r') of (x, x') = (m r, m r'), with K_j(i w) / (i m) resolved once."""
-    kt = v.k_reduced_bound(w)
-    return lambda x, xp: _partial_bound(v, w, kt, x - xp, x + xp)
-
-
 def det_bound(j: int, be: BoundEnergy, pot: ShellPotential) -> float:
-    """Quantization determinant det[1 - G V] at this w (real)."""
-    return _det(_shell_matrix(_dimensionless(be.m, pot.shells)[1], _kernel(_variant(j), be.w)))
+    """Quantization determinant det[1 - G V] at this w: a 0-d _det_array call."""
+    return float(_det_array(_variant(j), _dimensionless(be.m, pot.shells)[1],
+                            np.float64(be.w)))
 
 
 def _check_alpha(alpha: float) -> None:
@@ -243,7 +241,7 @@ def v1_pm_of_w(j: int, be: BoundEnergy, a1: float, a2: float, alpha: float):
     m times the roots in V1 / m with the reduced kernels m G.
     """
     _check_alpha(alpha)
-    m, _, *g = _pair(_kernel(_variant(j), be.w), be.m, a1, a2)
+    m, _, *g = _pair(_array_kernel(_variant(j), np.float64(be.w)), be.m, a1, a2)
     plus, minus, degenerate, closed = _v1pm_parts(*g, alpha)
     if closed:
         return None
@@ -254,11 +252,11 @@ def v1_pm_of_w(j: int, be: BoundEnergy, a1: float, a2: float, alpha: float):
 
 
 def bound_wavefunction(j: int, m: float, w: float,
-                       pot: ShellPotential) -> tuple[Callable[[float], float], BoundLevel]:
+                       pot: ShellPotential) -> tuple[Callable, BoundLevel]:
     """Normalized bound wave function at a quantization point (m, w, pot).
 
-    Returns (psi, level).  psi is a plain callable; level records the
-    quantization residual |det|, psi evaluated at the shells and the
+    Returns (psi, level).  psi takes a float or an array of r; level records
+    the quantization residual |det|, psi evaluated at the shells and the
     normalization constant applied to the kernel superposition.  A residual
     above _RESIDUAL_TOL means (m, w, pot) is not on the quantization surface
     and is rejected; the normalization integral must converge to _NORM_TOL.
@@ -266,9 +264,9 @@ def bound_wavefunction(j: int, m: float, w: float,
     v = _variant(j)
     be = BoundEnergy(m, w)
     m, shells = _dimensionless(m, pot.shells)
-    kernel = _kernel(v, w)
+    kernel = _array_kernel(v, np.float64(be.w))
     mat = _shell_matrix(shells, kernel)
-    residual = abs(_det(mat))
+    residual = float(abs(_det(mat)))
     if residual > _RESIDUAL_TOL:
         raise DomainError(
             f"(m, w) = ({m}, {w}) is not a quantization point of this "
@@ -278,20 +276,21 @@ def bound_wavefunction(j: int, m: float, w: float,
     # the largest is the best conditioned.
     n = len(mat)
     columns = (_adj_apply(mat, [float(i == k) for i in range(n)]) for k in range(n))
-    coeff = max(columns, key=lambda c: sum(x * x for x in c))
+    coeff = [float(c) for c in max(columns, key=lambda c: sum(x * x for x in c))]
     if not any(coeff):
         raise SingularPointError(f"quantization matrix vanishes identically at w = {w!r}")
+    weights = np.array([c * g for c, (g, _) in zip(coeff, shells)])
+    xk = np.array([x for _, x in shells])
 
-    def psi_hat(r: float) -> float:
-        x = m * r  # sum_k c_k V_k G(r, a_k) = sum_k c_k g_k (m G)(x, x_k)
-        total = 0.0
-        for c, (g, xk) in zip(coeff, shells):
-            total += c * g * kernel(x, xk)
-        return total
+    def psi_hat(r):
+        # sum_k c_k V_k G(r, a_k) = sum_k (c_k g_k) (m G)(x, x_k): one kernel
+        # call over every shell's images, the terms added in shell order
+        terms = kernel(m * np.asarray(r, dtype=float)[..., None], xk) * weights
+        return np.add.accumulate(terms, axis=-1)[..., -1]
 
     # Fix the overall sign before normalizing: psi > 0 at the innermost
     # shell where it does not vanish.
-    anchor = next((p for p in map(psi_hat, pot.radii) if p != 0.0), 0.0)
+    anchor = next((p for p in psi_hat(pot.radii).tolist() if p != 0.0), 0.0)
     sign = -1.0 if anchor < 0 else 1.0
 
     decay = 2.0 * w * m  # psi ~ exp(-w m r) far out
@@ -300,10 +299,14 @@ def bound_wavefunction(j: int, m: float, w: float,
         raise SingularPointError(f"normalization integral degenerate at w = {w!r}")
     n_const = sign / math.sqrt(norm_sq.value)
 
-    def psi(r: float) -> float:
-        if not 0 <= r < math.inf:
-            raise DomainError(f"r must be {'non-negative' if r < 0 else 'finite'}, got {r}")
-        return n_const * psi_hat(r)
+    def psi(r):
+        r = np.asarray(r, dtype=float)
+        bad = r[~((r >= 0) & (r < math.inf))]
+        if bad.size:
+            x = bad[0]
+            raise DomainError(f"r must be {'non-negative' if x < 0 else 'finite'}, got {x}")
+        value = n_const * psi_hat(r)
+        return float(value) if value.ndim == 0 else value
 
     level = BoundLevel(
         j=v.j,
@@ -318,10 +321,10 @@ def bound_wavefunction(j: int, m: float, w: float,
 
 def level_roots(j: int, m: float, pot: ShellPotential, n_scan: int = 2000) -> list[float]:
     """Level positions w of the shells: roots of det_bound scanned over w in
-    (0, pi/2) on n_scan intervals, each refined by bisection.
+    (0, pi/2) on n_scan intervals, each refined by Illinois regula falsi.
 
-    The grid is evaluated as one array determinant; the scalar det_bound
-    decides every bracket, bisects it and rejects poles (find_roots_scan).
+    The grid is evaluated as one array determinant, and det_bound, its 0-d
+    call, refines every bracket and rejects poles (find_roots_scan).
     """
     v = _variant(j)
     m, shells = _dimensionless(m, pot.shells)
@@ -348,8 +351,10 @@ def _det_array(v: _Variant, shells, ws: np.ndarray) -> np.ndarray:
 
 
 def _array_kernel(v: _Variant, ws: np.ndarray) -> Callable:
-    """_kernel over an array of w."""
-    return lambda x, xp: _partial_bound_array(v, ws, x - xp, x + xp)
+    """m G(i w, r, r') of (x, x') = (m r, m r') over an array of w (0-d for
+    one point), with _bound_factors computed once."""
+    kt, sech_den = _bound_factors(v, ws)
+    return lambda x, xp: _partial_bound_array(v, ws, kt, sech_den, x - xp, x + xp)
 
 
 def _w_grid(n: int) -> np.ndarray:

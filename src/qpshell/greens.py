@@ -11,7 +11,7 @@ the scattering branch:
 
 with K_1 = K_2 = m sinh(2 chi) and K_3 = K_4 = 2 m sinh(chi).  All kernels
 are even in r, and each is evaluated in one closed form (see _line_re_array
-and _line_bound); a quotient that is 0/0 or subnormal takes its r = 0 limit.
+and _line_bound_array); a quotient that is 0/0 or subnormal takes its r = 0 limit.
 What tells the variants apart (the hyperbolic rate, the ratio form, K_j and
 the j = 2 sech term) is one row of the variant table in `kinematics`, which
 every kernel here reads; the spectral oracle keeps its own per-variant
@@ -35,12 +35,13 @@ the shell systems call, compute m G from the image arguments m (r -+ r') and
 K_j / m, with no m and no checks.  The public kernels check, form
 m (r -+ r') and divide by m once.
 
-On the real branch there is one kernel body, _line_re_array, over numpy
-arrays: sweep, the zero condition and green_partial_array run it on grids,
-and the scalar green_line and green_partial are its 0-d calls, so a scalar
-and an array evaluation at one point agree bit for bit.  The bound branch
-keeps a scalar body (_line_bound) beside its array one, since the level
-bisection and the normalization integrals call it point by point.
+Each branch has one kernel body over numpy arrays: _line_re_array on the
+real branch, which sweep, the zero condition and green_partial_array run on
+grids, and _line_bound_array on the bound branch, which the curve samplers,
+the level scan, the shell system at a point and the wave functions run.
+The scalar kernels (green_line, green_partial, green_line_bound,
+green_partial_bound) are 0-d calls of those bodies, so a scalar and an
+array evaluation at one point agree bit for bit.
 """
 
 from __future__ import annotations
@@ -193,41 +194,62 @@ def green_line_bound(j: int, be: BoundEnergy, r: float) -> float:
         j=3:  -cosh((pi/2 - w) m r) / (2 m sin(w) cosh(pi m r / 2))
         j=4:  -sinh((pi - w) m r) / (2 m sin(w) sinh(pi m r))
 
-    Even in r; the r = 0 limits are finite and negative.  Nothing in the
-    package or its benchmark jobs calls it: it is the public line kernel of
-    the bound branch, which the tests check against the analytic
-    continuation of the real-branch kernel and against mpmath.
+    Even in r; the r = 0 limits are finite and negative.  A 0-d call of the
+    array body _line_bound_array.  Nothing in the package or its benchmark
+    jobs calls it: it is the public line kernel of the bound branch, which
+    the tests check against the analytic continuation of the real-branch
+    kernel and against mpmath.
     """
     r = float(r)
     if not math.isfinite(r):
         raise DomainError(f"r must be finite, got {r}")
-    v = _variant(j)
-    return _line_bound(v, be.w, v.k_reduced_bound(be.w), be.m * r) / be.m
+    v, w = _variant(j), np.float64(be.w)
+    with np.errstate(all="ignore"):
+        return float(_line_bound_array(v, w, *_bound_factors(v, w), be.m * r) / be.m)
 
 
-def _line_bound(v: _Variant, w: float, kt: float, x: float) -> float:
-    """m G_j(i w, r) at x = m r, with kt = K_j(i w) / (i m) given.
+def _bound_factors(v: _Variant, w) -> tuple:
+    """K_j(i w) / (i m) and the j = 2 sech denominator over m, 4 cos(w)
+    (else 1.0), over an array of w in (0, pi/2)."""
+    kt = v.k_scale * np.sin(v.k_rate * w)
+    sech_den = 4.0 * np.cos(w) if v.sech else 1.0
+    return kt, sech_den
+
+
+def _line_bound_array(v: _Variant, w, kt, sech_den, x):
+    """m G_j(i w, r) at x = m r over arrays, with _bound_factors given and
+    warnings off.
 
     With beta = rate and alpha = beta - w, the ratio cosh(alpha x) /
     cosh(beta x) (j = 3) is e^{-w x} (1 + e^{-2 alpha x}) / (1 + e^{-2 beta
     x}), and sinh(alpha x) / sinh(beta x) is e^{-w x} expm1(-2 alpha x) /
     expm1(-2 beta x), which takes its limit alpha / beta where alpha x is
-    below _TINY, where it is 0/0 or subnormal.
+    below _TINY, where it is 0/0 or subnormal.  The j = 2 sech term is
+    2 e / (1 + e^2) / sech_den with e = e^{-pi x / 2}.
     """
-    x = abs(x)
+    x = np.abs(x)
     beta = v.rate
     alpha = beta - w
     if v.tanh:
-        ratio = math.exp(-w * x) * (1.0 + math.exp(-2.0 * alpha * x)) / (
-            1.0 + math.exp(-2.0 * beta * x))
-    elif alpha * x < _TINY:
-        ratio = alpha / beta
+        ratio = np.exp(-w * x) * (1.0 + np.exp(-2.0 * alpha * x)) / (
+            1.0 + np.exp(-2.0 * beta * x))
     else:
-        ratio = math.exp(-w * x) * math.expm1(-2.0 * alpha * x) / math.expm1(-2.0 * beta * x)
+        ratio = np.where(alpha * x < _TINY, alpha / beta,
+                         np.exp(-w * x) * np.expm1(-2.0 * alpha * x)
+                         / np.expm1(-2.0 * beta * x))
     g = -ratio / kt
     if v.sech:
-        g += _sech(math.pi * x / 2) / (4.0 * math.cos(w))
+        e = np.exp(-(math.pi * x / 2))
+        g = g + 2.0 * e / (1.0 + e * e) / sech_den
     return g
+
+
+def _partial_bound_array(v: _Variant, w, kt, sech_den, d, s) -> np.ndarray:
+    """m G_j(i w, r, r') over arrays from the image arguments d = m (r - r')
+    and s = m (r + r'), with _bound_factors given; warnings off, since
+    np.where evaluates the 0/0 it discards at x = 0."""
+    with np.errstate(all="ignore"):
+        return _line_bound_array(v, w, kt, sech_den, d) - _line_bound_array(v, w, kt, sech_den, s)
 
 
 def green_partial(j: int, kin: Kinematics, r: float, rp: float) -> complex:
@@ -237,50 +259,16 @@ def green_partial(j: int, kin: Kinematics, r: float, rp: float) -> complex:
 
 
 def green_partial_bound(j: int, be: BoundEnergy, r: float, rp: float) -> float:
-    """Half-line s-wave kernel via the image construction (bound branch)."""
-    if not (0 <= r < math.inf and 0 <= rp < math.inf):
-        raise DomainError(f"radial coordinates must be finite and non-negative, got {r}, {rp}")
-    v, m, w = _variant(j), be.m, be.w
-    return _partial_bound(v, w, v.k_reduced_bound(w), m * (r - rp), m * (r + rp)) / m
-
-
-def _partial_bound(v: _Variant, w: float, kt: float, d: float, s: float) -> float:
-    """m G(i w, r, r') from the image arguments d = m (r - r'), s = m (r + r')."""
-    return _line_bound(v, w, kt, d) - _line_bound(v, w, kt, s)
-
-
-def _partial_bound_array(v: _Variant, w: np.ndarray, d, s) -> np.ndarray:
-    """_partial_bound over arrays, with the reduced factors computed once."""
-    beta = v.rate
-    alpha = beta - w
-    kt = v.k_scale * np.sin(v.k_rate * w)
-    sech_den = 4.0 * np.cos(w) if v.sech else None
-
-    def line(x):
-        x = np.abs(x)
-        if v.tanh:
-            ratio = np.exp(-w * x) * (1.0 + np.exp(-2.0 * alpha * x)) / (
-                1.0 + np.exp(-2.0 * beta * x))
-        else:
-            # 0/0 where alpha x is 0, hence the errstate
-            ratio = np.where(alpha * x < _TINY, alpha / beta,
-                             np.exp(-w * x) * np.expm1(-2.0 * alpha * x)
-                             / np.expm1(-2.0 * beta * x))
-        g = -ratio / kt
-        if sech_den is not None:
-            e = np.exp(-(math.pi * x / 2))
-            g = g + 2.0 * e / (1.0 + e * e) / sech_den
-        return g
-
-    with np.errstate(all="ignore"):
-        return line(d) - line(s)
+    """Half-line s-wave kernel via the image construction (bound branch): a
+    0-d call of green_partial_bound_array, with its refusals."""
+    return float(green_partial_bound_array(j, be.m, be.w, r, rp))
 
 
 def green_partial_bound_array(j: int, m: float, w, r, rp) -> np.ndarray:
     """G_j(i w, r, r') on the bound branch, evaluated on numpy arrays.
 
-    w, r and r' broadcast against each other; m is a scalar.  The values are
-    those of green_partial_bound(j, BoundEnergy(m, w), r, rp) up to rounding.
+    w, r and r' broadcast against each other; m is a scalar.  The image
+    difference of _line_bound_array, formed as m G and divided by m once.
     m must be finite and positive, every w inside (0, pi/2), and r, r' finite
     and non-negative; otherwise DomainError.
     """
@@ -292,7 +280,7 @@ def green_partial_bound_array(j: int, m: float, w, r, rp) -> np.ndarray:
     if not ((r >= 0.0) & (r < math.inf) & (rp >= 0.0) & (rp < math.inf)).all():
         raise DomainError("radial coordinates must be finite and non-negative")
     with np.errstate(over="ignore"):
-        return _partial_bound_array(v, w, m * (r - rp), m * (r + rp)) / m
+        return _partial_bound_array(v, w, *_bound_factors(v, w), m * (r - rp), m * (r + rp)) / m
 
 
 def green_spectral_oracle(j: int, state, r: float, rp: float, tol: float = 1e-8) -> QuadResult:
@@ -327,21 +315,21 @@ def green_spectral_oracle(j: int, state, r: float, rp: float, tol: float = 1e-8)
     e_w = state.energy
 
     if j == EquationVariant.LT:
-        def weight(e_k: float) -> float:
+        def weight(e_k):
             return m / (e_w * e_w - e_k * e_k)
     elif j == EquationVariant.K:
-        def weight(e_k: float) -> float:
+        def weight(e_k):
             return m / (e_k * 2.0 * (e_w - e_k))
     elif j == EquationVariant.MLT:
-        def weight(e_k: float) -> float:
+        def weight(e_k):
             return e_k / (e_w * e_w - e_k * e_k)
     else:
-        def weight(e_k: float) -> float:
+        def weight(e_k):
             return 1.0 / (2.0 * (e_w - e_k))
 
-    def integrand(k: float) -> float:
-        e_k = m * math.cosh(k)
-        return (2.0 / math.pi) * math.sin(k * m * r) * weight(e_k) * math.sin(k * m * rp)
+    def integrand(k):
+        e_k = m * np.cosh(k)
+        return (2.0 / math.pi) * np.sin(k * m * r) * weight(e_k) * np.sin(k * m * rp)
 
     k_max = math.log(1.0 / tol) + 20.0
     pitch = math.pi / (m * max(r, rp, 1.0))
@@ -355,5 +343,5 @@ def green_spectral_oracle(j: int, state, r: float, rp: float, tol: float = 1e-8)
         total += res.value
         err += res.err_estimate
         evals += res.evaluations
-    tail = abs(integrand(k_max))  # decay rate >= 1 for every variant
+    tail = float(abs(integrand(k_max)))  # decay rate >= 1 for every variant
     return QuadResult(total, err + tail, evals + 1)

@@ -50,10 +50,6 @@ class _Variant:
     k_rate: float    # branch K_j(i w) / i = k_scale m sin(k_rate w)
     sech: bool       # the extra sech term of j = 2
 
-    def k_reduced_bound(self, w: float) -> float:
-        """K_j(i w) / (i m) = k_scale sin(k_rate w)."""
-        return self.k_scale * math.sin(self.k_rate * w)
-
 
 _VARIANTS = {
     1: _Variant(1, math.pi / 2, False, 1.0, 2.0, False),

@@ -27,19 +27,23 @@ from .scattering import (DeltaSystem, ShellPotential, _check_pole, _det, _k_part
 from .boundstates import v0_of_w
 
 
-def _check_q(q: float) -> None:
+def _check_q(q: float, r: float = 0.0) -> None:
+    """Refuse q < 0, q = 0 and, at the largest radius r in play, a q r
+    beyond the float range, where sin has no value."""
     if q < 0:
         raise DomainError(f"q must be non-negative, got {q}")
     if q == 0:
         raise ThresholdError("q = 0 is the elastic threshold")
+    if not math.isfinite(q * r):
+        raise DomainError(f"q r is not finite at q = {q!r}, r = {r!r}")
 
 
 def nr_green(q: float, r: float, rp: float) -> complex:
     """Half-line Schroedinger kernel -sin(q r_<) exp(i q r_>) / q."""
-    _check_q(q)
     if r < 0 or rp < 0:
         raise DomainError(f"radial coordinates must be non-negative, got {r}, {rp}")
     r_lo, r_hi = (r, rp) if r <= rp else (rp, r)
+    _check_q(q, r_hi)
     return -math.sin(q * r_lo) * cmath.exp(1j * q * r_hi) / q
 
 
@@ -66,7 +70,7 @@ def _nr_system(q: float, pot: ShellPotential) -> DeltaSystem:
 
 def nr_amplitude(q: float, pot: ShellPotential) -> complex:
     """Schroedinger s-wave amplitude f = -c / (q D) of the delta shells."""
-    _check_q(q)
+    _check_q(q, max(pot.radii))
     sys = _nr_system(q, pot)
     return -sys.delta.imag / (q * sys.delta)
 
@@ -76,9 +80,9 @@ def nr_wavefunction(q: float, pot: ShellPotential, r: float) -> complex:
     normalized so psi -> sin(q r) + q f exp(i q r) far outside the shells.
     No caller in the package: it stays as the Schroedinger reference for
     the relativistic wave functions."""
-    _check_q(q)
     if not 0 <= r < math.inf:
         raise DomainError(f"r must be {'non-negative' if r < 0 else 'finite'}, got {r}")
+    _check_q(q, max(r, *pot.radii))
     sys = _nr_system(q, pot)
     psi = complex(math.sin(q * r))
     for (v, a), dk in zip(pot.shells, sys.numerators):
@@ -101,7 +105,7 @@ def nr_amplitude_explicit(q: float, pot: ShellPotential) -> complex:
     UnsupportedFormError.  No caller in the package: it stays as the
     independent route the tests check nr_amplitude against.
     """
-    _check_q(q)
+    _check_q(q, max(pot.radii))
     shells = pot.shells
     if len(shells) > 2:
         raise UnsupportedFormError(

@@ -287,11 +287,10 @@ def check_bound_structure() -> GroupResult:
     n = 0
     for m, a in ((1.0, 1.0), (0.5, 2.0)):
         for j in ALL_VARIANTS:
-            for k in range(1, 501):
-                w = (math.pi / 2) * k / 501
-                if v0_of_w(j, BoundEnergy(m, w), a) >= 0.0:
-                    violations += 1
-                n += 1
+            # w = (pi/2) k / 501, k = 1..500; a flagged sample is a violation
+            curve = sample_v0_curve(j, m, a, n=500)
+            violations += int(np.count_nonzero(~curve.finite | (curve.value >= 0.0)))
+            n += len(curve)
             target = 0.7
             v0 = v0_of_w(j, BoundEnergy(m, target), a)
             levels = solve_levels(j, m, ShellPotential.single(v0, a))

@@ -23,7 +23,7 @@ from qpshell.boundstates import (
     v1_pm_of_w,
 )
 from qpshell.errors import DomainError, QpshellError, SingularPointError
-from qpshell.greens import green_partial_bound
+from qpshell.greens import green_partial_bound, green_partial_bound_array
 from qpshell.kinematics import ALL_VARIANTS, BOUND_W_HI, BOUND_W_LO, BoundEnergy
 from qpshell.numerics import find_roots_scan, integrate_semi_infinite
 from qpshell.scattering import ShellPotential
@@ -326,8 +326,9 @@ _BINDING = [
 
 
 def test_solve_levels_equals_the_scalar_scan():
-    # the array grid only screens; every field of every level equals a scan
-    # that evaluates det_bound point by point
+    # the grid determinant gives det_bound's values bit for bit, so every
+    # field of every level equals a scan that evaluates det_bound point by
+    # point
     levels = 0
     for pot in _BINDING:
         for j in ALL_VARIANTS:
@@ -342,14 +343,56 @@ def test_solve_levels_equals_the_scalar_scan():
     assert levels == 53
 
 
+def _level_scan(monkeypatch, j, m, pot):
+    """level_roots' f and f_grid, and the number of f calls it made."""
+    import qpshell.boundstates as bs
+    seen = {}
+
+    def scan(f, lo, hi, n_scan, f_grid):
+        def counted(x):
+            seen["calls"] += 1
+            return f(x)
+        seen.update(f=f, f_grid=f_grid, grid=np.append(lo + np.arange(n_scan) * (
+            (hi - lo) / n_scan), hi), calls=0)
+        return find_roots_scan(counted, lo, hi, n_scan=n_scan, f_grid=f_grid)
+
+    monkeypatch.setattr(bs, "find_roots_scan", scan)
+    roots = level_roots(j, m, pot)
+    return roots, seen
+
+
+def test_level_scan_grid_is_the_point_determinant(monkeypatch):
+    # the grid values that find the brackets are det_bound's own, bit for
+    # bit, on the whole 2001-point grid, with one shell and with two
+    for pot in (ShellPotential.single(-2.0, 1.0), ShellPotential.double(-2.0, 1.0, -1.0, 3.0)):
+        for j in ALL_VARIANTS:
+            _, seen = _level_scan(monkeypatch, j, 1.0, pot)
+            grid = seen["f_grid"](seen["grid"])
+            assert len(grid) == 2001
+            assert [seen["f"](w).hex() for w in seen["grid"].tolist()] == [
+                float(g).hex() for g in grid]
+
+
+def test_level_refinement_is_few_calls_per_bracket(monkeypatch):
+    # bisection from the grid pitch to 1e-12 took 34 det_bound calls per
+    # bracket; Illinois takes fewer than half of that on the README scan
+    # (bound --j all --m 1 --a 1 --v0 -2 --levels) and on a two-shell scan
+    for pot in (ShellPotential.single(-2.0, 1.0), ShellPotential.double(-2.0, 1.0, -1.0, 3.0)):
+        for j in ALL_VARIANTS:
+            roots, seen = _level_scan(monkeypatch, j, 1.0, pot)
+            grid = seen["f_grid"](seen["grid"])
+            brackets = int(np.sum((grid[:-1] > 0) != (grid[1:] > 0)))
+            assert len(roots) == brackets == 1
+            assert seen["calls"] < 34 / 2 * brackets
+
+
 def _pointwise_v2(j, m, a1, a2, v1, n):
-    """The per-point V2 sampler: scalar kernels, sign-change pole flags."""
+    """The per-point V2 sampler: the algebra and sign-change pole flags point
+    by point, on the kernels of green_partial_bound_array over the grid
+    (which green_partial_bound gives bit for bit, at many times the cost)."""
     ws = [(math.pi / 2) * k / (n + 1) for k in range(1, n + 1)]
     nums, dens = [], []
-    for w in ws:
-        be = BoundEnergy(m, w)
-        g11, g22, g12 = (green_partial_bound(j, be, r, rp)
-                         for r, rp in ((a1, a1), (a2, a2), (a1, a2)))
+    for g11, g22, g12 in zip(*_pair_kernels(j, m, a1, a2, ws)):
         dens.append(g22 + v1 * (g12 * g12 - g11 * g22))
         nums.append(1.0 - v1 * g11)
     flagged = [den == 0.0 for den in dens]
@@ -359,6 +402,12 @@ def _pointwise_v2(j, m, a1, a2, v1, n):
         if (dens[i] > 0.0) != (dens[i + 1] > 0.0):
             flagged[i if abs(dens[i]) <= abs(dens[i + 1]) else i + 1] = True
     return ws, nums, dens, flagged
+
+
+def _pair_kernels(j, m, a1, a2, ws):
+    """G11, G22 and G12 over the grid ws, as lists."""
+    return [green_partial_bound_array(j, m, ws, r, rp).tolist()
+            for r, rp in ((a1, a1), (a2, a2), (a1, a2))]
 
 
 def _draws(seed, count):
@@ -407,13 +456,11 @@ def test_v2_curve_matches_pointwise():
         assert curve.w.tolist() == ws
         assert (~curve.finite).tolist() == flagged
         poles += sum(flagged)
-        for w, value, num, den, flag in zip(ws, curve.value.tolist(), nums, dens, flagged):
+        for value, num, den, flag, (g11, g22, g12) in zip(
+                curve.value.tolist(), nums, dens, flagged, zip(*_pair_kernels(j, m, a1, a2, ws))):
             if flag:
                 assert math.isnan(value)
                 continue
-            be = BoundEnergy(m, w)
-            g11, g22, g12 = (green_partial_bound(j, be, r, rp)
-                             for r, rp in ((a1, a1), (a2, a2), (a1, a2)))
             scale = abs(g22) + abs(v1) * (g12 * g12 + abs(g11 * g22))
             assert abs(value - num / den) * abs(den) <= _CURVE_RTOL * abs(num) * scale
     assert poles >= 3
@@ -446,12 +493,13 @@ def test_det_curve_matches_pointwise():
         for j in ALL_VARIANTS:
             curve = sample_det_curve(j, 1.3, pot, n=200)
             assert curve.finite.all()
-            for w, value in zip(curve.w.tolist(), curve.value.tolist()):
-                be = BoundEnergy(1.3, w)
-                g = np.array([[green_partial_bound(j, be, r, rp) for rp in pot.radii]
-                              for r in pot.radii])
-                scale = np.prod(np.abs(np.eye(len(g)) - g * np.array(pot.strengths)).sum(axis=1))
-                assert abs(value - det_bound(j, be, pot)) <= 1e-12 * scale
+            # G at every w in one call: green_partial_bound's values bit for bit
+            radii = np.array(pot.radii)
+            g = green_partial_bound_array(j, 1.3, curve.w[:, None, None], radii[:, None], radii)
+            scales = np.prod(np.abs(np.eye(len(radii)) - g * np.array(pot.strengths)).sum(axis=2),
+                             axis=1)
+            for w, value, scale in zip(curve.w.tolist(), curve.value.tolist(), scales.tolist()):
+                assert abs(value - det_bound(j, BoundEnergy(1.3, w), pot)) <= 1e-12 * scale
 
 
 def test_v1pm_algebra_on_constructed_kernels():
@@ -499,7 +547,7 @@ def test_v1pm_curve_flags_a_closed_discriminant(monkeypatch):
     # (G11, G22, G12) = (1 or 3, -1, 0.5) at alpha = -1: disc = (G11 - 1)^2 - 1
     import qpshell.boundstates as bs
 
-    def fake_kernel(v, w, d, s):
+    def fake_kernel(v, w, kt, sech_den, d, s):
         # image arguments d = r - r', s = r + r' at m = 1
         if d != 0.0:
             return np.full_like(w, 0.5)
@@ -521,7 +569,7 @@ def test_v2_curve_pole_flags_follow_grid_order(monkeypatch):
     import qpshell.boundstates as bs
     den = np.array([2.0, -1.0, 0.5, 0.0, 1.0, 1.0])
 
-    def fake_kernel(v, w, d, s):
+    def fake_kernel(v, w, kt, sech_den, d, s):
         # image arguments d = r - r', s = r + r' at m = 1
         return den if (d, s) == (0.0, 4.0) else np.zeros_like(w)
 

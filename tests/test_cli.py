@@ -454,6 +454,7 @@ def test_bound_runs_write_nothing_to_stderr(capsys, argv):
 @pytest.mark.parametrize("argv", [
     "greens --j all --m 1e200 --branch real --chi 0.1:1:3 --r 1e200",
     "nrlimit --masses 1,2,1e308",
+    "nrlimit --j 1 --observable amplitude --q 1e308",
     "greens --j all --m 1e200 --branch bound --w 0.1:1:3 --r 1e200",
     "greens --j all --m 1 --branch real --chi 0:1:3 --r 1",
     "greens --j 1 --m 1 --branch real --chi=-1:-0.5:3 --r 1",

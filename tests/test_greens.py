@@ -20,6 +20,8 @@ from qpshell.boundstates import _EXP_SWITCH, _hyperbolic_ratio
 from qpshell.errors import DomainError, ThresholdError, UnsupportedBranchError
 from qpshell.greens import (
     _TINY,
+    _bound_factors,
+    _line_bound_array,
     _line_re_array,
     _real_factors,
     _sech,
@@ -503,6 +505,40 @@ def bound_term_scale(j: int, m: float, w: float, r: float, rp: float) -> float:
     return total
 
 
+def _line_bound(v: _Variant, w: float, kt: float, x: float) -> float:
+    """m G_j(i w, r) at x = m r, with kt = K_j(i w) / (i m) given.
+
+    With beta = rate and alpha = beta - w, the ratio cosh(alpha x) /
+    cosh(beta x) (j = 3) is e^{-w x} (1 + e^{-2 alpha x}) / (1 + e^{-2 beta
+    x}), and sinh(alpha x) / sinh(beta x) is e^{-w x} expm1(-2 alpha x) /
+    expm1(-2 beta x), which takes its limit alpha / beta where alpha x is
+    below _TINY, where it is 0/0 or subnormal.
+    """
+    x = abs(x)
+    beta = v.rate
+    alpha = beta - w
+    if v.tanh:
+        ratio = math.exp(-w * x) * (1.0 + math.exp(-2.0 * alpha * x)) / (
+            1.0 + math.exp(-2.0 * beta * x))
+    elif alpha * x < _TINY:
+        ratio = alpha / beta
+    else:
+        ratio = math.exp(-w * x) * math.expm1(-2.0 * alpha * x) / math.expm1(-2.0 * beta * x)
+    g = -ratio / kt
+    if v.sech:
+        g += _sech(math.pi * x / 2) / (4.0 * math.cos(w))
+    return g
+
+
+def _scalar_partial_bound(j: int, m: float, w: float, r: float, rp: float) -> float:
+    """G_j(i w, r, r') from the scalar math-module body the library had before
+    its bound branch kept one array body (_line_bound above, as it was), so
+    the array body is not checked against itself."""
+    v = _variant(j)
+    kt = v.k_scale * math.sin(v.k_rate * w)
+    return (_line_bound(v, w, kt, m * (r - rp)) - _line_bound(v, w, kt, m * (r + rp))) / m
+
+
 # r = r' (x = 0 on the direct line), r = r' = 0, the m r ~ 1 range, both
 # sides of bound_term_scale's _EXP_SWITCH for beta = pi (x = 9.55) and
 # beta = pi/2 (x = 19.1), and separations where a direct sinh would
@@ -521,7 +557,7 @@ def _assert_bound_array_matches_scalar(ws: np.ndarray, ulps: float) -> None:
                     got = green_partial_bound_array(j, m, ws, r, rp)
                     assert got.shape == ws.shape
                     for w, value in zip(ws.tolist(), got.tolist()):
-                        ref = green_partial_bound(j, BoundEnergy(m, w), r, rp)
+                        ref = _scalar_partial_bound(j, m, w, r, rp)
                         assert abs(value - ref) <= ulps * eps * bound_term_scale(j, m, w, r, rp)
 
 
@@ -531,6 +567,52 @@ def test_bound_array_kernel_matches_scalar():
     # either side of bound_term_scale's switch for beta = pi, and (9, 9) /
     # (10, 10) put 18 / 20 on either side of it for beta = pi / 2
     _assert_bound_array_matches_scalar(np.linspace(1e-6, math.pi / 2 - 1e-6, 97), 4.0)
+
+
+def _random_bound_points(rng, n: int):
+    """n random (w, r, r') for one m: r = r' for 40 of them, m r and m r'
+    below _TINY for 40, and w at BOUND_W_LO and BOUND_W_HI for 20 each."""
+    m = float(rng.uniform(0.3, 2.0))
+    w = rng.uniform(BOUND_W_LO, BOUND_W_HI, n)
+    r = rng.uniform(0.0, 30.0, n)
+    rp = rng.uniform(0.0, 30.0, n)
+    rp[:40] = r[:40]
+    r[40:80] = rng.uniform(0.0, _TINY, 40)
+    rp[40:80] = r[40:80] / 2
+    w[80:100] = BOUND_W_LO
+    w[100:120] = BOUND_W_HI
+    return m, w, r, rp
+
+
+def test_bound_array_kernel_matches_scalar_at_random_points():
+    # the gate of test_bound_array_kernel_matches_scalar at 250 random
+    # points per j, drawn as in test_scalar_bound_kernels_are_0d_calls
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(26)
+    for j in ALL_VARIANTS:
+        m, w, r, rp = _random_bound_points(rng, 250)
+        got = green_partial_bound_array(j, m, w, r, rp)
+        for args, value in zip(zip(w.tolist(), r.tolist(), rp.tolist()), got.tolist()):
+            ref = _scalar_partial_bound(j, m, *args)
+            assert abs(value - ref) <= 4.0 * eps * bound_term_scale(j, m, *args)
+
+
+def test_scalar_bound_kernels_are_0d_calls_of_the_array_body():
+    # green_partial_bound and green_line_bound give the vector results bit
+    # for bit, at random points, at r = r' (the x = 0 limit), where m r and
+    # m (r -+ r') are below _TINY, and at both edges of the w window
+    rng = np.random.default_rng(25)
+    for j in ALL_VARIANTS:
+        v = _variant(j)
+        m, w, r, rp = _random_bound_points(rng, 250)
+        g = green_partial_bound_array(j, m, w, r, rp)
+        with np.errstate(all="ignore"):
+            line = _line_bound_array(v, w, *_bound_factors(v, w), m * (r - rp)) / m
+        for k in range(len(w)):
+            be = BoundEnergy(m, float(w[k]))
+            assert (green_partial_bound(j, be, float(r[k]), float(rp[k])).hex()
+                    == float(g[k]).hex())
+            assert green_line_bound(j, be, float(r[k] - rp[k])).hex() == float(line[k]).hex()
 
 
 def test_bound_array_kernel_at_the_w_edges():

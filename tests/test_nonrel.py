@@ -191,6 +191,17 @@ def test_nr_domain_guards():
         nr_det_bound(0.0, ShellPotential.single(-2.0, 1.0))
 
 
+def test_nr_kernels_refuse_a_non_finite_q_r():
+    # q a = 1e308 * 5 overflows; sin(q a) once raised a raw ValueError
+    pot = ShellPotential.single(2.0, 5.0)
+    for call in (lambda: nr_green(1e308, 1.0, 5.0), lambda: nr_amplitude(1e308, pot),
+                 lambda: nr_amplitude_explicit(1e308, pot),
+                 lambda: nr_wavefunction(1e308, pot, 0.5),
+                 lambda: nr_wavefunction(1e300, ShellPotential.single(2.0, 0.5), 1e9)):
+        with pytest.raises(DomainError, match="q r is not finite"):
+            call()
+
+
 def test_limit_convergence_amplitude():
     pot = ShellPotential.single(2.0, 5.0)
     for j in (1, 2, 3, 4):

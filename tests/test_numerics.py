@@ -25,23 +25,23 @@ def test_polynomial_exact():
 
 
 def test_oscillatory():
-    res = integrate_adaptive(lambda x: math.sin(x), 0.0, math.pi, 1e-12)
+    res = integrate_adaptive(np.sin, 0.0, math.pi, 1e-12)
     assert abs(res.value - 2.0) < 1e-12
-    res = integrate_adaptive(lambda x: math.cos(40.0 * x), 0.0, 1.0, 1e-12)
+    res = integrate_adaptive(lambda x: np.cos(40.0 * x), 0.0, 1.0, 1e-12)
     assert abs(res.value - math.sin(40.0) / 40.0) < 1e-12
 
 
 def test_complex_integrand():
-    res = integrate_adaptive(lambda x: complex(math.cos(x), math.sin(x)), 0.0, 1.0, 1e-12)
+    res = integrate_adaptive(lambda x: np.cos(x) + 1j * np.sin(x), 0.0, 1.0, 1e-12)
     assert abs(res.value - complex(math.sin(1.0), 1.0 - math.cos(1.0))) < 1e-13
 
 
 def test_endpoint_singularity_fails_honestly():
     # bisection alone cannot certify x^(-1/2) near 0; the refusal must still
-    # carry a best-effort estimate that is in fact accurate
+    # carry a best-effort estimate that is in fact accurate (the nodes are
+    # inside each panel, so x > 0)
     with pytest.raises(AccuracyError) as err:
-        integrate_adaptive(lambda x: 1.0 / math.sqrt(x) if x > 0 else 0.0,
-                           0.0, 1.0, 1e-9)
+        integrate_adaptive(lambda x: 1.0 / np.sqrt(x), 0.0, 1.0, 1e-9)
     best = err.value.best
     assert abs(best.value - 2.0) < 1e-8
     assert best.err_estimate < 1e-8
@@ -51,35 +51,47 @@ def test_against_scipy():
     quad = pytest.importorskip("scipy.integrate").quad
 
     def f(x):
-        return math.exp(-x) * math.sin(3.0 * x * x + 0.5)
+        return np.exp(-x) * np.sin(3.0 * x * x + 0.5)
 
     mine = integrate_adaptive(f, 0.0, 4.0, 1e-11)
     ref, _ = quad(f, 0.0, 4.0, epsabs=1e-13, epsrel=1e-13, limit=400)
     assert abs(mine.value - ref) < 1e-10
 
 
+def test_runaway_subdivision_is_refused():
+    # within 1e-6 of the pole at -0.01 the rounding noise of the Kronrod sum
+    # exceeds every panel's share, so each round would double its panels
+    # down to the width floor; the round limit refuses it with an estimate
+    def f(x):
+        return x ** 7 - 3.0 * x * x + 1.0 / (x + 0.01)
+
+    with pytest.raises(AccuracyError, match="panels in one round") as err:
+        integrate_adaptive(f, -1.0, 2.0, 1e-9)
+    assert err.value.best.evaluations <= 60 * 15 * numerics._MAX_PANELS
+
+
 def test_semi_infinite_decaying_oscillation():
     # integral_0^inf e^{-x} sin(5x) dx = 5/26
-    res = integrate_semi_infinite(lambda x: math.exp(-x) * math.sin(5.0 * x), 0.0, 1.0, 1e-11)
+    res = integrate_semi_infinite(lambda x: np.exp(-x) * np.sin(5.0 * x), 0.0, 1.0, 1e-11)
     assert abs(res.value - 5.0 / 26.0) < 1e-11
 
 
 def test_semi_infinite_offset_start():
     # integral_2^inf e^{-3x} dx = e^{-6}/3
-    res = integrate_semi_infinite(lambda x: math.exp(-3.0 * x), 2.0, 3.0, 1e-12)
+    res = integrate_semi_infinite(lambda x: np.exp(-3.0 * x), 2.0, 3.0, 1e-12)
     assert abs(res.value - math.exp(-6.0) / 3.0) < 1e-14
 
 
 def test_non_finite_integrand_rejected():
     with pytest.raises(EvaluationError):
-        integrate_adaptive(lambda x: float("nan"), 0.0, 1.0, 1e-10)
+        integrate_adaptive(lambda x: np.full_like(x, np.nan), 0.0, 1.0, 1e-10)
 
 
 def test_jump_resolved_by_width_floor():
     # panels straddling the jump shrink to the relative width floor and are
     # then accepted, so even tol = 1e-16 terminates with the exact value
     def f(x):
-        return 0.0 if x < 1.0 / 3.0 else 1.0
+        return np.where(x < 1.0 / 3.0, 0.0, 1.0)
 
     res = integrate_adaptive(f, 0.0, 1.0, 1e-16)
     assert abs(res.value - 2.0 / 3.0) < 1e-15
@@ -133,7 +145,7 @@ def test_find_roots_empty():
 
 def test_bad_bounds():
     with pytest.raises(DomainError):
-        integrate_adaptive(math.sin, 1.0, 0.0, 1e-10)
+        integrate_adaptive(np.sin, 1.0, 0.0, 1e-10)
     with pytest.raises(DomainError):
         find_roots_scan(math.sin, 2.0, 1.0)
 
@@ -143,44 +155,11 @@ def test_determinism():
     coeffs = rng.uniform(-1, 1, 6)
 
     def f(x):
-        return sum(c * x ** k for k, c in enumerate(coeffs)) + math.sin(7 * x)
+        return sum(c * x ** k for k, c in enumerate(coeffs)) + np.sin(7 * x)
 
     a = integrate_adaptive(f, 0.0, 3.0, 1e-12)
     b = integrate_adaptive(f, 0.0, 3.0, 1e-12)
     assert a.value == b.value and a.evaluations == b.evaluations
-
-
-def test_find_roots_grid_screen_gives_the_scalar_scan():
-    # f_grid only screens the grid: with a screen that is off by a relative
-    # 1e-3 everywhere but keeps every sign, the roots, residuals and brackets
-    # are those of the scan by f alone, zeros and poles included
-    cases = [
-        (math.sin, np.sin, 0.5, 10.0, 500),
-        (math.tan, np.tan, 0.5, 9.0, 4000),
-        (lambda x: x - 1.0, lambda xs: xs - 1.0, 0.0, 2.0, 2),
-    ]
-    for f, vec, lo, hi, n in cases:
-        ref = find_roots_scan(f, lo, hi, n_scan=n)
-        got = find_roots_scan(f, lo, hi, n_scan=n, f_grid=lambda xs: vec(xs) * (1.0 + 1e-3))
-        assert got == ref
-
-
-def test_find_roots_grid_screen_defers_to_f():
-    # a screen that reports false zeros and a false sign change: f's own
-    # values decide, so the result is still the scan by f
-    def f(x):
-        return x - 0.33
-
-    def screen(xs):
-        vals = xs - 0.33
-        vals[3] = 0.0        # x = 0.15: not a root of f
-        vals[10] = -vals[10]  # x = 0.5: flips a sign f does not have
-        return vals
-
-    ref = find_roots_scan(f, 0.0, 1.0, n_scan=20)
-    got = find_roots_scan(f, 0.0, 1.0, n_scan=20, f_grid=screen)
-    assert got == ref
-    assert len(got) == 1 and abs(got[0].x - 0.33) < 1e-12
 
 
 def test_find_roots_grid_screen_non_finite():
@@ -189,36 +168,12 @@ def test_find_roots_grid_screen_non_finite():
                         f_grid=lambda xs: np.where(xs > 0.5, np.nan, xs))
 
 
-def _list_screened_grid(f, f_grid, xs):
-    """The grid screen of find_roots_scan as it was written on Python lists."""
-    vals = np.asarray(f_grid(np.array(xs)), dtype=float)
-    bad = ~np.isfinite(vals)
-    if bad.any():
-        x = xs[int(np.argmax(bad))]
-        raise EvaluationError(f"scanned function non-finite at x = {x!r}", x)
-    exact = np.zeros(len(xs), dtype=bool)
-    while True:
-        pos = vals > 0
-        tested = (vals[:-1] == 0.0) | (vals[1:] == 0.0) | (pos[:-1] != pos[1:])
-        todo = np.zeros_like(exact)
-        todo[:-1] = tested
-        todo[1:] |= tested
-        todo &= ~exact
-        if not todo.any():
-            return vals.tolist()
-        for k in np.flatnonzero(todo):
-            vals[k] = numerics._scanned(f, xs[k])
-        exact |= todo
-
-
-def _list_scan(f, lo, hi, n_scan, f_grid=None):
-    """find_roots_scan as it was written on Python lists: the reference."""
+def _list_scan(f, lo, hi, n_scan):
+    """find_roots_scan as it was written on Python lists, with its bisection
+    replaced by the same safeguarded Illinois steps: the reference."""
     step = (hi - lo) / n_scan
     xs = [lo + i * step for i in range(n_scan)] + [hi]
-    if f_grid is None:
-        fs = [numerics._scanned(f, x) for x in xs]
-    else:
-        fs = _list_screened_grid(f, f_grid, xs)
+    fs = [numerics._scanned(f, x) for x in xs]
     roots = []
     for x, v in zip(xs, fs):
         if v == 0.0:
@@ -229,22 +184,28 @@ def _list_scan(f, lo, hi, n_scan, f_grid=None):
             continue
         floor_mag = max(min(abs(fa), abs(fb)), abs(fb - fa) * numerics._TOL_X / step)
         a, b = xs[i], xs[i + 1]
-        va = fa
+        moved = 0
+        widths = [math.inf, math.inf]
         for _ in range(numerics._MAX_BISECT):
             if (b - a) <= numerics._TOL_X:
                 break
-            mid = 0.5 * (a + b)
-            vm = f(mid)
-            if not math.isfinite(vm):
-                a = b = mid
+            x = a + fa / (fa - fb) * (b - a)
+            x = min(max(x, a + numerics._TOL_X / 2), b - numerics._TOL_X / 2)
+            if not a < x < b or (b - a) > 0.5 * widths[-2]:
+                x = 0.5 * (a + b)
+            vx = f(x)
+            if not math.isfinite(vx) or vx == 0.0:
+                a = b = x
                 break
-            if vm == 0.0:
-                a = b = mid
-                break
-            if (vm > 0) == (va > 0):
-                a, va = mid, vm
+            widths.append(b - a)
+            if (vx > 0) == (fa > 0):
+                a, fa = x, vx
+                fb = 0.5 * fb if moved == -1 else fb
+                moved = -1
             else:
-                b = mid
+                b, fb = x, vx
+                fa = 0.5 * fa if moved == 1 else fa
+                moved = 1
         x_root = 0.5 * (a + b)
         residual = abs(f(x_root))
         if not math.isfinite(residual) or residual > 10.0 * floor_mag:
@@ -254,7 +215,7 @@ def _list_scan(f, lo, hi, n_scan, f_grid=None):
     return roots
 
 
-def _scan_record(scan, f, lo, hi, n_scan, f_grid):
+def _scan_record(scan, f, lo, hi, n_scan):
     """The roots (or the error) of one scan, and every argument f was called with."""
     calls = []
 
@@ -264,7 +225,7 @@ def _scan_record(scan, f, lo, hi, n_scan, f_grid):
         return f(x)
 
     try:
-        return scan(recorded, lo, hi, n_scan, f_grid), calls
+        return scan(recorded, lo, hi, n_scan), calls
     except EvaluationError as exc:
         return ("EvaluationError", str(exc)), calls
 
@@ -273,20 +234,15 @@ def _scan_record(scan, f, lo, hi, n_scan, f_grid):
     n_scan=st.integers(2, 40),
     roots=st.lists(st.sampled_from([k / 8 for k in range(9)]) | st.floats(0.0, 1.0), max_size=4),
     poles=st.lists(st.sampled_from([0.3, 0.55, 0.625]) | st.floats(0.0, 1.0), max_size=2),
-    flips=st.lists(st.integers(0, 40), max_size=3),
-    false_zeros=st.lists(st.integers(0, 40), max_size=2),
 )
 # exact zeros on grid points (0.25, 0.75 with step 1/8) beside a plain root
-@example(n_scan=8, roots=[0.25, 0.75, 0.6], poles=[], flips=[], false_zeros=[])
+@example(n_scan=8, roots=[0.25, 0.75, 0.6], poles=[])
 # a sign-change pole between grid points, and one on a grid point
-@example(n_scan=20, roots=[0.3], poles=[0.55], flips=[], false_zeros=[])
-@example(n_scan=8, roots=[0.3], poles=[0.625], flips=[], false_zeros=[])
-# a screen wrong in sign next to a root and away from one, and a false zero
-@example(n_scan=20, roots=[0.33], poles=[], flips=[6, 12], false_zeros=[3])
-def test_find_roots_scan_is_the_list_scan(n_scan, roots, poles, flips, false_zeros):
+@example(n_scan=20, roots=[0.3], poles=[0.55])
+@example(n_scan=8, roots=[0.3], poles=[0.625])
+def test_find_roots_scan_is_the_list_scan(n_scan, roots, poles):
     # the array scan returns the list scan's roots, brackets and errors, and
-    # calls f with the same Python floats in the same order, with or without
-    # a screen (off by a relative 1e-3, with wrong signs and false zeros)
+    # calls f with the same Python floats in the same order
     def f(x):
         value = 1.0
         for r in roots:
@@ -295,18 +251,7 @@ def test_find_roots_scan_is_the_list_scan(n_scan, roots, poles, flips, false_zer
             value = value / (x - p) if x != p else math.inf
         return value
 
-    def screen(xs):
-        vals = np.array([f(x) for x in xs.tolist()]) * (1.0 + 1e-3)
-        for k in flips:
-            if k < len(vals):
-                vals[k] = -vals[k]
-        for k in false_zeros:
-            if k < len(vals):
-                vals[k] = 0.0
-        return vals
-
-    for f_grid in (None, screen):
-        got = _scan_record(find_roots_scan, f, 0.0, 1.0, n_scan, f_grid)
-        assert got == _scan_record(_list_scan, f, 0.0, 1.0, n_scan, f_grid)
-        if isinstance(got[0], list):
-            assert all(type(r.x) is float and type(r.residual) is float for r in got[0])
+    got = _scan_record(find_roots_scan, f, 0.0, 1.0, n_scan)
+    assert got == _scan_record(_list_scan, f, 0.0, 1.0, n_scan)
+    if isinstance(got[0], list):
+        assert all(type(r.x) is float and type(r.residual) is float for r in got[0])
