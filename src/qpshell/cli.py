@@ -19,7 +19,9 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import math
+import re
 import sys
 from typing import Sequence
 
@@ -216,10 +218,15 @@ def _cmd_zeros(ns: argparse.Namespace, invocation: str) -> int:
         ns.j[0], ns.m, ns.a1, ns.v1, ns.v2,
         (a2s[0], a2s[-1]), (chis[0], chis[-1]), grid=(len(a2s), len(chis)),
     )
-    rows = [(ci, vi, x, y, residual) for ci, curve in enumerate(locus.curves)
-            for vi, (x, y, residual) in enumerate(curve)]
+    curves = locus.curves
+    counts = np.fromiter(map(len, curves), np.int64, len(curves))
+    n = int(counts.sum())
+    curve_id = np.repeat(np.arange(len(curves)), counts)
+    vertex_id = np.arange(n) - np.repeat(np.cumsum(counts) - counts, counts)
+    flat = itertools.chain.from_iterable
+    xyr = np.fromiter(flat(flat(curves)), float, 3 * n).reshape(n, 3)
     write_table(ns.out, invocation, ["curve_id", "vertex_id", "x", "y", "residual"],
-                list(zip(*rows)))
+                [curve_id, vertex_id, *xyr.T])
     return 0
 
 
@@ -260,6 +267,18 @@ def _cmd_verify(ns: argparse.Namespace, invocation: str) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse reading any token that starts like a negative number, such as
+    -1e-3 or the range -1:1:3, as the value of the option before it.  Before
+    Python 3.13 argparse took only plain negative decimals so, and read
+    `--v0 -1e-3` as an option missing its value; no qpshell option looks
+    like a negative number.  Subparsers are made of the same class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
+
 def _add_potential_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--v0", type=float, default=None, help="single-shell strength")
     p.add_argument("--a", type=float, default=None, help="single-shell radius")
@@ -272,7 +291,7 @@ def _add_potential_flags(p: argparse.ArgumentParser) -> None:
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The qpshell parser, built once per process: parsing leaves it unchanged."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qpshell",
         description="Delta-shell scattering and bound-state tables for the "
                     "four two-particle equation variants.",

@@ -51,8 +51,8 @@ from .errors import (
     UnsupportedFormError,
 )
 # green_partial is re-exported; nothing here calls it
-from .greens import (_TINY, _check_rapidity, _partial_re_array, _reach_error, _real_factors,
-                     _sech, green_partial, green_partial_array)
+from .greens import (_TINY, _check_rapidity, _line_re_array, _partial_re_array, _reach_error,
+                     _real_factors, _sech, green_partial, green_partial_array)
 from .kinematics import EquationVariant, Kinematics, _dimensionless, _Variant, _variant, k_factor
 
 # Relative threshold below which a closed-form denominator counts as a pole.
@@ -461,18 +461,28 @@ def single_shell_zero_rapidities(m: float, a: float, chi_max: float) -> list[flo
 
 def _zero_condition_raw(v: _Variant, chi, g1: float, x1: float, g2: float, x2) -> np.ndarray:
     """The two-shell transparency condition over m, for the reduced shells;
-    chi and x2 are broadcast arrays, and the callers do the checks.
+    chi and x2 broadcast against each other, and the callers do the checks.
     Continuous in x2 across x2 = x1, where it coalesces to the single-shell
     (g1 + g2) s^2, as window edges at a2 = a1 need.  Overflowing strengths
     give a non-finite value, not a warning.
+
+    The line kernel is taken once per image argument: 0 (shared by g11 and
+    g22) and 2 x1 on chi's shape, 2 x2, x1 - x2 and x1 + x2 on the broadcast
+    shape, each group in one call.  On a tensor grid (chi a row, x2 a column)
+    every chi-only and x2-only factor is so computed once per row or column;
+    each value comes from the same operations on the same operands as a
+    pointwise evaluation, so it has the same bits.
     """
-    chi, x2 = np.broadcast_arrays(chi, x2)
-    x1s = np.full(x2.shape, x1)
-    # one kernel call over (x, x') = (x1, x1), (x2, x2), (x1, x2)
-    x, xp = np.stack([x1s, x2, x1s]), np.stack([x1s, x2, x2])
+    chi, x2 = np.asarray(chi), np.asarray(x2)
+    nd = max(chi.ndim, x2.ndim)
+    fixed = np.array([0.0, x1 + x1]).reshape((2,) + (1,) * nd)
+    moving = np.stack([x2 + x2, x1 - x2, x1 + x2]).reshape(
+        (3,) + (1,) * (nd - x2.ndim) + x2.shape)
     with np.errstate(all="ignore"):
         kt, sech_den = _real_factors(v, chi)
-        g11, g22, g12 = _partial_re_array(v, chi, kt, sech_den, x - xp, x + xp)
+        line_0, line_11 = _line_re_array(v, chi, kt, sech_den, fixed)
+        line_22, line_d, line_s = _line_re_array(v, chi, kt, sech_den, moving)
+        g11, g22, g12 = line_0 - line_11, line_0 - line_22, line_d - line_s
         s1 = np.sin(chi * x1)
         s2 = np.sin(chi * x2)
         return (
@@ -559,10 +569,12 @@ class ZeroLocus:
 
 
 def _condition_at(v: _Variant, g1, x1, g2, n, points) -> np.ndarray:
-    """The reduced zero condition at n points, _FIELD_BLOCK points at a time.
+    """The reduced zero condition at n scattered points, _FIELD_BLOCK points
+    at a time: the refinement rounds and the degenerate V = 0 lines.
 
-    points(k) gives the (x2, chi) coordinates of the point indices k, so a
-    grid is never expanded into whole coordinate arrays.
+    points(k) gives the (x2, chi) coordinates of the point indices k as
+    1-D arrays.  The grid field does not come here: scan_zero_locus gives
+    _zero_condition_raw whole rows of its tensor grid.
     """
     out = np.empty(n)
     for lo in range(0, n, _FIELD_BLOCK):
@@ -595,50 +607,66 @@ def _refine_edge_zero(cond, neg, pos, f_neg, f_pos):
     whose midpoint is one of its ends cannot shrink further and raises
     AccuracyError at once, as does any edge still open after
     _MAX_EDGE_BISECT rounds.
+
+    An edge is carried as its direction, its fixed coordinate and the
+    moving coordinate of its two ends, all 1-D.  On (x, y) points a trial
+    neg + r (pos - neg) keeps the fixed coordinate exactly, and that
+    coordinate adds exactly 0 to the inside test ((p - neg)(pos - p)).sum()
+    > 0, so the rounds on one coordinate are those on (x, y) points, bit for
+    bit.  The open edges are compressed only in rounds where one finished.
     """
-    neg, pos = np.array(neg, dtype=float), np.array(pos, dtype=float)
-    out = np.empty((3, neg.shape[1]))
+    (neg_x, neg_y), (pos_x, pos_y) = (np.asarray(p, dtype=float) for p in (neg, pos))
+    along_x = neg_x != pos_x
+    fixed = np.where(along_x, neg_y, neg_x)
+    neg, pos = np.where(along_x, neg_x, neg_y), np.where(along_x, pos_x, pos_y)
+
+    def plane(along_x, fixed, p):  # (x, y) of the moving coordinate p
+        return np.where(along_x, p, fixed), np.where(along_x, fixed, p)
+
+    out = np.empty((3, len(fixed)))
     exact = f_pos == 0.0
-    out[:2, exact], out[2, exact] = pos[:, exact], 0.0
+    out[0, exact], out[1, exact] = plane(along_x[exact], fixed[exact], pos[exact])
+    out[2, exact] = 0.0
     todo = np.flatnonzero(~exact)
-    neg, pos, f_neg, f_pos = neg[:, todo], pos[:, todo], f_neg[todo], f_pos[todo]
+    along_x, fixed, neg, pos, f_neg, f_pos = (
+        c[todo] for c in (along_x, fixed, neg, pos, f_neg, f_pos))
     point, res = neg, -f_neg  # each edge's latest point, for the stall message
     moved = np.zeros(len(todo))  # the end that moved last: -1 negative, +1 positive
-
-    def strictly_inside(p):
-        # on an axis-parallel edge: between its ends and equal to neither
-        return ((p - neg) * (pos - p)).sum(axis=0) > 0
 
     for _ in range(_MAX_EDGE_BISECT):
         if not len(todo):
             return out
         with np.errstate(all="ignore"):
             trial = neg + f_neg / (f_neg - f_pos) * (pos - neg)
-            inside = strictly_inside(trial)
+            inside = (trial - neg) * (pos - trial) > 0
             if not inside.all():
                 mid = 0.5 * (neg + pos)
-                stuck = ~(inside | strictly_inside(mid))
+                stuck = ~(inside | ((mid - neg) * (pos - mid) > 0))
                 if stuck.any():
                     k = np.argmax(stuck)
-                    raise _stalled(point[:, k], res[k])
+                    raise _stalled(plane(along_x[k], fixed[k], point[k]), res[k])
                 trial = np.where(inside, trial, mid)
         point = trial
-        f = cond(len(todo), lambda k: (point[0, k], point[1, k]))
+        x, y = plane(along_x, fixed, point)
+        f = cond(len(todo), lambda k: (x[k], y[k]))
         res = np.abs(f)
         done = res < _VERTEX_RESIDUAL
-        finished = todo[done]
-        out[:2, finished], out[2, finished] = point[:, done], res[done]
-        left = ~done
-        todo, point, res, f = todo[left], point[:, left], res[left], f[left]
+        if done.any():
+            finished = todo[done]
+            out[0, finished], out[1, finished], out[2, finished] = x[done], y[done], res[done]
+            left = ~done
+            todo, along_x, fixed, point, res, f, neg, pos, f_neg, f_pos, moved = (
+                c[left] for c in (todo, along_x, fixed, point, res, f, neg, pos, f_neg, f_pos,
+                                  moved))
         lower = f < 0
         side = np.where(lower, -1.0, 1.0)
-        illinois = np.where(side == moved[left], 0.5, 1.0)
-        f_neg = np.where(lower, f, illinois * f_neg[left])
-        f_pos = np.where(lower, illinois * f_pos[left], f)
-        neg = np.where(lower, point, neg[:, left])
-        pos = np.where(lower, pos[:, left], point)
+        illinois = np.where(side == moved, 0.5, 1.0)
+        f_neg = np.where(lower, f, illinois * f_neg)
+        f_pos = np.where(lower, illinois * f_pos, f)
+        neg = np.where(lower, point, neg)
+        pos = np.where(lower, pos, point)
         moved = side
-    raise _stalled(point[:, 0], res[0])
+    raise _stalled(plane(along_x[0], fixed[0], point[0]), res[0])
 
 
 def scan_zero_locus(
@@ -654,7 +682,10 @@ def scan_zero_locus(
     """Trace the two-shell transparency curves over an (a2, chi) window.
 
     Evaluates zero_condition (m times the reduced condition) on the grid as
-    numpy arrays, _FIELD_BLOCK points at a time, and contours its sign.
+    numpy arrays and contours its sign.  The field is taken on its tensor
+    form, the chi row against a column of x2 = m a2, in blocks of whole rows
+    of at most _FIELD_BLOCK points (one row where a row is longer), so each
+    factor of chi alone or of a2 alone is computed once per row or column.
     Every edge whose ends differ in sign gets its vertex from one batched
     Illinois regula falsi over all such edges (_refine_edge_zero), started
     from the field values at the edge ends and stopped at residual below
@@ -734,7 +765,12 @@ def scan_zero_locus(
                 n += 1
         return ZeroLocus(v.j, tuple(curves))
 
-    field = cond(nx * ny, lambda k: (xs[k // ny], ys[k % ny])).reshape(nx, ny)
+    # whole rows of the tensor grid per call, with chi a row and x2 a column
+    field = np.empty((nx, ny))
+    rows = max(1, _FIELD_BLOCK // ny)
+    for lo in range(0, nx, rows):
+        field[lo:lo + rows] = m * _zero_condition_raw(v, ys[None, :], g1, x1, g2,
+                                                      (m * xs[lo:lo + rows])[:, None])
     bad = np.argwhere(~np.isfinite(field))
     if len(bad):
         ix, iy = bad[0]

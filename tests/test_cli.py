@@ -10,6 +10,7 @@ from qpshell import boundstates, scattering, verification
 from qpshell.cli import _parse_range, build_parser, main
 from qpshell.kinematics import Kinematics
 from qpshell.scattering import ShellPotential, amplitude_explicit, sweep
+from qpshell.tables import write_table
 
 VALUE = re.compile(r"^-?\d\.\d{16}e[+-]\d{2,3}$")
 
@@ -585,3 +586,52 @@ def test_curve_table_holds_the_sampler_columns(capsys, argv):
     got = [(j, float(w).hex(), curve_id, float(value).hex() if value else "", flag)
            for j, w, curve_id, value, flag in rows]
     assert got == expected
+
+
+@pytest.mark.parametrize("argv, n_curves", [
+    # V1, V2 of one sign: no curve, so the table is the header only
+    ("zeros --j 1 --m 1 --a1 1 --v1 1 --v2 0.5 --a2 1:3:16 --chi 0.1:0.2:16", 0),
+    ("zeros --j 1 --m 1 --a1 3 --v1 1 --v2 -1 --a2 3:5:24 --chi 0.1:0.6:24", 1),
+    ("zeros --j 1 --m 1 --a1 3 --v1 1 --v2 -1 --a2 3:8:300 --chi 0.1:3:300", None),
+], ids=["empty", "one_curve", "readme"])
+def test_zeros_columns_are_the_vertex_tuples(capsys, argv, n_curves):
+    code, out, err = run(capsys, *argv.split())
+    assert code == 0 and err == ""
+    # the table as the vertex tuples of the locus write it, one row per vertex
+    ns = build_parser().parse_args(argv.split())
+    locus = scattering.scan_zero_locus(ns.j[0], ns.m, ns.a1, ns.v1, ns.v2,
+                                       (ns.a2[0], ns.a2[-1]), (ns.chi[0], ns.chi[-1]),
+                                       grid=(len(ns.a2), len(ns.chi)))
+    rows = [(ci, vi, x, y, residual) for ci, curve in enumerate(locus.curves)
+            for vi, (x, y, residual) in enumerate(curve)]
+    write_table(None, argv, ["curve_id", "vertex_id", "x", "y", "residual"], list(zip(*rows)))
+    got, want = out.splitlines(), capsys.readouterr().out.splitlines()
+    assert len(got) == len(want) == 2 + len(rows)
+    first = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), None)
+    assert first is None, f"line {first}: {got[first]!r} != {want[first]!r}"
+    assert out.endswith("\n")
+    if n_curves is not None:
+        assert len(locus.curves) == n_curves
+
+
+@pytest.mark.parametrize("typed, joined", [
+    ("scatter --j 1 --m 1 --v0 -1e-3 --a 1 --chi 0.5:1:3",
+     "scatter --j 1 --m 1 --v0=-1e-3 --a 1 --chi 0.5:1:3"),
+    ("bound --j 3 --m 1 --v1 0 --a1 1 --v2 0 --a2 2 --alpha -2e-1 --curve v1pm --n 5",
+     "bound --j 3 --m 1 --v1 0 --a1 1 --v2 0 --a2 2 --alpha=-2e-1 --curve v1pm --n 5"),
+    ("zeros --j 1 --m 1 --a1 3 --v1 1 --v2 -1E0 --a2 3:5:24 --chi 0.1:0.6:24",
+     "zeros --j 1 --m 1 --a1 3 --v1 1 --v2=-1E0 --a2 3:5:24 --chi 0.1:0.6:24"),
+], ids=["v0", "alpha", "v2"])
+def test_negative_values_in_exponent_form_are_values(capsys, typed, joined):
+    # argparse before Python 3.13 takes -1e-3 for an option, not a value
+    code, out, err = run(capsys, *typed.split())
+    assert code == 0 and err == ""
+    assert out.startswith(f"# qpshell {typed}\n")
+    _, out_joined, _ = run(capsys, *joined.split())
+    assert out.split("\n", 1)[1] == out_joined.split("\n", 1)[1]
+
+
+def test_a_negative_range_after_its_option_is_a_typed_refusal(capsys):
+    code, out, err = run(capsys, *"greens --j 1 --m 1 --branch real --chi -1:1:3 --r 1".split())
+    assert code == 2 and out == ""
+    assert err.startswith("parameter error: rapidity must be non-negative")

@@ -17,7 +17,7 @@ from qpshell.errors import (
 )
 from qpshell import scattering
 from qpshell.boundstates import bound_wavefunction, v0_of_w
-from qpshell.greens import green_partial, green_partial_array
+from qpshell.greens import _partial_re_array, _real_factors, green_partial, green_partial_array
 from qpshell.kinematics import ALL_VARIANTS, BoundEnergy, Kinematics, k_factor
 from qpshell.nonrel import nr_wavefunction
 from qpshell.scattering import (
@@ -893,3 +893,219 @@ def test_scan_non_finite_field_raises():
     # V1 V2 overflows to -inf, so the field is non-finite
     with pytest.raises(AccuracyError, match="non-finite"):
         scan_zero_locus(1, 1.0, 3.0, 1e200, -1e200, (3.0, 8.0), (0.1, 3.0), grid=(16, 16))
+
+
+def _stacked_zero_condition(v, chi, g1, x1, g2, x2):
+    """_zero_condition_raw as it was written on stacked pointwise arrays:
+    the reference for the tensor-grid field."""
+    chi, x2 = np.broadcast_arrays(chi, x2)
+    x1s = np.full(x2.shape, x1)
+    # one kernel call over (x, x') = (x1, x1), (x2, x2), (x1, x2)
+    x, xp = np.stack([x1s, x2, x1s]), np.stack([x1s, x2, x2])
+    with np.errstate(all="ignore"):
+        kt, sech_den = _real_factors(v, chi)
+        g11, g22, g12 = _partial_re_array(v, chi, kt, sech_den, x - xp, x + xp)
+        s1 = np.sin(chi * x1)
+        s2 = np.sin(chi * x2)
+        return (
+            g1 * s1 * s1
+            + g2 * s2 * s2
+            + g1 * g2 * (2 * s1 * s2 * g12 - s1 * s1 * g22 - s2 * s2 * g11)
+        )
+
+
+@pytest.mark.parametrize("j", [1, 2, 3, 4])
+@pytest.mark.parametrize("m, a1, v1, v2, a2_range, grid", [
+    # the README window: its first column is a2 = a1, where x1 - x2 = 0, and
+    # 300 chi points do not divide _FIELD_BLOCK
+    (1.0, 3.0, 1.0, -1.0, (3.0, 8.0), (300, 300)),
+    (1.7, 1.2, 2.5, -0.7, (0.3, 5.0), (40, 77)),
+    # more chi points than _FIELD_BLOCK: one row per call
+    (0.8, 2.0, -1.5, 3.0, (2.0, 6.0), (16, 5000)),
+], ids=["readme", "m_1.7", "one_row_per_block"])
+def test_tensor_field_is_the_pointwise_field(monkeypatch, j, m, a1, v1, v2, a2_range, grid):
+    raw, calls = scattering._zero_condition_raw, []
+
+    def spy(v, chi, g1, x1, g2, x2):
+        value = raw(v, chi, g1, x1, g2, x2)
+        if np.ndim(chi) == 2:  # the field; the refinement passes 1-D points
+            calls.append((v, chi, g1, x1, g2, x2, value))
+        return value
+
+    monkeypatch.setattr(scattering, "_zero_condition_raw", spy)
+    scan_zero_locus(j, m, a1, v1, v2, a2_range, (0.1, 3.0), grid=grid)
+    nx, ny = grid
+    rows = max(1, scattering._FIELD_BLOCK // ny)
+    assert [x2.shape for *_, x2, _ in calls] == [(min(rows, nx - lo), 1)
+                                                 for lo in range(0, nx, rows)]
+    v, chi, g1, x1, g2, _, _ = calls[0]
+    assert chi.shape == (1, ny) and all(np.array_equal(c[1], chi) for c in calls)
+    xs = np.concatenate([x2[:, 0] for *_, x2, _ in calls])
+    field = np.concatenate([value for *_, value in calls])
+    # the pointwise route: flattened points, _FIELD_BLOCK at a time
+    k, block = np.arange(nx * ny), scattering._FIELD_BLOCK
+    pointwise = np.concatenate([
+        _stacked_zero_condition(v, chi[0, k[lo:lo + block] % ny], g1, x1, g2,
+                                xs[k[lo:lo + block] // ny])
+        for lo in range(0, nx * ny, block)]).reshape(nx, ny)
+    assert np.array_equal(field, pointwise)
+    if a2_range[0] == a1:
+        assert xs[0] == x1
+
+
+def test_zero_condition_raw_is_the_stacked_form_at_scattered_points():
+    rng = np.random.default_rng(41)
+    for j in (1, 2, 3, 4):
+        v = scattering._variant(j)
+        for n in (1, 20, 600):
+            x1 = rng.uniform(0.1, 5.0)
+            chi, x2 = rng.uniform(0.05, 6.0, n), rng.uniform(0.1, 9.0, n)
+            x2[0] = x1
+            g1, g2 = rng.uniform(-4.0, 4.0, 2)
+            for c, x in ((chi, x2), (chi[0], x2), (chi, x2[0]), (chi[0], x2[0])):
+                assert np.array_equal(scattering._zero_condition_raw(v, c, g1, x1, g2, x),
+                                      _stacked_zero_condition(v, c, g1, x1, g2, x))
+
+
+def _xy_refine_edge_zero(cond, neg, pos, f_neg, f_pos):
+    """_refine_edge_zero as it was written on (x, y) points: the reference
+    for its rounds on one coordinate."""
+    neg, pos = np.array(neg, dtype=float), np.array(pos, dtype=float)
+    out = np.empty((3, neg.shape[1]))
+    exact = f_pos == 0.0
+    out[:2, exact], out[2, exact] = pos[:, exact], 0.0
+    todo = np.flatnonzero(~exact)
+    neg, pos, f_neg, f_pos = neg[:, todo], pos[:, todo], f_neg[todo], f_pos[todo]
+    point, res = neg, -f_neg  # each edge's latest point, for the stall message
+    moved = np.zeros(len(todo))  # the end that moved last: -1 negative, +1 positive
+
+    def strictly_inside(p):
+        # on an axis-parallel edge: between its ends and equal to neither
+        return ((p - neg) * (pos - p)).sum(axis=0) > 0
+
+    for _ in range(scattering._MAX_EDGE_BISECT):
+        if not len(todo):
+            return out
+        with np.errstate(all="ignore"):
+            trial = neg + f_neg / (f_neg - f_pos) * (pos - neg)
+            inside = strictly_inside(trial)
+            if not inside.all():
+                mid = 0.5 * (neg + pos)
+                stuck = ~(inside | strictly_inside(mid))
+                if stuck.any():
+                    k = np.argmax(stuck)
+                    raise scattering._stalled(point[:, k], res[k])
+                trial = np.where(inside, trial, mid)
+        point = trial
+        f = cond(len(todo), lambda k: (point[0, k], point[1, k]))
+        res = np.abs(f)
+        done = res < scattering._VERTEX_RESIDUAL
+        finished = todo[done]
+        out[:2, finished], out[2, finished] = point[:, done], res[done]
+        left = ~done
+        todo, point, res, f = todo[left], point[:, left], res[left], f[left]
+        lower = f < 0
+        side = np.where(lower, -1.0, 1.0)
+        illinois = np.where(side == moved[left], 0.5, 1.0)
+        f_neg = np.where(lower, f, illinois * f_neg[left])
+        f_pos = np.where(lower, illinois * f_pos[left], f)
+        neg = np.where(lower, point, neg[:, left])
+        pos = np.where(lower, pos[:, left], point)
+        moved = side
+    raise scattering._stalled(point[:, 0], res[0])
+
+
+def _same_refinement(cond, *edges):
+    """Run _refine_edge_zero and its (x, y) reference on the same edges and
+    assert the same points evaluated, the same rows or the same refusal."""
+    def recorded(points):
+        def spy(n, p):
+            x, y = p(np.arange(n))
+            points.append((np.array(x), np.array(y)))
+            return cond(n, p)
+        return spy
+
+    results = []
+    for refine in (scattering._refine_edge_zero, _xy_refine_edge_zero):
+        points = []
+        try:
+            results.append((refine(recorded(points), *edges), None, points))
+        except AccuracyError as exc:
+            results.append((None, str(exc), points))
+    (out, err, points), (ref_out, ref_err, ref_points) = results
+    assert err == ref_err
+    assert len(points) == len(ref_points)
+    for (x, y), (rx, ry) in zip(points, ref_points):
+        assert np.array_equal(x, rx) and np.array_equal(y, ry)
+    if err is None:
+        assert np.array_equal(out, ref_out)
+    return out, err, len(points)
+
+
+@pytest.mark.parametrize("j", [1, 2, 3, 4])
+def test_refinement_is_the_xy_illinois_on_the_readme_window(monkeypatch, j):
+    refine, seen = scattering._refine_edge_zero, []
+
+    def spy(cond, *edges):
+        seen.append((cond, edges))
+        return refine(cond, *edges)
+
+    monkeypatch.setattr(scattering, "_refine_edge_zero", spy)
+    scan_zero_locus(j, 1.0, 3.0, 1.0, -1.0, (3.0, 8.0), (0.1, 3.0))
+    (cond, edges), = seen
+    out, err, rounds = _same_refinement(cond, *edges)
+    assert err is None and out.shape[1] > 1000 and rounds > 2
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_refinement_is_the_xy_illinois_on_random_conditions(seed):
+    rng = np.random.default_rng(seed)
+    a, k, c = rng.uniform(0.5, 3.0), rng.uniform(1.0, 40.0), rng.uniform(-50.0, 50.0)
+    b = rng.uniform(-0.9, 0.9) * a / k   # keeps a u + b sin(k u) increasing
+
+    def g(u):
+        return a * u + b * np.sin(k * u) + c * u ** 3
+
+    cond, neg, pos, f_neg, f_pos = _crossing_edges(g, n=int(rng.integers(1, 200)),
+                                                   h=rng.uniform(1e-3, 0.1), seed=seed)
+    if seed % 2:  # an exact zero at some positive ends
+        f_pos = np.where(rng.random(len(f_pos)) < 0.2, 0.0, f_pos)
+    out, err, _ = _same_refinement(cond, neg, pos, f_neg, f_pos)
+    assert err is None
+
+
+def test_refinement_is_the_xy_illinois_at_an_exact_zero_end():
+    cond, neg, pos, f_neg, f_pos = _crossing_edges(lambda u: u, n=4)
+    f_pos = f_pos.copy()
+    f_pos[1] = 0.0
+    out, err, _ = _same_refinement(cond, neg, pos, f_neg, f_pos)
+    assert err is None and out[2, 1] == 0.0
+
+
+def test_refinement_is_the_xy_illinois_where_it_stalls(monkeypatch):
+    def step(n, points):  # no point has |cond| < 1e-10
+        x, y = points(np.arange(n))
+        return np.where(x + y < 3.0, -1.0, 1.0)
+
+    one = np.array([1.0])
+    # ends that are neighbouring floats: refused before any evaluation
+    lo = 1.3
+    _, err, rounds = _same_refinement(step, (one * lo, one * 1.7),
+                                      (one * math.nextafter(lo, 2), one * 1.7), -one, one)
+    assert err.startswith("zero-locus vertex refinement stalled near") and rounds == 0
+    # a bracket that closes on the jump
+    _, err, rounds = _same_refinement(step, (one * 1.25, one * 1.7), (one * 1.35, one * 1.7),
+                                      -one, one)
+    assert err is not None and 0 < rounds < scattering._MAX_EDGE_BISECT
+    # NaN past the jump: every round bisects, and brackets spanning hundreds
+    # of binades are still open after _MAX_EDGE_BISECT rounds; the refusal
+    # names the first open edge
+
+    def nan_step(n, points):
+        x, y = points(np.arange(n))
+        return np.where(x + y < 3.0, -1.0, np.nan)
+
+    neg = (np.array([1e-300, 2.0]), np.array([1.0, 1e-300]))
+    pos = (np.array([1e300, 2.0]), np.array([1.0, 1e300]))
+    _, err, rounds = _same_refinement(nan_step, neg, pos, -np.ones(2), np.ones(2))
+    assert err is not None and rounds == scattering._MAX_EDGE_BISECT
